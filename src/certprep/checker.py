@@ -8,7 +8,14 @@ instance, maintaining:
   * a map id -> live constraint, split into *core* (the current trusted
     reformulation) and *derived* (redundant helpers),
   * the current objective,
-  * an occurrence index var -> ids used to enumerate witness obligations.
+  * a ``pb.Propagator`` over the live constraints: it owns the id map, and
+    its literal -> ids index both drives propagation and enumerates witness
+    obligations.
+
+Every propagation goes through that one engine: ``rup`` and plain core
+``delc`` start from its root set, ``obju`` does too restricted to the core,
+and a witnessed ``red``/``delc`` propagates its premises once and resumes
+each obligation from that fixpoint with only the negated target added.
 
 Step forms (one per line; ``*`` starts a comment, blank lines are skipped)::
 
@@ -76,12 +83,12 @@ class ProofChecker:
         self.output_objective = output_objective
         self.lineno = 0
         self.state = "header"
-        self.constraints = {}
+        self.engine = pb.Propagator()
+        self.constraints = self.engine.constraints
         self.core_ids = set()
         self.objective = None
         self.next_id = 1
         self.level = None
-        self._occ = {}
         self._block = None  # (constraint, witness, collected lines) during red..begin
 
     # -- bookkeeping ---------------------------------------------------------
@@ -92,32 +99,20 @@ class ProofChecker:
     def _install(self, c, core=False):
         cid = self.next_id
         self.next_id += 1
-        self.constraints[cid] = c
+        self.engine.add(cid, c)
         if core:
             self.core_ids.add(cid)
-        for v in c.vars():
-            self._occ.setdefault(v, set()).add(cid)
         return cid
 
     def _remove(self, cid):
-        c = self.constraints.pop(cid)
+        self.engine.remove(cid)
         self.core_ids.discard(cid)
-        for v in c.vars():
-            self._occ[v].discard(cid)
 
     def _live(self, cid):
         c = self.constraints.get(cid)
         if c is None:
             self._err("constraint %d is not live" % cid)
         return c
-
-    def _live_list(self, skip=None):
-        if skip is None:
-            return list(self.constraints.values())
-        return [c for i, c in self.constraints.items() if i != skip]
-
-    def _core_list(self):
-        return [self.constraints[i] for i in self.core_ids]
 
     # -- cutting planes ------------------------------------------------------
 
@@ -170,24 +165,33 @@ class ProofChecker:
     def _touched_ids(self, witness, skip=None):
         ids = set()
         for v in witness:
-            ids |= self._occ.get(v, set())
+            ids |= self.engine.ids_with(v << 1)
+            ids |= self.engine.ids_with((v << 1) | 1)
         ids.discard(skip)
         return ids
 
-    def _discharge(self, premises, base, target, block, label):
-        """Vacuous, implicit-RUP, or spelled-out subproof for one obligation."""
+    def _conflicts(self, extras, base=None, skip=None, only=None):
+        return self.engine.propagate(extras=extras, base=base, skip=skip,
+                                     only=only) is None
+
+    def _discharge(self, neg_c, base, skip, target, block, label):
+        """Vacuous, implicit-RUP, or spelled-out subproof for one obligation.
+
+        `base` is the fixpoint of the premises: the live constraints except
+        `skip`, plus `neg_c`.
+        """
         if target.is_trivial():
             return True
         if base is None:  # premises already propagate to conflict
             return True
-        if pb.unit_propagate(premises + [pb.negate(target)], base) is None:
+        if self._conflicts([neg_c, pb.negate(target)], base, skip):
             return True
         steps = (block or {}).get(label)
         if steps is None:
             return False
-        return self._replay_goal(premises, base, target, steps)
+        return self._replay_goal(neg_c, base, skip, target, steps)
 
-    def _replay_goal(self, premises, base, target, steps):
+    def _replay_goal(self, neg_c, base, skip, target, steps):
         scratch = []
         locals_ = {}
         next_local = self.next_id
@@ -202,33 +206,32 @@ class ProofChecker:
                 c = self._eval_pol(payload, lookup)
             else:  # rup
                 c = payload
-                if pb.unit_propagate(premises + scratch + [pb.negate(c)],
-                                     base) is not None:
+                if not self._conflicts([neg_c, *scratch, pb.negate(c)], base,
+                                       skip):
                     self._err("subproof rup step failed")
             scratch.append(c)
             locals_[next_local] = c
             next_local += 1
         if any(c == target for c in scratch):
             return True
-        return pb.unit_propagate(premises + scratch + [pb.negate(target)],
-                                 base) is None
+        return self._conflicts([neg_c, *scratch, pb.negate(target)], base, skip)
 
     def _check_witnessed(self, c, witness, block, skip=None):
         """Obligations for adding c by redundance (skip=None) or for deleting
         core constraint `skip` (then c is the removed constraint)."""
-        premises = self._live_list(skip) + [pb.negate(c)]
-        base = pb.unit_propagate(premises)
+        neg_c = pb.negate(c)
+        base = self.engine.propagate(extras=[neg_c], skip=skip)
         for cid in sorted(self._touched_ids(witness, skip)):
             target = pb.restrict(self.constraints[cid], witness)
-            if not self._discharge(premises, base, target, block, str(cid)):
+            if not self._discharge(neg_c, base, skip, target, block, str(cid)):
                 self._err("witness obligation fails for constraint %d" % cid)
         self_target = pb.restrict(c, witness)
-        if not self._discharge(premises, base, self_target, block, "self"):
+        if not self._discharge(neg_c, base, skip, self_target, block, "self"):
             self._err("witness obligation fails for the introduced constraint")
         if set(witness) & set(self.objective.coeffs):
             diff = pb.objective_diff_constraint(
                 self.objective, self.objective.restrict(witness))
-            if not self._discharge(premises, base, diff, block, "obj"):
+            if not self._discharge(neg_c, base, skip, diff, block, "obj"):
                 self._err("witness obligation fails for the objective")
 
     # -- objective updates -----------------------------------------------------
@@ -236,13 +239,11 @@ class ProofChecker:
     def _obju_direction_ok(self, target):
         if target.is_trivial():
             return True
-        core = self._core_list()
-        if pb.rup_check(core, target):
+        if self._conflicts([pb.negate(target)], only=self.core_ids):
             return True
         if target.terms:
             # scaled copy of a single core constraint (multiplication rule)
-            v = target.terms[0][1] >> 1
-            for cid in self._occ.get(v, set()):
+            for cid in self.engine.ids_with(target.terms[0][1]):
                 if cid not in self.core_ids:
                     continue
                 g = self.constraints[cid]
@@ -342,7 +343,7 @@ class ProofChecker:
         elif op == "rup":
             c, pos = pb.parse_constraint_tokens(toks, 1)
             self._expect_semi(toks, pos)
-            if not pb.rup_check(self._live_list(), c):
+            if not self._conflicts([pb.negate(c)]):
                 self._err("rup addition fails")
             self._install(c)
         elif op == "red":
@@ -370,7 +371,7 @@ class ProofChecker:
                     if pos != len(toks):
                         self._err("delc: trailing tokens")
                     self._check_witnessed(c, witness, None, skip=cid)
-                elif not pb.rup_check(self._live_list(skip=cid), c):
+                elif not self._conflicts([pb.negate(c)], skip=cid):
                     self._err("deleted core constraint is not rederivable")
             self._remove(cid)
         elif op == "obju":

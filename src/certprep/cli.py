@@ -32,11 +32,10 @@ def cmd_preprocess(args):
         return 2
     try:
         if args.techniques is None:
-            cfg = preprocess.Config(rounds=args.rounds, seed=args.seed)
+            cfg = preprocess.Config(rounds=args.rounds)
         else:
             cfg = preprocess.Config.from_flag(args.techniques,
-                                              rounds=args.rounds,
-                                              seed=args.seed)
+                                              rounds=args.rounds)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -113,7 +112,6 @@ def _build_parser():
                         "set; empty string: none)")
     p.add_argument("--rounds", type=int, default=5,
                    help="fixpoint iteration cap per stage")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("check", help="verify a proof end to end")

@@ -8,6 +8,20 @@ Keeping everything integral makes assignments and witnesses cheap dicts.
 
 Constraints are kept in normalized form: distinct variables, positive
 coefficients, non-negative degree, terms sorted by (namespace, index).
+
+Unit propagation has one engine, ``Propagator``, shared by the checker and
+the preprocessor's probing.  It owns the live constraints (id -> constraint),
+a literal -> ids occurrence index and the *root set*: the ids whose largest
+coefficient exceeds sum(coef) - degree, or with sum(coef) < degree, i.e. the
+only ones that conflict or propagate with nothing assigned.  ``add`` and
+``remove`` keep all three in step.  A propagation either starts from the root
+set or resumes from a base assignment that is already a fixpoint of the same
+constraints; it then makes assumption literals true, visits a few transient
+extra constraints (a negated target, subproof lines) once, and afterwards
+revisits a constraint only when one of its literals becomes false, so its
+cost follows the constraints actually touched rather than the database size.
+``unit_propagate`` and ``rup_check`` are thin wrappers over a throwaway
+engine.
 """
 
 NS_USER = 0
@@ -297,46 +311,140 @@ def objective_diff_constraint(a, b):
     return normalize(raw, b.constant - a.constant)
 
 
+_NO_IDS = frozenset()
+
+
+def _propagates_at_root(c):
+    """True if c conflicts or forces a literal with nothing assigned."""
+    slack = sum(coef for coef, _ in c.terms) - c.degree
+    return slack < 0 or any(coef > slack for coef, _ in c.terms)
+
+
+class Propagator:
+    """Queue-driven unit propagation over live constraints (see above).
+
+    ``constraints`` (id -> constraint), ``occ`` (literal -> set of ids, empty
+    entries dropped) and ``roots`` are kept in step by ``add`` and
+    ``remove``; callers may read them but change them only through those.
+    """
+
+    __slots__ = ("constraints", "occ", "roots")
+
+    def __init__(self, constraints=()):
+        self.constraints = {}
+        self.occ = {}
+        self.roots = set()
+        for cid, c in enumerate(constraints):
+            self.add(cid, c)
+
+    def add(self, cid, c):
+        self.constraints[cid] = c
+        for _, lit in c.terms:
+            self.occ.setdefault(lit, set()).add(cid)
+        if _propagates_at_root(c):
+            self.roots.add(cid)
+
+    def remove(self, cid):
+        c = self.constraints.pop(cid)
+        occ = self.occ
+        for _, lit in c.terms:
+            ids = occ[lit]
+            ids.discard(cid)
+            if not ids:
+                del occ[lit]
+        self.roots.discard(cid)
+        return c
+
+    def ids_with(self, lit):
+        return self.occ.get(lit, _NO_IDS)
+
+    def propagate(self, assumptions=(), extras=(), base=None, skip=None,
+                  only=None):
+        """UP fixpoint as {var: value}, or None on conflict.
+
+        `assumptions` are literals made true first; `extras` are transient
+        constraints, visited once up front and then through a local index.
+        Id `skip` is ignored, and with `only` given so is every id outside
+        it.  Without `base` the root set is visited up front; a `base` must
+        already be a fixpoint of the constraints so filtered, which is why
+        the extras it was computed with must be passed again.  A constraint
+        whose slack has not fallen since it was last visited cannot
+        propagate, so only those containing a newly false literal are
+        revisited.
+        """
+        assign = dict(base) if base else {}
+        false = []          # literals made false, in order, to be processed
+        for lit in assumptions:
+            want = (lit & 1) ^ 1
+            have = assign.get(lit >> 1)
+            if have is None:
+                assign[lit >> 1] = want
+                false.append(lit ^ 1)
+            elif have != want:
+                return None
+        constraints = self.constraints
+        occ = self.occ
+        xocc = {}
+        for c in extras:
+            for _, lit in c.terms:
+                xocc.setdefault(lit, []).append(c)
+        visit = list(extras)
+        if base is None:
+            visit.extend(constraints[cid] for cid in self.roots
+                         if cid != skip and (only is None or cid in only))
+        pos = 0
+        while True:
+            for c in visit:
+                slack = -c.degree
+                pending = None
+                for coef, lit in c.terms:
+                    val = assign.get(lit >> 1)
+                    if val is None:
+                        slack += coef
+                        if pending is None:
+                            pending = [(coef, lit)]
+                        else:
+                            pending.append((coef, lit))
+                    elif val != (lit & 1):
+                        slack += coef
+                if slack < 0:
+                    return None
+                if pending:
+                    for coef, lit in pending:
+                        if coef > slack:
+                            assign[lit >> 1] = (lit & 1) ^ 1
+                            false.append(lit ^ 1)
+            if pos == len(false):
+                return assign
+            lit = false[pos]
+            pos += 1
+            ids = occ.get(lit, ())
+            if skip is not None or only is not None:
+                ids = [cid for cid in ids
+                       if cid != skip and (only is None or cid in only)]
+            visit = [constraints[cid] for cid in ids]
+            if lit in xocc:
+                visit.extend(xocc[lit])
+
+
 def unit_propagate(constraints, assign=None):
     """Propagate to fixpoint; return the extended assignment or None on conflict.
 
     A constraint with slack < 0 is conflicting; an unassigned literal whose
-    coefficient exceeds the slack must be true.  Iterating in rounds is
-    confluent, so the result does not depend on constraint order.
+    coefficient exceeds the slack must be true.  Runs a throwaway Propagator
+    with `assign` as assumptions.
     """
-    assign = dict(assign) if assign else {}
-    cs = constraints if isinstance(constraints, list) else list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        for c in cs:
-            slack = -c.degree
-            pending = None
-            for coef, lit in c.terms:
-                val = assign.get(lit >> 1)
-                if val is None:
-                    slack += coef
-                    if pending is None:
-                        pending = [(coef, lit)]
-                    else:
-                        pending.append((coef, lit))
-                elif val != (lit & 1):
-                    slack += coef
-            if slack < 0:
-                return None
-            if pending:
-                for coef, lit in pending:
-                    if coef > slack:
-                        assign[lit >> 1] = (lit & 1) ^ 1
-                        changed = True
-    return assign
+    return Propagator(constraints).propagate(_assumptions(assign))
 
 
 def rup_check(premises, target, assign=None):
     """Reverse unit propagation: premises plus not(target) propagate to conflict."""
-    cs = list(premises)
-    cs.append(negate(target))
-    return unit_propagate(cs, assign) is None
+    return Propagator(premises).propagate(
+        _assumptions(assign), extras=(negate(target),)) is None
+
+
+def _assumptions(assign):
+    return [(v << 1) | (val ^ 1) for v, val in assign.items()] if assign else ()
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ class Config:
     """Technique selection and resource knobs for a pipeline run."""
 
     def __init__(self, techniques=DEFAULT_TECHNIQUES, rounds=5, bve_growth=0,
-                 seed=0, oracle_conflicts=20000, bce_softs=False,
+                 oracle_conflicts=20000, bce_softs=False,
                  max_proof_lines=None, checkpoints=False):
         names = set(techniques)
         unknown = names - set(STAGE2_ORDER) - set(STAGE4_ORDER)
@@ -54,7 +54,6 @@ class Config:
         self.stage4 = tuple(n for n in STAGE4_ORDER if n in names)
         self.rounds = rounds
         self.bve_growth = bve_growth
-        self.seed = seed
         self.oracle_conflicts = oracle_conflicts
         self.bce_softs = bce_softs
         self.max_proof_lines = max_proof_lines
@@ -92,8 +91,9 @@ class Preprocessor:
         cons, objective, soft_info = encode_to_pb(instance)
         self.writer.begin(len(cons))
         self.objective = objective
-        self.clauses = {}       # cid -> LinearConstraint, mirrors the proof core
-        self.occ = {}           # literal -> set of cids
+        self.engine = pb.Propagator()
+        self.clauses = self.engine.constraints  # cid -> clause, = proof core
+        self.occ = self.engine.occ              # literal -> set of cids
         self.soft_label = {}    # cid -> (label var, weight), WCNF phase only
         self.hard_ids = set()
         self.core_live = set(range(1, len(cons) + 1))
@@ -119,21 +119,16 @@ class Preprocessor:
     # bookkeeping
 
     def _install(self, cid, c):
-        self.clauses[cid] = c
-        for _, lit in c.terms:
-            self.occ.setdefault(lit, set()).add(cid)
+        self.engine.add(cid, c)
 
     def _uninstall(self, cid):
-        c = self.clauses.pop(cid)
-        for _, lit in c.terms:
-            self.occ[lit].discard(cid)
-        return c
+        return self.engine.remove(cid)
 
     def _lits(self, cid):
         return tuple(lit for _, lit in self.clauses[cid].terms)
 
     def _occ_ids(self, lit):
-        return self.occ.get(lit, frozenset())
+        return self.engine.ids_with(lit)
 
     def _fresh_label(self):
         v = mkvar(self.next_aux, pb.NS_AUX)
@@ -485,38 +480,13 @@ class Preprocessor:
     def _up_closure(self, start):
         """Clause-level UP from the given literals.
 
-        Returns (set of true literals, conflict flag).
+        Returns (set of true literals, conflict flag).  On clauses the PB
+        slack rule of the engine is the clause rule, and trivial (degree 0)
+        clauses never propagate.
         """
-        val = {}
-        for lit in start:
-            want = (lit & 1) ^ 1
-            if val.get(lit >> 1, want) != want:
-                return set(), True
-            val[lit >> 1] = want
-        changed = True
-        while changed:
-            changed = False
-            for cid in sorted(self.clauses):
-                c = self.clauses[cid]
-                if c.is_trivial():
-                    continue
-                pending = []
-                satisfied = False
-                for _, lit in c.terms:
-                    have = val.get(lit >> 1)
-                    if have is None:
-                        pending.append(lit)
-                    elif have == (lit & 1) ^ 1:
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not pending:
-                    return set(), True
-                if len(pending) == 1:
-                    lit = pending[0]
-                    val[lit >> 1] = (lit & 1) ^ 1
-                    changed = True
+        val = self.engine.propagate(start)
+        if val is None:
+            return set(), True
         return {mklit(v, b == 0) for v, b in val.items()}, False
 
     # ------------------------------------------------------------------
@@ -1310,11 +1280,7 @@ class Preprocessor:
         return True
 
     def _finish_wcnf(self):
-        for cid in sorted(self.clauses):
-            if self.clauses[cid].is_trivial():
-                self._uninstall(cid)
-                self._delc(cid)
-                self.hard_ids.discard(cid)
+        self._drop_trivial()
         hard = [list(self._lits(cid))
                 for cid in sorted(self.hard_ids & set(self.clauses))]
         soft = [(w, list(self._real_lits(cid)))
@@ -1330,8 +1296,8 @@ class Preprocessor:
         """The core holds 0 >= 1: reduce everything to the empty clause."""
         for cid in sorted(self.core_live - {conflict_cid}):
             self._delc(cid)
-        self.clauses = {}
-        self.occ = {}
+        for cid in list(self.clauses):
+            self._uninstall(cid)
         self.soft_label = {}
         self.hard_ids = set()
         if self.objective.coeffs or self.objective.constant:

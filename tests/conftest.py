@@ -123,3 +123,72 @@ def random_instance(rng, max_vars=12, max_clauses=25, max_weight=8):
         hard.append([pb.mklit(v)])
         hard.append([pb.mklit(v, True)])
     return WcnfInstance(hard, soft)
+
+
+# -- reference propagation ------------------------------------------------------
+#
+# The round-based loops the queue-driven pb.Propagator replaced, kept here as
+# the simple reference its differential tests compare against.
+
+
+def reference_unit_propagate(constraints, assign=None):
+    """Sweep every constraint in rounds until nothing changes; return the
+    extended assignment, or None as soon as some slack is negative."""
+    assign = dict(assign) if assign else {}
+    cs = list(constraints)
+    changed = True
+    while changed:
+        changed = False
+        for c in cs:
+            slack = -c.degree
+            pending = []
+            for coef, lit in c.terms:
+                val = assign.get(lit >> 1)
+                if val is None:
+                    slack += coef
+                    pending.append((coef, lit))
+                elif val != (lit & 1):
+                    slack += coef
+            if slack < 0:
+                return None
+            for coef, lit in pending:
+                if coef > slack:
+                    assign[lit >> 1] = (lit & 1) ^ 1
+                    changed = True
+    return assign
+
+
+def reference_clause_closure(clauses, start):
+    """Clause-level UP from the literals `start` over {id: clause}, sweeping
+    the clauses in id order each round; returns (true literals, conflict)."""
+    val = {}
+    for lit in start:
+        want = (lit & 1) ^ 1
+        if val.get(lit >> 1, want) != want:
+            return set(), True
+        val[lit >> 1] = want
+    changed = True
+    while changed:
+        changed = False
+        for cid in sorted(clauses):
+            c = clauses[cid]
+            if c.is_trivial():
+                continue
+            pending = []
+            satisfied = False
+            for _, lit in c.terms:
+                have = val.get(lit >> 1)
+                if have is None:
+                    pending.append(lit)
+                elif have == (lit & 1) ^ 1:
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if not pending:
+                return set(), True
+            if len(pending) == 1:
+                lit = pending[0]
+                val[lit >> 1] = (lit & 1) ^ 1
+                changed = True
+    return {pb.mklit(v, b == 0) for v, b in val.items()}, False
