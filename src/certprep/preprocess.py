@@ -16,6 +16,7 @@ with unit propagation alone; the comments on the trickier ones record which
 live constraint closes each obligation.
 """
 
+import heapq
 import io
 
 from . import pb
@@ -70,6 +71,17 @@ def _unit(lit):
     return constraint_from_clause([lit])
 
 
+def _exhaustively(once):
+    """The pass that repeats `once` until it applies nothing; it returns
+    whether anything applied."""
+    def run(self):
+        changed = False
+        while once(self):
+            changed = True
+        return changed
+    return run
+
+
 class Infeasible(Exception):
     """The proof derived 0 >= 1; carries the conflicting constraint id."""
 
@@ -94,6 +106,7 @@ class Preprocessor:
         self.engine = pb.Propagator()
         self.clauses = self.engine.constraints  # cid -> clause, = proof core
         self.occ = self.engine.occ              # literal -> set of cids
+        self.closures = {}      # start literals -> _up_closure result
         self.soft_label = {}    # cid -> (label var, weight), WCNF phase only
         self.hard_ids = set()
         self.core_live = set(range(1, len(cons) + 1))
@@ -120,8 +133,10 @@ class Preprocessor:
 
     def _install(self, cid, c):
         self.engine.add(cid, c)
+        self.closures.clear()
 
     def _uninstall(self, cid):
+        self.closures.clear()
         return self.engine.remove(cid)
 
     def _lits(self, cid):
@@ -262,56 +277,77 @@ class Preprocessor:
         return self.phase == "oc" or cid in self.hard_ids
 
     def remove_duplicates(self):
-        changed = False
-        while self._duplicates_once():
-            changed = True
-        return changed
+        """Settle every group of clauses with the same real literals.
 
-    def _duplicates_once(self):
+        The groups are built once per pass and settled from a heap keyed by
+        each group's smallest live id, one action at a time, so the action
+        applied is always the first applicable one in id order, as if the
+        clauses were regrouped after every action.  That holds because an
+        action changes no other group's verdict: it deletes only its own
+        members and installs nothing, moves objective weight only onto or
+        off its own labels, and syncing the unit soft (u) adds weight on ~u,
+        which can only keep the group (~u) from applying.  Only the group
+        just changed is pushed again, under its new smallest id.
+        """
         groups = {}
         for cid in sorted(self.clauses):
-            if self.clauses[cid].is_trivial():
+            if not self.clauses[cid].is_trivial():
+                groups.setdefault(self._real_lits(cid), []).append(cid)
+        # a lone clause can apply only as a unit soft the objective pays for
+        heap = [(cids[0], key) for key, cids in groups.items()
+                if len(cids) > 1 or len(key) == 1]
+        heapq.heapify(heap)
+        changed = False
+        while heap:
+            _, key = heapq.heappop(heap)
+            if not self._settle_duplicates(key, groups[key]):
                 continue
-            groups.setdefault(self._real_lits(cid), []).append(cid)
-        for key in sorted(groups, key=lambda k: groups[k][0]):
-            cids = groups[key]
-            hards = [c for c in cids if c in self.hard_ids]
-            softs = [c for c in cids if c in self.soft_label]
-            if len(hards) > 1:
-                for cid in hards[1:]:
-                    self._uninstall(cid)
-                    self._delc(cid)
-                    self.hard_ids.discard(cid)
-                    self._count("dup")
+            changed = True
+            cids = groups[key] = [c for c in groups[key] if c in self.clauses]
+            if cids:
+                heapq.heappush(heap, (cids[0], key))
+        return changed
+
+    def _settle_duplicates(self, key, cids):
+        """Apply the first applicable action to the live clauses `cids`
+        (ascending) whose real literals are `key`; True if one applied."""
+        hards = [c for c in cids if c in self.hard_ids]
+        softs = [c for c in cids if c in self.soft_label]
+        if len(hards) > 1:
+            for cid in hards[1:]:
+                self._uninstall(cid)
+                self._delc(cid)
+                self.hard_ids.discard(cid)
+                self._count("dup")
+            return True
+        if hards and softs:
+            for cid in softs:
+                label, w = self.soft_label.pop(cid)
+                self._uninstall(cid)
+                self._delc(cid)
+                self._retire_soft_label(label, w)
+                self._count("dup")
+            return True
+        if len(key) == 1 and softs:
+            # a soft shrunk to a single literal duplicates another soft
+            # (relaxed or already objective-level): merge through the
+            # objective by converting it early
+            if len(softs) > 1 or self._unit_penalized(key[0]):
+                self._sync_unit_soft(softs[0])
+                self._count("dup")
                 return True
-            if hards and softs:
-                for cid in softs:
-                    label, w = self.soft_label.pop(cid)
-                    self._uninstall(cid)
-                    self._delc(cid)
-                    self._retire_soft_label(label, w)
-                    self._count("dup")
-                return True
-            if len(key) == 1 and softs:
-                # a soft shrunk to a single literal duplicates another soft
-                # (relaxed or already objective-level): merge through the
-                # objective by converting it early
-                if len(softs) > 1 or self._unit_penalized(key[0]):
-                    self._sync_unit_soft(softs[0])
+        if len(softs) > 1:
+            keep = softs[0]
+            for cid in softs[1:]:
+                if self._merge_soft_pair(keep, cid):
                     self._count("dup")
                     return True
-            if len(softs) > 1:
-                keep = softs[0]
-                for cid in softs[1:]:
-                    if self._merge_soft_pair(keep, cid):
-                        self._count("dup")
-                        return True
         return False
 
     def _unit_penalized(self, u):
         """True if the objective pays for falsifying the unit soft (u)."""
-        terms, _ = self.objective.literal_form()
-        return any(lit == neg(u) for _, lit in terms)
+        coef = self.objective.coef(u >> 1)
+        return coef > 0 if u & 1 else coef < 0
 
     def _real_lits(self, cid):
         lits = self._lits(cid)
@@ -375,12 +411,6 @@ class Preprocessor:
             changed = True
         return changed
 
-    def eliminate_subsumed(self):
-        changed = False
-        while self._subsumed_once():
-            changed = True
-        return changed
-
     def _subsumed_once(self):
         subsumers = (sorted(self.hard_ids & set(self.clauses))
                      if self.phase == "wcnf" else sorted(self.clauses))
@@ -405,12 +435,6 @@ class Preprocessor:
                 self._count("sub")
                 return True
         return False
-
-    def eliminate_blocked_clauses(self):
-        changed = False
-        while self._blocked_once():
-            changed = True
-        return changed
 
     def _blocked_once(self):
         for cid in sorted(self.clauses):
@@ -480,23 +504,27 @@ class Preprocessor:
     def _up_closure(self, start):
         """Clause-level UP from the given literals.
 
-        Returns (set of true literals, conflict flag).  On clauses the PB
-        slack rule of the engine is the clause rule, and trivial (degree 0)
-        clauses never propagate.
+        Returns (frozenset of true literals, conflict flag).  On clauses the
+        PB slack rule of the engine is the clause rule, and trivial (degree
+        0) clauses never propagate.  Results are memoised on the start
+        literals until the next _install/_uninstall (the objective never
+        enters a closure), so fle, impl and eql share each literal's closure
+        while the clauses stay the same; the sets are frozen so no caller
+        can change a cached one.
         """
-        val = self.engine.propagate(start)
-        if val is None:
-            return set(), True
-        return {mklit(v, b == 0) for v, b in val.items()}, False
+        key = tuple(start)
+        hit = self.closures.get(key)
+        if hit is None:
+            val = self.engine.propagate(start)
+            if val is None:
+                hit = frozenset(), True
+            else:
+                hit = frozenset(mklit(v, b == 0) for v, b in val.items()), False
+            self.closures[key] = hit
+        return hit
 
     # ------------------------------------------------------------------
     # stage 4 techniques (objective-centric phase)
-
-    def self_subsuming_resolution(self):
-        changed = False
-        while self._ssr_once():
-            changed = True
-        return changed
 
     def _ssr_once(self):
         for did in sorted(self.clauses):
@@ -519,12 +547,6 @@ class Preprocessor:
                         self._count("ssr")
                         return True
         return False
-
-    def failed_literal_elimination(self):
-        changed = False
-        while self._fle_once():
-            changed = True
-        return changed
 
     def _fle_candidates(self):
         for lit in sorted(self.occ, key=pb.lit_sort_key):
@@ -552,12 +574,6 @@ class Preprocessor:
                 self._count("fle")
                 return True
         return False
-
-    def implied_literal_detection(self):
-        changed = False
-        while self._impl_once():
-            changed = True
-        return changed
 
     def _impl_once(self):
         lits = sorted((l for l in self.occ if self.occ[l]), key=pb.lit_sort_key)
@@ -599,12 +615,6 @@ class Preprocessor:
         self._delc(h2)
         self.fix_literal(l2, pid)
         self._count("impl")
-
-    def equivalent_literal_substitution(self):
-        changed = False
-        while self._eql_once():
-            changed = True
-        return changed
 
     def _eql_once(self):
         lits = sorted((l for l in self.occ if self.occ[l]), key=pb.lit_sort_key)
@@ -653,19 +663,19 @@ class Preprocessor:
         self._delc(e2, {l1 >> 1: image})
         self._count("eql")
 
-    def subsumed_literal_elimination(self):
-        changed = False
-        while self._sle_once():
-            changed = True
-        return changed
-
     def _sle_pairs(self):
-        vs = sorted({l >> 1 for l in self.occ if self.occ[l]},
-                    key=pb.var_sort_key)
-        for x in vs:
-            for y in vs:
-                if x != y:
-                    yield x, y
+        """SLE candidates (x, y): x in variable order, then in variable
+        order every y that shares a clause with x.  A pair can apply only if
+        occ(y) <= occ(x) or occ(~x) <= occ(~y) with one side non-empty, so
+        every other pair is skipped without changing which applies first."""
+        for x in sorted({l >> 1 for l in self.occ}, key=pb.var_sort_key):
+            near = set()
+            for lit in (mklit(x), mklit(x, True)):
+                for cid in self._occ_ids(lit):
+                    near.update(l >> 1 for l in self._lits(cid))
+            near.discard(x)
+            for y in sorted(near, key=pb.var_sort_key):
+                yield x, y
 
     def _sle_once(self):
         for x, y in self._sle_pairs():
@@ -693,12 +703,6 @@ class Preprocessor:
             self._count("sle")
             return True
         return False
-
-    def group_sle(self):
-        changed = False
-        while self._gsle_once():
-            changed = True
-        return changed
 
     def _gsle_once(self):
         for b in sorted(self.objective.coeffs, key=pb.var_sort_key):
@@ -764,12 +768,6 @@ class Preprocessor:
         for cid in sorted(pos + negs):
             self._delc(cid, {v: 1 if cid in pos else 0})
 
-    def _pass_bve(self):
-        changed = False
-        while self._bve_once():
-            changed = True
-        return changed
-
     def _bve_once(self):
         for v in sorted({l >> 1 for l in self.occ if self.occ[l]},
                         key=pb.var_sort_key):
@@ -820,12 +818,6 @@ class Preprocessor:
             if set(self._lits(cid)) == want:
                 return cid
         raise KeyError("no live clause %r" % (sorted(want),))
-
-    def _pass_bva(self):
-        changed = False
-        while self._bva_once():
-            changed = True
-        return changed
 
     def _bva_once(self):
         by_clause = {}
@@ -887,12 +879,6 @@ class Preprocessor:
             return None
         return bc, bd
 
-    def _pass_am1(self):
-        changed = False
-        while self._am1_once():
-            changed = True
-        return changed
-
     def _am1_once(self):
         skip_bcr = "bcr" in self.cfg.stage4
         for cid in sorted(self.clauses):
@@ -925,12 +911,6 @@ class Preprocessor:
         self.eliminate_variable_bve(bc)
         self.eliminate_variable_bve(bd)
         return bcd
-
-    def _pass_bcr(self):
-        changed = False
-        while self._bcr_once():
-            changed = True
-        return changed
 
     def _bcr_once(self):
         for cid in sorted(self.clauses):
@@ -993,12 +973,6 @@ class Preprocessor:
         self._delc(r1, {bc: 1})
         return bcd
 
-    def _pass_lm(self):
-        changed = False
-        while self._lm_once():
-            changed = True
-        return changed
-
     def _lm_once(self):
         singles = {}
         for v in sorted(self.objective.coeffs, key=pb.var_sort_key):
@@ -1033,12 +1007,6 @@ class Preprocessor:
         self._install(nid, c)
         self._uninstall(cid)
         self._delc(cid, {lit >> 1: 0 if lit & 1 else 1})
-
-    def _pass_sbl(self):
-        changed = False
-        while self._sbl_once():
-            changed = True
-        return changed
 
     def _sbl_once(self):
         obj_vars = [v for v in sorted(self.objective.coeffs,
@@ -1314,24 +1282,24 @@ class Preprocessor:
         "taut": remove_tautologies,
         "up": propagate_hard_units,
         "empty": remove_empty_softs,
-        "sub": eliminate_subsumed,
-        "bce": eliminate_blocked_clauses,
+        "sub": _exhaustively(_subsumed_once),
+        "bce": _exhaustively(_blocked_once),
     }
     _STAGE4 = {
         "up": propagate_hard_units,
-        "sub": eliminate_subsumed,
-        "ssr": self_subsuming_resolution,
-        "fle": failed_literal_elimination,
-        "impl": implied_literal_detection,
-        "eql": equivalent_literal_substitution,
-        "sle": subsumed_literal_elimination,
-        "gsle": group_sle,
-        "bve": _pass_bve,
-        "bva": _pass_bva,
-        "am1": _pass_am1,
-        "bcr": _pass_bcr,
-        "lm": _pass_lm,
-        "sbl": _pass_sbl,
+        "sub": _exhaustively(_subsumed_once),
+        "ssr": _exhaustively(_ssr_once),
+        "fle": _exhaustively(_fle_once),
+        "impl": _exhaustively(_impl_once),
+        "eql": _exhaustively(_eql_once),
+        "sle": _exhaustively(_sle_once),
+        "gsle": _exhaustively(_gsle_once),
+        "bve": _exhaustively(_bve_once),
+        "bva": _exhaustively(_bva_once),
+        "am1": _exhaustively(_am1_once),
+        "bcr": _exhaustively(_bcr_once),
+        "lm": _exhaustively(_lm_once),
+        "sbl": _exhaustively(_sbl_once),
         "trim": trim_maxsat,
         "harden": hardening,
     }

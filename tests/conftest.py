@@ -192,3 +192,67 @@ def reference_clause_closure(clauses, start):
                 val[lit >> 1] = (lit & 1) ^ 1
                 changed = True
     return {pb.mklit(v, b == 0) for v, b in val.items()}, False
+
+
+# -- reference technique scans ------------------------------------------------
+#
+# The restart-from-scratch forms that Preprocessor's passes replaced, kept as
+# the references their differential tests compare against.
+
+
+def reference_remove_duplicates(p):
+    """The `dup` pass that regroups every clause after each action, with the
+    literal-form reading of whether the objective pays for a unit soft."""
+    changed = False
+    while _reference_duplicates_once(p):
+        changed = True
+    return changed
+
+
+def _reference_duplicates_once(p):
+    groups = {}
+    for cid in sorted(p.clauses):
+        if p.clauses[cid].is_trivial():
+            continue
+        groups.setdefault(p._real_lits(cid), []).append(cid)
+    for key in sorted(groups, key=lambda k: groups[k][0]):
+        cids = groups[key]
+        hards = [c for c in cids if c in p.hard_ids]
+        softs = [c for c in cids if c in p.soft_label]
+        if len(hards) > 1:
+            for cid in hards[1:]:
+                p._uninstall(cid)
+                p._delc(cid)
+                p.hard_ids.discard(cid)
+                p._count("dup")
+            return True
+        if hards and softs:
+            for cid in softs:
+                label, w = p.soft_label.pop(cid)
+                p._uninstall(cid)
+                p._delc(cid)
+                p._retire_soft_label(label, w)
+                p._count("dup")
+            return True
+        if len(key) == 1 and softs:
+            terms, _ = p.objective.literal_form()
+            if len(softs) > 1 or any(lit == pb.neg(key[0]) for _, lit in terms):
+                p._sync_unit_soft(softs[0])
+                p._count("dup")
+                return True
+        if len(softs) > 1:
+            keep = softs[0]
+            for cid in softs[1:]:
+                if p._merge_soft_pair(keep, cid):
+                    p._count("dup")
+                    return True
+    return False
+
+
+def reference_sle_pairs(p):
+    """Every ordered pair of distinct live variables, in variable order."""
+    vs = sorted({lit >> 1 for lit in p.occ}, key=pb.var_sort_key)
+    for x in vs:
+        for y in vs:
+            if x != y:
+                yield x, y

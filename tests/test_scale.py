@@ -1,17 +1,18 @@
-"""Scale tier: one instance of the random family at nv=200, far beyond the
-brute-force oracle, with the checker as the judge.
+"""Scale tier: instances far beyond the brute-force oracle, with the checker
+as the judge.
 
-The family: nv variables, 2*nv hard clauses of width 2-3 satisfied by a
-planted model, and nv soft clauses of width 1-2 with weights 1-9, all drawn
+The random family: nv variables, 2*nv hard clauses of width 2-3 satisfied by
+a planted model, and nv soft clauses of width 1-2 with weights 1-9, all drawn
 from ``random.Random(nv)``.  The default pipeline must produce a proof the
 checker accepts as equioptimal, and two mutations of that large proof must
-be rejected."""
+be rejected.  A second, larger instance with planted duplicates and
+tautologies exercises the `dup` and `taut` passes alone through the CLI."""
 
 import random
 
 import pytest
 
-from certprep import preprocess
+from certprep import cli, preprocess
 from certprep.checker import check_wcnf_proof
 from certprep.wcnf import parse_wcnf
 
@@ -73,3 +74,58 @@ def test_large_proof_rejects_a_delc_without_its_witness(large_run):
     v = check_wcnf_proof(inst, mutated, out)
     assert not v.accepted
     assert v.lineno == i + 1
+
+
+
+def to_wcnf(hard, soft):
+    lines = ["h %s 0" % " ".join(map(str, cl)) for cl in hard]
+    lines += ["%d %s 0" % (w, " ".join(map(str, cl))) for w, cl in soft]
+    return "\n".join(lines) + "\n"
+
+
+def planted_duplicates(seed, nv, n_hard, n_soft, n_dup, n_taut):
+    """Distinct hard clauses of width 3-5 and relaxed soft clauses of width
+    2-3, plus shuffled copies of hard clauses and hard tautologies inserted
+    at random places.  Returns the WCNF text with and without the planted
+    clauses."""
+    rng = random.Random(seed)
+    seen = set()
+
+    def fresh(width):
+        while True:
+            cl = [v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, nv + 1), width)]
+            if frozenset(cl) not in seen:
+                seen.add(frozenset(cl))
+                return cl
+
+    hard = [fresh(rng.randint(3, 5)) for _ in range(n_hard)]
+    soft = [(rng.randint(1, 9), fresh(rng.randint(2, 3)))
+            for _ in range(n_soft)]
+    expected = to_wcnf(hard, soft)
+    planted = [rng.sample(cl, len(cl)) for cl in rng.sample(hard, n_dup)]
+    for _ in range(n_taut):
+        v = rng.randint(1, nv)
+        planted.append([v, -v] + rng.sample(range(1, nv + 1), 2))
+    for cl in planted:
+        hard.insert(rng.randint(0, len(hard)), cl)
+    return to_wcnf(hard, soft), expected
+
+
+def as_multiset(inst):
+    return (sorted(sorted(cl) for cl in inst.hard),
+            sorted((w, sorted(cl)) for w, cl in inst.soft))
+
+
+def test_dup_and_taut_remove_exactly_the_planted_clauses(tmp_path, capsys):
+    text, expected = planted_duplicates(
+        4000, nv=1000, n_hard=2400, n_soft=1600, n_dup=30, n_taut=30)
+    inp, out, proof = (tmp_path / n for n in ("in.wcnf", "out.wcnf", "p.pbp"))
+    inp.write_text(text)
+    assert cli.main(["preprocess", str(inp), "-o", str(out), "-p", str(proof),
+                     "--techniques=dup,taut"]) == 0
+    assert "clauses: 4060 -> 4000" in capsys.readouterr().out
+    assert as_multiset(parse_wcnf(out.read_text())) == \
+        as_multiset(parse_wcnf(expected))
+    assert cli.main(["check", str(inp), str(proof), str(out)]) == 0
+    assert capsys.readouterr().out.strip() == cli.VERIFIED_LINE
