@@ -1,9 +1,33 @@
 """Minimal CDCL SAT oracle.
 
 Deliberately small and deterministic: decisions pick the smallest unassigned
-variable and try False first, propagation scans the clause list, learning is
-first-UIP, no restarts or activity heuristics.  Determinism matters because
-oracle runs are replayed in proofs.
+variable and try False first, learning is first-UIP, no restarts or activity
+heuristics.  Determinism matters because oracle runs are replayed in proofs:
+`trim` logs every learned clause as a `rup` step, and `harden` prints a model,
+in assignment order, as a `red` witness.
+
+Propagation is defined by a scan: sweep the clause list in index order,
+acting on each clause that is unit (imply its one unassigned literal) or
+falsified (report the conflict) when the sweep reaches it, and repeat the
+sweep until one changes nothing.  That order picks the conflict and the trail,
+and so the learned clauses, so it is pinned.  The oracle reproduces exactly
+those events without sweeping, using watched literals (Chaff, Moskewicz et
+al., DAC 2001):
+
+- Every clause of length >= 2 watches two of its positions (positions, not
+  literal values, so a repeated literal still counts twice, as in the scan).
+  Assigning a literal visits the watchers of its negation: a clause whose
+  other watch is true stays; otherwise the watch moves to another non-false
+  position; if there is none the clause is unit or falsified and its index
+  becomes a *candidate*.  Clauses of at most one literal have no watches and
+  are the candidates every `solve` starts from.
+- The candidates are then exactly the clauses the scan could act on.  The
+  sweep position is kept: `_propagate` pops the smallest candidate at or
+  after it, else wraps to the smallest one overall (the next sweep), and
+  re-evaluates the clause with the scan's own rule before acting on it.
+- A learned clause watches its asserting literal and a false literal of the
+  highest level below it; after the backjump it is the only unit clause and
+  so the only candidate.  Nothing is done on backtrack.
 
 Every learned clause is reverse-unit-propagation derivable from the clauses
 present when it is learned (original plus earlier learned ones); ``on_learn``
@@ -15,6 +39,8 @@ database extended with the learned clauses.
 A conflict budget caps the work; exceeding it raises OracleBudget so callers
 can abandon a technique cleanly.
 """
+
+from heapq import heappop, heappush
 
 from . import pb
 
@@ -32,18 +58,34 @@ class SatOracle:
         self.conflicts = 0
         self.conflict_level0 = False
         self._vars = set()
+        self._order = []      # decision order: _vars by var_sort_key; None: stale
+        self._short = []      # indices of clauses with at most one literal
+        self._watch = []      # clause index -> [position, position] or None
+        self._watchers = {}   # literal -> [2 * clause index + watch slot]
 
     def add_clause(self, lits):
-        self.clauses.append(list(lits))
-        self._vars.update(l >> 1 for l in lits)
+        cl = list(lits)
+        self._store(cl, 0, 1)
+        vs = {l >> 1 for l in cl}
+        if not vs <= self._vars:
+            self._vars |= vs
+            self._order = None
 
     # -- solving ---------------------------------------------------------------
 
     def solve(self, assumptions=()):
         """Return a total model {var: 0|1} or None (UNSAT under assumptions)."""
         self.conflict_level0 = False
-        self._assign = {}   # var -> (value, level, reason clause index or None)
+        if self._order is None:
+            self._order = sorted(self._vars, key=pb.var_sort_key)
+        self._val = {}        # literal -> True/False while its variable is set
+        self._level = {}      # var -> decision level, valid while assigned
+        self._reason = {}     # var -> clause index or None, valid while assigned
         self._trail = []
+        self._cand = list(self._short)   # candidates at or after _pos
+        self._later = []                 # candidates before _pos
+        self._pos = 0
+        decide_from = 0       # every variable before it in _order is assigned
         level = 0
         while True:
             confl = self._propagate(level)
@@ -58,66 +100,112 @@ class SatOracle:
                 learnt, bj = self._analyze(confl, level)
                 self._backjump(bj)
                 level = bj
-                self.clauses.append(learnt)
-                self._vars.update(l >> 1 for l in learnt)
+                decide_from = 0
+                last = len(learnt) - 1
+                hi = max(range(last), key=lambda j: self._level[learnt[j] >> 1],
+                         default=0)
+                self._store(learnt, hi, last)
+                self._cand = [len(self.clauses) - 1]
+                self._later = []
+                self._pos = 0
                 if self.on_learn is not None:
                     self.on_learn(list(learnt))
                 continue
             lit = None
             for a in assumptions:
-                val = self._value(a)
+                val = self._val.get(a)
                 if val is None:
                     lit = a
                     break
                 if val is False:
                     return None
             if lit is None:
-                for v in sorted(self._vars, key=pb.var_sort_key):
-                    if v not in self._assign:
-                        lit = pb.mklit(v, True)  # phase False
-                        break
+                order, val = self._order, self._val
+                while decide_from < len(order) and order[decide_from] << 1 in val:
+                    decide_from += 1
+                if decide_from < len(order):
+                    lit = pb.mklit(order[decide_from], True)  # phase False
             if lit is None:
-                return {v: val for v, (val, _, _) in self._assign.items()}
+                return {l >> 1: (l & 1) ^ 1 for l in self._trail}
             level += 1
+            self._pos = 0
             self._imply(lit, level, None)
 
     # -- internals ----------------------------------------------------------------
 
-    def _value(self, lit):
-        ent = self._assign.get(lit >> 1)
-        if ent is None:
-            return None
-        return ent[0] == (lit & 1) ^ 1
+    def _store(self, cl, i, j):
+        """Append clause `cl`, watching its positions i and j if it has two."""
+        ci = len(self.clauses)
+        self.clauses.append(cl)
+        if len(cl) < 2:
+            self._short.append(ci)
+            self._watch.append(None)
+            return
+        self._watch.append([i, j])
+        self._watchers.setdefault(cl[i], []).append(2 * ci)
+        self._watchers.setdefault(cl[j], []).append(2 * ci + 1)
 
     def _imply(self, lit, level, reason):
-        self._assign[lit >> 1] = ((lit & 1) ^ 1, level, reason)
+        val = self._val
+        false = lit ^ 1
+        val[lit] = True
+        val[false] = False
+        self._level[lit >> 1] = level
+        self._reason[lit >> 1] = reason
         self._trail.append(lit)
+        watching = self._watchers.get(false)
+        if not watching:
+            return
+        clauses, watch, watchers = self.clauses, self._watch, self._watchers
+        pos, cand, later = self._pos, self._cand, self._later
+        keep = []
+        for entry in watching:
+            ci = entry >> 1
+            slot = entry & 1
+            cl = clauses[ci]
+            w = watch[ci]
+            other = w[slot ^ 1]
+            if val.get(cl[other]) is True:
+                keep.append(entry)
+                continue
+            for j, l in enumerate(cl):
+                if j != other and val.get(l) is not False:
+                    w[slot] = j
+                    watchers.setdefault(l, []).append(entry)
+                    break
+            else:
+                keep.append(entry)
+                heappush(cand if ci >= pos else later, ci)
+        watchers[false] = keep
 
     def _propagate(self, level):
-        changed = True
-        while changed:
-            changed = False
-            for ci, cl in enumerate(self.clauses):
-                unassigned = None
-                count = 0
-                sat = False
-                for l in cl:
-                    val = self._value(l)
-                    if val is True:
-                        sat = True
+        val = self._val
+        while True:
+            if not self._cand:
+                if not self._later:
+                    return None
+                self._cand, self._later = self._later, []
+                self._pos = 0
+            ci = heappop(self._cand)
+            unassigned = None
+            count = 0
+            sat = False
+            for l in self.clauses[ci]:
+                v = val.get(l)
+                if v is True:
+                    sat = True
+                    break
+                if v is None:
+                    unassigned = l
+                    count += 1
+                    if count > 1:
                         break
-                    if val is None:
-                        unassigned = l
-                        count += 1
-                        if count > 1:
-                            break
-                if sat or count > 1:
-                    continue
-                if count == 0:
-                    return ci
-                self._imply(unassigned, level, ci)
-                changed = True
-        return None
+            if sat or count > 1:
+                continue
+            if count == 0:
+                return ci
+            self._pos = ci + 1
+            self._imply(unassigned, level, ci)
 
     def _analyze(self, confl, level):
         seen = set()
@@ -131,7 +219,7 @@ class SatOracle:
                 if q == p:
                     continue
                 v = q >> 1
-                lv = self._assign[v][1]
+                lv = self._level[v]
                 if v in seen or lv == 0:
                     continue
                 seen.add(v)
@@ -146,18 +234,15 @@ class SatOracle:
             idx -= 1
             if counter == 0:
                 break
-            reason = self._assign[p >> 1][2]
-            reason_lits = self.clauses[reason]
+            reason_lits = self.clauses[self._reason[p >> 1]]
         bj = 0
         for q in learnt:
-            bj = max(bj, self._assign[q >> 1][1])
+            bj = max(bj, self._level[q >> 1])
         learnt.append(p)
         return learnt, bj
 
     def _backjump(self, bj):
-        while self._trail:
-            v = self._trail[-1] >> 1
-            if self._assign[v][1] <= bj:
-                break
-            self._trail.pop()
-            del self._assign[v]
+        trail, val, level = self._trail, self._val, self._level
+        while trail and level[trail[-1] >> 1] > bj:
+            lit = trail.pop()
+            del val[lit], val[lit ^ 1]

@@ -8,6 +8,7 @@ implementations are checked against an independent reading of the semantics.
 import itertools
 
 from certprep import pb
+from certprep.sat import OracleBudget, SatOracle
 
 
 def all_assignments(variables):
@@ -256,3 +257,187 @@ def reference_sle_pairs(p):
         for y in vs:
             if x != y:
                 yield x, y
+
+
+# -- reference SAT oracle ------------------------------------------------------
+#
+# The oracle before watched literals: propagation sweeps the whole clause list
+# in index order until a sweep changes nothing.  certprep.sat.SatOracle must
+# reproduce its events exactly (learned clauses, conflicts, models in key
+# order), since trim and harden proofs replay them.
+
+
+class ReferenceSatOracle:
+
+    def __init__(self, on_learn=None, conflict_budget=None):
+        self.clauses = []
+        self.on_learn = on_learn
+        self.conflict_budget = conflict_budget
+        self.conflicts = 0
+        self.conflict_level0 = False
+        self._vars = set()
+
+    def add_clause(self, lits):
+        self.clauses.append(list(lits))
+        self._vars.update(l >> 1 for l in lits)
+
+    # -- solving ---------------------------------------------------------------
+
+    def solve(self, assumptions=()):
+        """Return a total model {var: 0|1} or None (UNSAT under assumptions)."""
+        self.conflict_level0 = False
+        self._assign = {}   # var -> (value, level, reason clause index or None)
+        self._trail = []
+        level = 0
+        while True:
+            confl = self._propagate(level)
+            if confl is not None:
+                self.conflicts += 1
+                if (self.conflict_budget is not None
+                        and self.conflicts > self.conflict_budget):
+                    raise OracleBudget()
+                if level == 0:
+                    self.conflict_level0 = True
+                    return None
+                learnt, bj = self._analyze(confl, level)
+                self._backjump(bj)
+                level = bj
+                self.clauses.append(learnt)
+                self._vars.update(l >> 1 for l in learnt)
+                if self.on_learn is not None:
+                    self.on_learn(list(learnt))
+                continue
+            lit = None
+            for a in assumptions:
+                val = self._value(a)
+                if val is None:
+                    lit = a
+                    break
+                if val is False:
+                    return None
+            if lit is None:
+                for v in sorted(self._vars, key=pb.var_sort_key):
+                    if v not in self._assign:
+                        lit = pb.mklit(v, True)  # phase False
+                        break
+            if lit is None:
+                return {v: val for v, (val, _, _) in self._assign.items()}
+            level += 1
+            self._imply(lit, level, None)
+
+    # -- internals ----------------------------------------------------------------
+
+    def _value(self, lit):
+        ent = self._assign.get(lit >> 1)
+        if ent is None:
+            return None
+        return ent[0] == (lit & 1) ^ 1
+
+    def _imply(self, lit, level, reason):
+        self._assign[lit >> 1] = ((lit & 1) ^ 1, level, reason)
+        self._trail.append(lit)
+
+    def _propagate(self, level):
+        changed = True
+        while changed:
+            changed = False
+            for ci, cl in enumerate(self.clauses):
+                unassigned = None
+                count = 0
+                sat = False
+                for l in cl:
+                    val = self._value(l)
+                    if val is True:
+                        sat = True
+                        break
+                    if val is None:
+                        unassigned = l
+                        count += 1
+                        if count > 1:
+                            break
+                if sat or count > 1:
+                    continue
+                if count == 0:
+                    return ci
+                self._imply(unassigned, level, ci)
+                changed = True
+        return None
+
+    def _analyze(self, confl, level):
+        seen = set()
+        learnt = []
+        counter = 0
+        reason_lits = self.clauses[confl]
+        p = None
+        idx = len(self._trail) - 1
+        while True:
+            for q in reason_lits:
+                if q == p:
+                    continue
+                v = q >> 1
+                lv = self._assign[v][1]
+                if v in seen or lv == 0:
+                    continue
+                seen.add(v)
+                if lv == level:
+                    counter += 1
+                else:
+                    learnt.append(q)
+            while self._trail[idx] >> 1 not in seen:
+                idx -= 1
+            p = pb.neg(self._trail[idx])
+            counter -= 1
+            idx -= 1
+            if counter == 0:
+                break
+            reason = self._assign[p >> 1][2]
+            reason_lits = self.clauses[reason]
+        bj = 0
+        for q in learnt:
+            bj = max(bj, self._assign[q >> 1][1])
+        learnt.append(p)
+        return learnt, bj
+
+    def _backjump(self, bj):
+        while self._trail:
+            v = self._trail[-1] >> 1
+            if self._assign[v][1] <= bj:
+                break
+            self._trail.pop()
+            del self._assign[v]
+
+
+def outcome(oracle, assumptions):
+    """A solve call's result as comparable data: the model's items in key
+    order, None, or "budget" when it raised OracleBudget."""
+    try:
+        model = oracle.solve(assumptions)
+    except OracleBudget:
+        return "budget"
+    return None if model is None else list(model.items())
+
+
+class Lockstep:
+    """Both oracles driven through the same calls; every call must give the
+    same result, the same learned clauses and the same counters."""
+
+    def __init__(self, conflict_budget=None):
+        self.learned = ([], [])
+        self.new = SatOracle(on_learn=self.learned[0].append,
+                             conflict_budget=conflict_budget)
+        self.ref = ReferenceSatOracle(on_learn=self.learned[1].append,
+                                      conflict_budget=conflict_budget)
+
+    def add_clause(self, lits):
+        self.new.add_clause(lits)
+        self.ref.add_clause(lits)
+
+    def solve(self, assumptions=()):
+        got = outcome(self.new, assumptions)
+        want = outcome(self.ref, assumptions)
+        assert got == want
+        assert self.learned[0] == self.learned[1]
+        assert self.new.clauses == self.ref.clauses
+        assert self.new.conflicts == self.ref.conflicts
+        assert self.new.conflict_level0 == self.ref.conflict_level0
+        return got

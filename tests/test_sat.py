@@ -1,12 +1,16 @@
-"""CDCL oracle: agreement with brute force, learned-clause RUP, assumptions."""
+"""CDCL oracle: agreement with brute force, learned-clause RUP, assumptions,
+and event-for-event agreement with the scanning reference oracle."""
 
 import random
 
 import pytest
 
-from certprep import pb
+from certprep import pb, preprocess
+from certprep.checker import check_wcnf_proof
+from certprep.preprocess import DEFAULT_TECHNIQUES, Config
 from certprep.sat import OracleBudget, SatOracle
-from conftest import all_assignments, constraint_satisfied, nx, x
+from certprep.wcnf import parse_wcnf, write_wcnf
+from conftest import Lockstep, ReferenceSatOracle, all_assignments, nx, x
 
 
 def brute_sat(clauses):
@@ -147,3 +151,110 @@ def test_conflict_budget():
                 s.add_clause([pb.neg(ph(p1, h)), pb.neg(ph(p2, h))])
     with pytest.raises(OracleBudget):
         s.solve()
+
+
+# -- differential: watched literals against the scanning reference -------------
+
+
+def script_clause(rng, nv):
+    """Mostly width 3, some units and binaries, and now and then a repeated
+    literal or a tautology."""
+    k = rng.choices([1, 2, 3, 4], [1, 4, 18, 3])[0]
+    cl = [pb.mklit(pb.mkvar(rng.randint(1, nv)), rng.random() < 0.5)
+          for _ in range(k)]
+    r = rng.random()
+    if r < 0.08:
+        cl.insert(rng.randrange(k + 1), rng.choice(cl))
+    elif r < 0.14:
+        cl.insert(rng.randrange(k + 1), pb.neg(rng.choice(cl)))
+    return cl
+
+
+def test_matches_reference_oracle_on_random_calls():
+    rng = random.Random(17)
+    seen = {"calls": 0, "models": 0, "unsat": 0, "budget": 0, "learned": 0}
+    for _ in range(500):
+        nv = rng.randint(2, 16)
+        budget = rng.choice([None, None, 0, rng.randint(1, 6)])
+        both = Lockstep(budget)
+        if rng.random() < 0.03:
+            both.add_clause([])
+        for _ in range(rng.randint(0, 5 * nv)):
+            both.add_clause(script_clause(rng, nv))
+        for _ in range(rng.randint(1, 6)):
+            for _ in range(rng.randint(0, nv)):
+                both.add_clause(script_clause(rng, nv))
+            assumptions = [pb.mklit(pb.mkvar(rng.randint(1, nv + 1)),
+                                    rng.random() < 0.5)
+                           for _ in range(rng.choice([0, 0, 1, 1, 2, 3]))]
+            got = both.solve(assumptions)
+            seen["calls"] += 1
+            seen["models" if isinstance(got, list) else
+                 "budget" if got == "budget" else "unsat"] += 1
+        seen["learned"] += len(both.learned[0])
+    # the sweep reached every kind of outcome, and learning
+    assert seen["calls"] > 1500
+    assert min(seen.values()) > 50, seen
+
+
+def test_pigeonhole_matches_reference_oracle():
+    # 5 pigeons in 4 holes: a refutation with many conflicts and backjumps
+    def ph(p, h):
+        return pb.mklit(pb.mkvar(p * 4 + h + 1))
+
+    both = Lockstep()
+    for p in range(5):
+        both.add_clause([ph(p, h) for h in range(4)])
+    for h in range(4):
+        for p1 in range(5):
+            for p2 in range(p1 + 1, 5):
+                both.add_clause([pb.neg(ph(p1, h)), pb.neg(ph(p2, h))])
+    assert both.solve() is None
+    assert both.new.conflict_level0 and len(both.learned[0]) > 10
+
+
+# -- end to end: trim and harden proofs do not depend on the oracle's engine ----
+
+
+def guarded_label_groups(groups=4):
+    """Exactly-one groups with weight-3 binary softs, a guard literal whose
+    truth forces a 4-into-3 pigeonhole (so `trim` must refute it by search),
+    and a heavy penalised literal that `harden` can fix."""
+    rng = random.Random(groups)
+    hard, soft = [], []
+    for g in range(groups):
+        vs = [3 * g + 1, 3 * g + 2, 3 * g + 3]
+        hard.append(list(vs))
+        hard.extend([-a, -b] for i, a in enumerate(vs) for b in vs[i + 1:])
+        nxt = [3 * ((g + 1) % groups) + i + 1 for i in range(3)]
+        for _ in range(5):
+            a, b = rng.choice(vs), rng.choice(nxt)
+            soft.append((3, [a if rng.random() < 0.5 else -a,
+                             b if rng.random() < 0.5 else -b]))
+    guard = 3 * groups + 1
+    holes = [[guard + 3 * p + h + 1 for h in range(3)] for p in range(4)]
+    hard.extend([-guard] + row for row in holes)
+    hard.extend([-holes[p][h], -holes[q][h]]
+                for h in range(3) for p in range(4) for q in range(p + 1, 4))
+    hard.append([-guard, 1])
+    soft.append((4, [-guard]))
+    heavy = guard + 13
+    hard.append([-heavy, 2, 5])
+    soft.append((sum(w for w, _ in soft) + 1, [-heavy]))
+    text = "".join("h %s 0\n" % " ".join(map(str, cl)) for cl in hard)
+    text += "".join("%d %s 0\n" % (w, " ".join(map(str, cl)))
+                    for w, cl in soft)
+    return parse_wcnf(text)
+
+
+def test_trim_and_harden_proofs_match_the_reference_oracle(monkeypatch):
+    inst = guarded_label_groups()
+    cfg = Config(techniques=DEFAULT_TECHNIQUES + ("trim", "harden"))
+    out, proof, p = preprocess.run(inst, cfg)
+    assert p.counts.get("trim", 0) > 0 and p.counts.get("harden", 0) > 0
+    monkeypatch.setattr(preprocess, "SatOracle", ReferenceSatOracle)
+    ref_out, ref_proof, _ = preprocess.run(inst, cfg)
+    assert write_wcnf(out) == write_wcnf(ref_out)
+    assert proof == ref_proof
+    v = check_wcnf_proof(inst, proof.splitlines(), out)
+    assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)

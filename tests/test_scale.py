@@ -6,15 +6,18 @@ a planted model, and nv soft clauses of width 1-2 with weights 1-9, all drawn
 from ``random.Random(nv)``.  The default pipeline must produce a proof the
 checker accepts as equioptimal, and two mutations of that large proof must
 be rejected.  A second, larger instance with planted duplicates and
-tautologies exercises the `dup` and `taut` passes alone through the CLI."""
+tautologies exercises the `dup` and `taut` passes alone through the CLI, and
+the SAT oracle runs `trim`'s search pattern on the family's hard clauses in
+lockstep with the scanning reference oracle."""
 
 import random
 
 import pytest
 
-from certprep import cli, preprocess
+from certprep import cli, pb, preprocess
 from certprep.checker import check_wcnf_proof
 from certprep.wcnf import parse_wcnf
+from conftest import Lockstep
 
 
 def random_family(nv):
@@ -129,3 +132,28 @@ def test_dup_and_taut_remove_exactly_the_planted_clauses(tmp_path, capsys):
         as_multiset(parse_wcnf(expected))
     assert cli.main(["check", str(inp), str(proof), str(out)]) == 0
     assert capsys.readouterr().out.strip() == cli.VERIFIED_LINE
+
+
+def test_oracle_matches_reference_on_selector_bisection():
+    """The `trim` search pattern on the hard clauses of the nv=200 family, in
+    lockstep with the scanning reference oracle: the candidates are the
+    negations of all 200 variables, and each step adds a selector clause
+    over the first m live candidates and solves under the selector.  The
+    reference sweeps every clause per propagation, about 0.03 s a call at
+    this size, so the bisection stops after 12 steps (the full run takes
+    35 steps and 1.5 s)."""
+    inst = random_family(200)
+    both = Lockstep()
+    for cl in inst.hard:
+        both.add_clause(cl)
+    alive = [pb.mklit(pb.mkvar(v), True) for v in range(1, 201)]
+    m = len(alive)
+    for step in range(1, 13):
+        m = max(1, min(m, len(alive)))
+        s = pb.mkvar(step, pb.NS_AUX)
+        both.add_clause([pb.mklit(s, True)] + alive[:m])
+        model = both.solve([pb.mklit(s)])
+        assert model is not None
+        model = dict(model)
+        alive = [l for l in alive if model.get(l >> 1, 0) != (l & 1) ^ 1]
+    assert both.new.conflicts > 3 and both.learned[0]
