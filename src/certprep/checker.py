@@ -15,7 +15,11 @@ instance, maintaining:
 Every propagation goes through that one engine: ``rup`` and plain core
 ``delc`` start from its root set, ``obju`` does too restricted to the core,
 and a witnessed ``red``/``delc`` propagates its premises once and resumes
-each obligation from that fixpoint with only the negated target added.
+each obligation from that fixpoint with only the negated target added.  The
+engine scans each constraint a propagation touches once and then keeps its
+slack as a counter, so a long constraint (such as the selector clauses over
+objective literals that ``trim`` logs) costs its length once per
+propagation, not once per false literal.
 
 Step forms (one per line; ``*`` starts a comment, blank lines are skipped)::
 

@@ -3,12 +3,14 @@
 Exit codes: 0 success/verified, 1 rejected or unequal, 2 usage or I/O
 error, 3 resource limit.  Diagnostics go to stderr; verdicts and summaries
 to stdout.
+
+``check`` loads only the checker, the PB kernel and the WCNF reader; the
+preprocessor is imported by ``preprocess`` alone.
 """
 
 import argparse
 import sys
 
-from . import preprocess
 from .checker import check_wcnf_proof
 from .wcnf import opt_cost_bruteforce, parse_wcnf, write_wcnf
 
@@ -24,7 +26,15 @@ def _parse_instance(path):
     return parse_wcnf(_read(path))
 
 
+def _proof_lines(fh):
+    # the lines of fh.read().splitlines(), read one file line at a time
+    for line in fh:
+        yield from line.splitlines()
+
+
 def cmd_preprocess(args):
+    from . import preprocess
+
     try:
         inst = _parse_instance(args.input)
     except (OSError, ValueError) as exc:
@@ -60,12 +70,12 @@ def cmd_preprocess(args):
 def cmd_check(args):
     try:
         inst = _parse_instance(args.input)
-        proof_lines = _read(args.proof).splitlines()
         out = _parse_instance(args.output)
-    except (OSError, ValueError) as exc:
+        with open(args.proof, "r") as fh:
+            verdict = check_wcnf_proof(inst, _proof_lines(fh), out)
+    except (OSError, ValueError) as exc:  # also a read or decode error
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    verdict = check_wcnf_proof(inst, proof_lines, out)
     if verdict.accepted and verdict.level == "EQUIOPTIMAL":
         print(VERIFIED_LINE)
         return 0

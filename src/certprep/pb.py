@@ -16,10 +16,25 @@ coefficient exceeds sum(coef) - degree, or with sum(coef) < degree, i.e. the
 only ones that conflict or propagate with nothing assigned.  ``add`` and
 ``remove`` keep all three in step.  A propagation either starts from the root
 set or resumes from a base assignment that is already a fixpoint of the same
-constraints; it then makes assumption literals true, visits a few transient
-extra constraints (a negated target, subproof lines) once, and afterwards
-revisits a constraint only when one of its literals becomes false, so its
-cost follows the constraints actually touched rather than the database size.
+constraints; it then makes assumption literals true, scans a few transient
+extra constraints (a negated target, subproof lines), and afterwards reaches
+a constraint only through a newly false literal, so its cost follows the
+constraints actually touched rather than the database size.
+
+Slack counters, as in RoundingSat (Elffers & Nordström, IJCAI 2018), keep
+long constraints from being rescanned per false literal; a clause is the
+case where every coefficient and the degree are 1.  False literals wait in
+a queue.  The first time a propagation touches a constraint (root set,
+extra, or an occurrence of a literal taken from the queue) it scans it once:
+that gives the slack over every literal false at that moment, queued or
+not, and the queue length then.  A literal taken from the queue later
+lowers the counter by its coefficient only if it was queued at or after
+that point, so nothing is counted twice.  The constraint is scanned again
+only when the counter falls below the largest coefficient still unassigned
+(for a clause: below 1), since only then can it conflict or propagate.  A
+call therefore costs the length of the constraints it touches plus one step
+per false occurrence.  The counters belong to the call; ``add`` and
+``remove`` keep nothing per constraint beyond the index.
 ``unit_propagate`` and ``rup_check`` are thin wrappers over a throwaway
 engine.
 """
@@ -312,6 +327,7 @@ def objective_diff_constraint(a, b):
 
 
 _NO_IDS = frozenset()
+_SETTLED = (0, float("inf"), 0, None)   # no later literal is queued after it
 
 
 def _propagates_at_root(c):
@@ -321,11 +337,14 @@ def _propagates_at_root(c):
 
 
 class Propagator:
-    """Queue-driven unit propagation over live constraints (see above).
+    """Queue-driven unit propagation with per-call slack counters (see
+    above).
 
     ``constraints`` (id -> constraint), ``occ`` (literal -> set of ids, empty
     entries dropped) and ``roots`` are kept in step by ``add`` and
     ``remove``; callers may read them but change them only through those.
+    Ids are non-negative ints: within a call, extras are keyed by negative
+    ones.
     """
 
     __slots__ = ("constraints", "occ", "roots")
@@ -363,17 +382,24 @@ class Propagator:
         """UP fixpoint as {var: value}, or None on conflict.
 
         `assumptions` are literals made true first; `extras` are transient
-        constraints, visited once up front and then through a local index.
-        Id `skip` is ignored, and with `only` given so is every id outside
-        it.  Without `base` the root set is visited up front; a `base` must
-        already be a fixpoint of the constraints so filtered, which is why
-        the extras it was computed with must be passed again.  A constraint
-        whose slack has not fallen since it was last visited cannot
-        propagate, so only those containing a newly false literal are
-        revisited.
+        constraints, scanned up front and then reached through a local
+        index.  Id `skip` is ignored, and with `only` given so is every id
+        outside it.  Without `base` the root set is scanned up front; a
+        `base` must already be a fixpoint of the constraints so filtered,
+        which is why the extras it was computed with must be passed again.
+
+        The slack counters live in a record per constraint touched, made by
+        its scan and dropped with the call: [slack, queue length at the
+        scan, largest coefficient left unassigned, {literal: coefficient}
+        or None when that coefficient is 1].  A popped literal lowers the
+        slack only if it was queued at or after the scan, by at most that
+        largest coefficient, so the slack never falls below 0 between
+        scans; a rescan comes when it falls below that coefficient.  Every
+        constraint with nothing left unassigned shares the record
+        ``_SETTLED``, since no literal queued later can be in it.
         """
         assign = dict(base) if base else {}
-        false = []          # literals made false, in order, to be processed
+        false = []          # the queue: literals made false, in order
         for lit in assumptions:
             want = (lit & 1) ^ 1
             have = assign.get(lit >> 1)
@@ -384,17 +410,19 @@ class Propagator:
                 return None
         constraints = self.constraints
         occ = self.occ
+        records = {}        # id, or ~position for an extra -> its record
         xocc = {}
-        for c in extras:
+        for k, c in enumerate(extras):
             for _, lit in c.terms:
-                xocc.setdefault(lit, []).append(c)
-        visit = list(extras)
+                xocc.setdefault(lit, []).append(~k)
+        scan = [~k for k in range(len(extras))]
         if base is None:
-            visit.extend(constraints[cid] for cid in self.roots
-                         if cid != skip and (only is None or cid in only))
+            scan.extend(cid for cid in self.roots
+                        if cid != skip and (only is None or cid in only))
         pos = 0
         while True:
-            for c in visit:
+            for key in scan:
+                c = constraints[key] if key >= 0 else extras[~key]
                 slack = -c.degree
                 pending = None
                 for coef, lit in c.terms:
@@ -409,11 +437,21 @@ class Propagator:
                         slack += coef
                 if slack < 0:
                     return None
+                queued = len(false)     # what this scan's slack counted
+                top = 0
                 if pending:
                     for coef, lit in pending:
                         if coef > slack:
                             assign[lit >> 1] = (lit & 1) ^ 1
                             false.append(lit ^ 1)
+                        elif coef > top:
+                            top = coef
+                if top:
+                    records[key] = [slack, queued, top,
+                                    {lit: coef for coef, lit in pending}
+                                    if top > 1 else None]
+                else:
+                    records[key] = _SETTLED
             if pos == len(false):
                 return assign
             lit = false[pos]
@@ -422,9 +460,20 @@ class Propagator:
             if skip is not None or only is not None:
                 ids = [cid for cid in ids
                        if cid != skip and (only is None or cid in only)]
-            visit = [constraints[cid] for cid in ids]
             if lit in xocc:
-                visit.extend(xocc[lit])
+                ids = [*ids, *xocc[lit]]
+            scan = []
+            for key in ids:
+                if key not in records:
+                    scan.append(key)
+                    continue
+                rec = records[key]
+                if rec[1] < pos:            # queued after its scan
+                    slack = rec[0] - (rec[3][lit] if rec[3] else 1)
+                    if slack < rec[2]:
+                        scan.append(key)
+                    else:
+                        rec[0] = slack
 
 
 def unit_propagate(constraints, assign=None):

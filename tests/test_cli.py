@@ -1,9 +1,13 @@
 """Command-line behaviour: exit codes, verdict lines, determinism."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import certprep
 from certprep import cli
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -105,6 +109,39 @@ def test_check_missing_file(tmp_path, capsys):
     _, out, proof = preprocess_golden(tmp_path)
     capsys.readouterr()
     assert run_cli("check", GOLDEN, tmp_path / "nope.pbp", out) == 2
+
+
+def test_check_undecodable_proof_is_an_io_error(tmp_path, capsys):
+    # the bad bytes sit past the first read chunk, so the checker has
+    # already been fed lines when decoding fails
+    _, out, proof = preprocess_golden(tmp_path)
+    header, preamble, rest = proof.read_bytes().split(b"\n", 2)
+    bad = tmp_path / "bad.pbp"
+    bad.write_bytes(header + b"\n" + preamble + b"\n" + b"* padding\n" * 4000
+                    + b"* \xff\xfe\n" + rest)
+    capsys.readouterr()
+    assert run_cli("check", GOLDEN, bad, out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
+def test_check_does_not_load_the_preprocessor():
+    """`certprep check` imports neither the preprocessor nor the modules
+    only it uses, before or after checking the golden proof."""
+    script = (
+        "import sys\n"
+        "from certprep import cli\n"
+        "others = ('certprep.preprocess', 'certprep.sat', 'certprep.writer')\n"
+        "before = [m for m in others if m in sys.modules]\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(before, [m for m in others if m in sys.modules], code)\n")
+    src = os.path.dirname(os.path.dirname(certprep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", script, "check", str(GOLDEN),
+         str(DATA / "golden.pbp"), str(DATA / "golden.out.wcnf")],
+        capture_output=True, text=True, env=env, check=True)
+    assert res.stdout.splitlines()[-1] == "[] [] 0"
 
 
 def test_opt_reports_optimum(capsys):

@@ -8,6 +8,8 @@ missed propagation or conflict."""
 
 import random
 
+import pytest
+
 from certprep import pb, preprocess
 from certprep.preprocess import Config, Preprocessor
 from conftest import (random_instance, reference_clause_closure,
@@ -99,6 +101,142 @@ def test_engine_matches_reference_under_churn():
                                    assumptions_over(base, lits))
             queries += 1
     assert queries > 2000
+
+
+def planted_lits(planted):
+    return [pb.mklit(pb.mkvar(v), not planted[v]) for v in sorted(planted)]
+
+
+def implication_forest(rng, planted, keep):
+    """Clauses ~a v b over the planted literals in a random order, a drawn
+    from before b; each is kept with probability `keep`.  Making a literal
+    true makes its subtree true one queued literal after another, and
+    falsifies the negations of those literals in that order."""
+    lits = planted_lits(planted)
+    rng.shuffle(lits)
+    return [pb.constraint_from_clause([pb.neg(rng.choice(lits[:i])), lits[i]])
+            for i in range(1, len(lits)) if rng.random() < keep], lits
+
+
+def long_constraint(rng, planted):
+    """A clause or a PB constraint of 20-200 terms over distinct variables.
+
+    Most or all literals are false under the planted assignment, so a
+    spreading subtree of the forest falsifies them while the constraint is
+    being touched.  PB coefficients mix 1s with larger values, and the
+    degree leaves anywhere from no slack to the whole coefficient sum."""
+    share = rng.choice((0.8, 0.95, 1.0))
+    lits = [pb.mklit(pb.mkvar(v), planted[v] == (rng.random() < share))
+            for v in rng.sample(sorted(planted),
+                                rng.randint(20, min(200, len(planted))))]
+    if rng.random() < 0.4:
+        return pb.constraint_from_clause(lits)
+    c = pb.normalize([(rng.choice((1, 1, 1, 2, 3, 7, 20)), lit)
+                      for lit in lits], 0)
+    total = sum(coef for coef, _ in c.terms)
+    return pb.LinearConstraint(c.terms, total - rng.randint(0, total))
+
+
+def test_engine_matches_reference_on_long_constraints():
+    """Clauses and PB constraints of 20-200 terms, whose literals an
+    implication forest falsifies before and after their first scan, under
+    churn and every combination of root set, base, assumptions, extras,
+    skip and only: the counters must give the reference's fixpoint or
+    conflict."""
+    rng = random.Random(5150)
+    outcomes = {"conflict": 0, "propagated": 0}
+    for _ in range(8):
+        nv = rng.randint(60, 240)
+        planted = {v: rng.randint(0, 1) for v in range(1, nv + 1)}
+        forest, order = implication_forest(rng, planted, 0.9)
+        engine = pb.Propagator()
+        live = {}
+        for cid, c in enumerate(forest, start=1):
+            live[cid] = c
+            engine.add(cid, c)
+        next_id = len(forest) + 1
+        for _ in range(24):
+            if rng.random() < 0.3:
+                cid = rng.choice(sorted(live))
+                assert engine.remove(cid) == live.pop(cid)
+            else:
+                c = long_constraint(rng, planted)
+                live[next_id] = c
+                engine.add(next_id, c)
+                next_id += 1
+            skip = rng.choice([None] + sorted(live))
+            only = (None if rng.random() < 0.6 else
+                    {cid for cid in live if rng.random() < 0.9})
+            first = [long_constraint(rng, planted)
+                     for _ in range(rng.randint(0, 1))]
+            lits = rng.sample(order[:nv // 4], rng.randint(1, 3))
+            lits += [random_lit(rng, nv) for _ in range(rng.randint(0, 1))]
+
+            got = engine.propagate(lits, first, skip=skip, only=only)
+            assumed = assumptions_over({}, lits)
+            assert got == expected(live, skip, only, first, assumed)
+            if got is None:
+                outcomes["conflict"] += 1
+            elif len(got) > len(assumed):
+                outcomes["propagated"] += 1
+
+            base = engine.propagate(extras=first, skip=skip, only=only)
+            if base is None:
+                continue
+            more = [long_constraint(rng, planted)]
+            lits = rng.sample(order, rng.randint(1, 3))
+            got = engine.propagate(lits, first + more, base=base, skip=skip,
+                                   only=only)
+            assert got == expected(live, skip, only, first + more,
+                                   assumptions_over(base, lits))
+    assert outcomes["conflict"] > 20 and outcomes["propagated"] > 20, outcomes
+
+
+class CountedConstraint(pb.LinearConstraint):
+    """A constraint that counts reads of its terms; a propagation reads the
+    terms of a live constraint once per scan."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, c):
+        super().__init__(c.terms, c.degree)
+        self.reads = 0
+
+    @property
+    def terms(self):
+        self.reads += 1
+        return pb.LinearConstraint.terms.__get__(self)
+
+    @terms.setter
+    def terms(self, value):
+        pb.LinearConstraint.terms.__set__(self, value)
+
+
+def test_long_clauses_are_scanned_at_most_twice_per_call():
+    """A clause is scanned when a call first touches it and again only when
+    its counter reaches 0, which leaves it propagated, conflicting or
+    satisfied, so never a third time however many of its literals are
+    queued before or after the first scan.  Here an implication tree
+    falsifies all literals but a free one, in a spreading order."""
+    rng = random.Random(2718)
+    scans = []
+    for _ in range(30):
+        nv = rng.randint(60, 200)
+        planted = {v: rng.randint(0, 1) for v in range(1, nv + 1)}
+        tree, order = implication_forest(rng, planted, 1.0)
+        # each clause: negated tree literals and one free literal of its own
+        clauses = [CountedConstraint(pb.constraint_from_clause(
+            [pb.neg(lit) for lit in rng.sample(order[1:],
+                                               rng.randint(19, nv - 1))]
+            + [pb.mklit(pb.mkvar(nv + i))])) for i in range(1, 13)]
+        engine = pb.Propagator(clauses + tree)
+        for c in clauses:
+            c.reads = 0
+        got = engine.propagate([order[0]])
+        scans += [c.reads for c in clauses]
+        assert got == reference_unit_propagate(clauses + tree,
+                                               assumptions_over({}, [order[0]]))
+    assert max(scans) == 2 and scans.count(2) > 100, sorted(scans)
 
 
 def test_wrappers_match_reference():

@@ -5,8 +5,10 @@ The random family: nv variables, 2*nv hard clauses of width 2-3 satisfied by
 a planted model, and nv soft clauses of width 1-2 with weights 1-9, all drawn
 from ``random.Random(nv)``.  The default pipeline must produce a proof the
 checker accepts as equioptimal, and two mutations of that large proof must
-be rejected.  A second, larger instance with planted duplicates and
-tautologies exercises the `dup` and `taut` passes alone through the CLI, and
+be rejected.  With `trim` and `harden` added, the proof gains long selector
+clauses that later steps propagate over; it must be accepted too, and
+rejected when its last `red` step is changed.  A second, larger instance
+with planted duplicates and tautologies exercises the `dup` and `taut` passes alone through the CLI, and
 the SAT oracle runs `trim`'s search pattern on the family's hard clauses in
 lockstep with the scanning reference oracle."""
 
@@ -78,6 +80,37 @@ def test_large_proof_rejects_a_delc_without_its_witness(large_run):
     assert not v.accepted
     assert v.lineno == i + 1
 
+
+@pytest.fixture(scope="module")
+def oracle_run():
+    inst = random_family(200)
+    cfg = preprocess.Config(
+        techniques=preprocess.DEFAULT_TECHNIQUES + ("trim", "harden"))
+    out, proof, _ = preprocess.run(inst, cfg)
+    return inst, out, proof.splitlines()
+
+
+def test_oracle_proof_verifies(oracle_run):
+    """trim and harden fix nothing here, but trim's search logs 273
+    selector clauses of more than 8 literals, which every later
+    propagation may touch; a check that rescans a constraint per false
+    literal took 5-9 s on this proof."""
+    inst, out, lines = oracle_run
+    assert len(lines) == 3538
+    v = check_wcnf_proof(inst, lines, out)
+    assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
+
+
+def test_oracle_proof_rejects_a_flipped_red_literal(oracle_run):
+    inst, out, lines = oracle_run
+    i = _last(lines, lambda line: line.startswith("red ") and ";" in line)
+    toks = lines[i].split()
+    lit = toks[2]
+    toks[2] = lit[1:] if lit.startswith("~") else "~" + lit
+    mutated = lines[:i] + [" ".join(toks)] + lines[i + 1:]
+    v = check_wcnf_proof(inst, mutated, out)
+    assert not v.accepted
+    assert v.lineno == i + 1
 
 
 def to_wcnf(hard, soft):
