@@ -12,6 +12,12 @@ instance, maintaining:
     its literal -> ids index both drives propagation and enumerates witness
     obligations.
 
+Objective steps are checked from their delta alone (see ``pb``): an
+``obju diff`` carries it, an ``obju new`` is taken as the change from the
+current objective, and a witness's objective obligation is built from
+``Objective.delta`` over the witnessed variables; the objective is then
+updated in place, so a step costs the size of its change.
+
 Every propagation goes through that one engine: ``rup`` and plain core
 ``delc`` start from its root set, ``obju`` does too restricted to the core,
 and a witnessed ``red``/``delc`` propagates its premises once and resumes
@@ -232,10 +238,10 @@ class ProofChecker:
         self_target = pb.restrict(c, witness)
         if not self._discharge(neg_c, base, skip, self_target, block, "self"):
             self._err("witness obligation fails for the introduced constraint")
-        if set(witness) & set(self.objective.coeffs):
-            diff = pb.objective_diff_constraint(
-                self.objective, self.objective.restrict(witness))
-            if not self._discharge(neg_c, base, skip, diff, block, "obj"):
+        terms, const = self.objective.delta(witness)
+        if terms:   # the objective must not grow: -delta >= 0
+            target = pb.normalize([(-w, lit) for w, lit in terms], const)
+            if not self._discharge(neg_c, base, skip, target, block, "obj"):
                 self._err("witness obligation fails for the objective")
 
     # -- objective updates -----------------------------------------------------
@@ -261,12 +267,16 @@ class ProofChecker:
                     return True
         return False
 
-    def _apply_obju(self, new_obj):
-        for target in (pb.objective_diff_constraint(self.objective, new_obj),
-                       pb.objective_diff_constraint(new_obj, self.objective)):
+    def _apply_obju(self, terms, const):
+        """Check that the core forces the change sum(terms) + const to be 0,
+        as -delta >= 0 and delta >= 0, then apply it in place."""
+        for target in (pb.normalize([(-w, lit) for w, lit in terms], const),
+                       pb.normalize(terms, -const)):
             if not self._obju_direction_ok(target):
                 self._err("objective update is not justified by the core")
-        self.objective = new_obj
+        for w, lit in terms:
+            self.objective.add_literal_term(w, lit)
+        self.objective.constant += const
 
     # -- output section ---------------------------------------------------------
 
@@ -386,14 +396,10 @@ class ProofChecker:
                 pos += 1
             if pos != len(toks):
                 self._err("obju: trailing tokens")
-            if toks[1] == "diff":
-                new_obj = self.objective.copy()
-                new_obj.constant += const
-            else:
-                new_obj = pb.Objective(constant=const)
-            for w, lit in terms:
-                new_obj.add_literal_term(w, lit)
-            self._apply_obju(new_obj)
+            if toks[1] == "new":    # the change from the current objective
+                terms += [(-c, v << 1) for v, c in self.objective.coeffs.items()]
+                const -= self.objective.constant
+            self._apply_obju(terms, const)
         elif op == "core":
             if len(toks) < 3 or toks[1] != "id":
                 self._err("expected 'core id <id> ...'")

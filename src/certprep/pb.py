@@ -9,6 +9,13 @@ Keeping everything integral makes assignments and witnesses cheap dicts.
 Constraints are kept in normalized form: distinct variables, positive
 coefficients, non-negative degree, terms sorted by (namespace, index).
 
+Objective changes travel as deltas: signed (coef, literal) terms plus a
+constant, the payload of an ``obju diff`` step.  ``Objective.delta`` gives
+the delta of a witness substitution from the witnessed variables alone, and
+a delta's two proof obligations (it is >= 0 and <= 0 under the core) are
+``normalize(terms, -const)`` and the same with the terms negated; since
+``normalize`` is canonical, variables outside the delta need not appear.
+
 Unit propagation has one engine, ``Propagator``, shared by the checker and
 the preprocessor's probing.  It owns the live constraints (id -> constraint),
 a literal -> ids occurrence index and the *root set*: the ids whose largest
@@ -134,22 +141,6 @@ class LinearConstraint:
     def vars(self):
         return [lit >> 1 for _, lit in self.terms]
 
-    def slack(self, assign):
-        """Coefficient sum of non-falsified literals minus the degree."""
-        s = -self.degree
-        for coef, lit in self.terms:
-            if assign.get(lit >> 1) != (lit & 1):
-                s += coef
-        return s
-
-    def satisfied_by(self, assign):
-        """True under a total assignment (missing variables count as 0)."""
-        total = 0
-        for coef, lit in self.terms:
-            if assign.get(lit >> 1, 0) == (lit & 1) ^ 1:
-                total += coef
-        return total >= self.degree
-
 
 def normalize(raw_terms, degree):
     """Build a LinearConstraint from possibly signed, unsorted, repeated terms.
@@ -195,10 +186,11 @@ def literal_axiom(lit):
 
 
 def negate(c):
-    """Integer negation: not(sum a*l >= b)  <=>  sum a*~l >= sum(a) - b + 1."""
+    """Integer negation: not(sum a*l >= b)  <=>  sum a*~l >= sum(a) - b + 1;
+    flipping every literal keeps a normalized constraint's term order."""
     total = sum(coef for coef, _ in c.terms)
-    return normalize([(coef, lit ^ 1) for coef, lit in c.terms],
-                     total - c.degree + 1)
+    return LinearConstraint(tuple((coef, lit ^ 1) for coef, lit in c.terms),
+                            max(0, total - c.degree + 1))
 
 
 def add(c1, c2):
@@ -290,17 +282,22 @@ class Objective:
                 total += coef
         return total
 
-    def restrict(self, witness):
-        out = Objective(constant=self.constant)
-        for v, coef in self.coeffs.items():
-            img = witness.get(v)
-            if img is None:
-                out.add_literal_term(coef, v << 1)
-            elif img == 1:
-                out.constant += coef
+    def delta(self, witness):
+        """What the substitution {var: 0 | 1 | literal} adds to the objective,
+        as (signed (coef, literal) terms, constant); only the witnessed
+        variables are read, and images are not substituted again."""
+        terms = []
+        const = 0
+        for v, img in witness.items():
+            c = self.coeffs.get(v)
+            if c is None:
+                continue
+            terms.append((-c, v << 1))
+            if img == 1:
+                const += c
             elif img != 0:
-                out.add_literal_term(coef, img)
-        return out
+                terms.append((c, img))
+        return terms, const
 
     def literal_form(self):
         """Split into ((weight, lit), ...) with positive weights, plus constant.
@@ -317,13 +314,6 @@ class Objective:
                 terms.append((-c, (v << 1) | 1))
                 const += c
         return tuple(terms), const
-
-
-def objective_diff_constraint(a, b):
-    """The constraint  a - b >= 0  for two objectives (constants included)."""
-    raw = [(coef, v << 1) for v, coef in a.coeffs.items()]
-    raw += [(-coef, v << 1) for v, coef in b.coeffs.items()]
-    return normalize(raw, b.constant - a.constant)
 
 
 _NO_IDS = frozenset()

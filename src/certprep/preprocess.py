@@ -41,8 +41,8 @@ class Config:
     """Technique selection and resource knobs for a pipeline run."""
 
     def __init__(self, techniques=DEFAULT_TECHNIQUES, rounds=5, bve_growth=0,
-                 oracle_conflicts=20000, bce_softs=False,
-                 max_proof_lines=None, checkpoints=False):
+                 oracle_conflicts=20000, max_proof_lines=None,
+                 checkpoints=False):
         names = set(techniques)
         unknown = names - set(STAGE2_ORDER) - set(STAGE4_ORDER)
         if unknown:
@@ -56,7 +56,6 @@ class Config:
         self.rounds = rounds
         self.bve_growth = bve_growth
         self.oracle_conflicts = oracle_conflicts
-        self.bce_softs = bce_softs
         self.max_proof_lines = max_proof_lines
         self.checkpoints = checkpoints
 
@@ -189,19 +188,22 @@ class Preprocessor:
         self.core_live.discard(cid)
         self.dirty = True
 
-    def _set_objective(self, new):
-        """Emit the objective delta and adopt `new` as the tracked objective."""
-        terms = []
-        for v in sorted(set(self.objective.coeffs) | set(new.coeffs),
-                        key=pb.var_sort_key):
-            d = new.coef(v) - self.objective.coef(v)
-            if d:
-                terms.append((d, mklit(v)))
-        const = new.constant - self.objective.constant
-        if terms or const:
-            self.writer.obju_diff(terms, const)
+    def _update_objective(self, terms, const=0):
+        """Add sum(w * lit) + const to the objective in place and log the
+        change as one obju diff over its variables, in variable order."""
+        obj = self.objective
+        before = {lit >> 1: obj.coef(lit >> 1) for _, lit in terms}
+        old_const = obj.constant
+        for w, lit in terms:
+            obj.add_literal_term(w, lit)
+        obj.constant += const
+        diff = [(obj.coef(v) - before[v], mklit(v))
+                for v in sorted(before, key=pb.var_sort_key)
+                if obj.coef(v) != before[v]]
+        const = obj.constant - old_const
+        if diff or const:
+            self.writer.obju_diff(diff, const)
             self.dirty = True
-        self.objective = new
 
     # ------------------------------------------------------------------
     # the generic fixing procedure
@@ -216,8 +218,7 @@ class Preprocessor:
         """
         v = lit >> 1
         val = 0 if lit & 1 else 1
-        if self.objective.coef(v):
-            self._set_objective(self.objective.restrict({v: val}))
+        self._update_objective(*self.objective.delta({v: val}))
         units = []
         for cid in sorted(self._occ_ids(neg(lit))):
             c = self._uninstall(cid)
@@ -252,7 +253,7 @@ class Preprocessor:
     def _retire_soft_label(self, label, weight):
         # the label no longer occurs in any clause; drop its objective term
         hb = self._core_red(_unit(mklit(label, True)), {label: 0})
-        self._set_objective(self.objective.restrict({label: 0}))
+        self._update_objective(*self.objective.delta({label: 0}))
         self._delc(hb, {label: 0})
 
     # ------------------------------------------------------------------
@@ -366,10 +367,7 @@ class Preprocessor:
             [mklit(bc, True), mklit(bd)]), {bc: 0, bd: 0})
         e2 = self._core_red(constraint_from_clause(
             [mklit(bd, True), mklit(bc)]), {bc: 0, bd: 0})
-        o2 = self.objective.copy()
-        o2.add_literal_term(wd, mklit(bc))
-        o2.add_literal_term(-wd, mklit(bd))
-        self._set_objective(o2)
+        self._update_objective([(wd, mklit(bc)), (-wd, mklit(bd))])
         self._uninstall(dup)
         self._delc(dup)            # RUP through the kept clause and e1
         del self.soft_label[dup]
@@ -403,7 +401,7 @@ class Preprocessor:
             if c.degree != 1 or self._real_lits(cid):
                 continue
             # nothing left but the relaxer: the weight is paid forever
-            self._set_objective(self.objective.restrict({label: 1}))
+            self._update_objective(*self.objective.delta({label: 1}))
             del self.soft_label[cid]
             self._uninstall(cid)
             self._delc(cid, {label: 1})
@@ -439,8 +437,7 @@ class Preprocessor:
     def _blocked_once(self):
         for cid in sorted(self.clauses):
             if cid not in self.hard_ids:
-                if not (self.cfg.bce_softs and cid in self.soft_label):
-                    continue
+                continue
             if self.clauses[cid].is_trivial():
                 continue
             for lit in self._real_lits(cid):
@@ -490,10 +487,7 @@ class Preprocessor:
         u = self._real_lits(cid)[0]
         helper = self._core_red(constraint_from_clause(
             [neg(u), mklit(label, True)]), {label: 0})
-        o2 = self.objective.copy()
-        o2.add_literal_term(w, neg(u))
-        o2.add_literal_term(-w, mklit(label))
-        self._set_objective(o2)
+        self._update_objective([(w, neg(u)), (-w, mklit(label))])
         self._delc(helper, {label: 0})
         self._uninstall(cid)
         self._delc(cid, {label: 1})
@@ -647,21 +641,24 @@ class Preprocessor:
         else:
             e2 = self._core_rup(constraint_from_clause([l1, neg(l2)]))
         image = l2 if l1 & 1 == 0 else neg(l2)     # positive var(l1) maps here
-        for cid in sorted(self._occ_ids(l1) | self._occ_ids(neg(l1))):
-            old = self._lits(cid)
-            newlits = [l2 if l == l1 else (neg(l2) if l == neg(l1) else l)
-                       for l in old]
-            replacement = constraint_from_clause(newlits)
-            if not replacement.is_trivial():
-                nid = self._core_rup(replacement)
-                self._install(nid, replacement)
+        self._rewrite_var(l1 >> 1, image, e1, e2)
+        self._count("eql")
+
+    def _rewrite_var(self, v, image, e1, e2):
+        """Replace variable v by the literal `image` in every clause and in
+        the objective, then delete the equivalence e1, e2 between them with
+        the witness {v: image}."""
+        for cid in sorted(self._occ_ids(mklit(v)) | self._occ_ids(mklit(v, True))):
+            c = constraint_from_clause([image ^ (l & 1) if l >> 1 == v else l
+                                        for l in self._lits(cid)])
+            if not c.is_trivial():
+                nid = self._core_rup(c)
+                self._install(nid, c)
             self._uninstall(cid)
             self._delc(cid)
-        if self.objective.coef(l1 >> 1):
-            self._set_objective(self.objective.restrict({l1 >> 1: image}))
-        self._delc(e1, {l1 >> 1: image})
-        self._delc(e2, {l1 >> 1: image})
-        self._count("eql")
+        self._update_objective(*self.objective.delta({v: image}))
+        self._delc(e1, {v: image})
+        self._delc(e2, {v: image})
 
     def _sle_pairs(self):
         """SLE candidates (x, y): x in variable order, then in variable
@@ -854,12 +851,8 @@ class Preprocessor:
         elim = self._core_pol([d1, bin_cid, "+", 2, "d"])
         self.writer.core_ids([d2])
         self.core_live.add(d2)
-        o2 = self.objective.copy()
-        o2.add_literal_term(-w, mklit(bc))
-        o2.add_literal_term(-w, mklit(bd))
-        o2.add_literal_term(w, mklit(bcd))
-        o2.constant += w
-        self._set_objective(o2)
+        self._update_objective(
+            [(-w, mklit(bc)), (-w, mklit(bd)), (w, mklit(bcd))], w)
         self.writer.delc(d1)
         self._delc(elim, {bcd: 0})
         self._install(d2, clause)
@@ -952,11 +945,8 @@ class Preprocessor:
             [(2, mklit(bcd)), (1, mklit(bc, True)), (1, mklit(bd, True))], 2),
             {bcd: 1})
         merged = self._core_pol([r2, am1c, "+", 2, "d"])
-        o2 = self.objective.copy()
-        o2.add_literal_term(-w, mklit(bc))
-        o2.add_literal_term(-w, mklit(bd))
-        o2.add_literal_term(w, mklit(bcd))
-        self._set_objective(o2)
+        self._update_objective(
+            [(-w, mklit(bc)), (-w, mklit(bd)), (w, mklit(bcd))])
         kc = constraint_from_clause(c_lits + [mklit(bcd)])
         kd = constraint_from_clause(d_lits + [mklit(bcd)])
         kc_id = self._core_rup(kc)
@@ -1131,11 +1121,7 @@ class Preprocessor:
         bw = self._fresh_label()
         pid = self._core_red(_unit(mklit(bw)), {bw: 1})
         self._install(pid, _unit(mklit(bw)))
-        self.hard_ids.add(pid)
-        o2 = self.objective.copy()
-        o2.add_literal_term(const, mklit(bw))
-        o2.constant -= const
-        self._set_objective(o2)
+        self._update_objective([(const, mklit(bw))], -const)
         self._count("const")
 
     def rename_variables(self):
@@ -1173,20 +1159,7 @@ class Preprocessor:
         ol, nl = mklit(old), mklit(new)
         e1 = self._core_red(constraint_from_clause([neg(ol), nl]), {new: 1})
         e2 = self._core_red(constraint_from_clause([ol, neg(nl)]), {new: 0})
-        for cid in sorted(self._occ_ids(ol) | self._occ_ids(neg(ol))):
-            lits = [nl if l == ol else (neg(nl) if l == neg(ol) else l)
-                    for l in self._lits(cid)]
-            c = constraint_from_clause(lits)
-            nid = self._core_rup(c)
-            self._install(nid, c)
-            self.hard_ids.add(nid)
-            self._uninstall(cid)
-            self._delc(cid)
-            self.hard_ids.discard(cid)
-        if self.objective.coef(old):
-            self._set_objective(self.objective.restrict({old: nl}))
-        self._delc(e1, {old: nl})
-        self._delc(e2, {old: nl})
+        self._rewrite_var(old, nl, e1, e2)
 
     def _drop_trivial(self):
         for cid in sorted(self.clauses):

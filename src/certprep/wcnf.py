@@ -200,38 +200,3 @@ def opt_cost_bruteforce(inst, var_limit=22):
         if best is None or c < best:
             best = c
     return best
-
-
-def pb_opt_bruteforce(constraints, objective, var_limit=22):
-    """Exact PB optimum by enumeration; None if the constraints are UNSAT."""
-    vs = set()
-    for c in constraints:
-        vs.update(c.vars())
-    vs.update(objective.coeffs)
-    vs = sorted(vs, key=pb.var_sort_key)
-    if len(vs) > var_limit:
-        raise ValueError("too many variables for brute force (%d)" % len(vs))
-    bit = {v: i for i, v in enumerate(vs)}
-    cons = [([(coef, bit[lit >> 1], lit & 1) for coef, lit in c.terms], c.degree)
-            for c in constraints]
-    obj = [(coef, bit[v]) for v, coef in objective.coeffs.items()]
-    best = None
-    for m in range(1 << len(vs)):
-        feasible = True
-        for terms, degree in cons:
-            tot = 0
-            for coef, bt, sg in terms:
-                if (m >> bt) & 1 != sg:
-                    tot += coef
-            if tot < degree:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        val = objective.constant
-        for coef, bt in obj:
-            if (m >> bt) & 1:
-                val += coef
-        if best is None or val < best:
-            best = val
-    return best

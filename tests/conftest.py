@@ -59,6 +59,41 @@ def entails(premises, conclusion):
     return True
 
 
+def pb_opt_bruteforce(constraints, objective, var_limit=22):
+    """Exact PB optimum by enumeration; None if the constraints are UNSAT."""
+    vs = set()
+    for c in constraints:
+        vs.update(c.vars())
+    vs.update(objective.coeffs)
+    vs = sorted(vs, key=pb.var_sort_key)
+    if len(vs) > var_limit:
+        raise ValueError("too many variables for brute force (%d)" % len(vs))
+    bit = {v: i for i, v in enumerate(vs)}
+    cons = [([(coef, bit[lit >> 1], lit & 1) for coef, lit in c.terms], c.degree)
+            for c in constraints]
+    obj = [(coef, bit[v]) for v, coef in objective.coeffs.items()]
+    best = None
+    for m in range(1 << len(vs)):
+        feasible = True
+        for terms, degree in cons:
+            tot = 0
+            for coef, bt, sg in terms:
+                if (m >> bt) & 1 != sg:
+                    tot += coef
+            if tot < degree:
+                feasible = False
+                break
+        if not feasible:
+            continue
+        val = objective.constant
+        for coef, bt in obj:
+            if (m >> bt) & 1:
+                val += coef
+        if best is None or val < best:
+            best = val
+    return best
+
+
 def x(i):
     return pb.mklit(pb.mkvar(i))
 
@@ -124,6 +159,41 @@ def random_instance(rng, max_vars=12, max_clauses=25, max_weight=8):
         hard.append([pb.mklit(v)])
         hard.append([pb.mklit(v, True)])
     return WcnfInstance(hard, soft)
+
+
+# -- reference kernel forms ---------------------------------------------------
+#
+# The whole-constraint and whole-objective forms that the pb kernel's faster
+# ones replaced, kept as references for their differential tests.
+
+
+def reference_negate(c):
+    """Negation through the full merge and sort of `normalize`."""
+    total = sum(coef for coef, _ in c.terms)
+    return pb.normalize([(coef, lit ^ 1) for coef, lit in c.terms],
+                        total - c.degree + 1)
+
+
+def reference_restrict_objective(obj, witness):
+    """The objective after the substitution {var: 0 | 1 | literal}, built
+    over every variable of `obj`."""
+    out = pb.Objective(constant=obj.constant)
+    for v, coef in obj.coeffs.items():
+        img = witness.get(v)
+        if img is None:
+            out.add_literal_term(coef, v << 1)
+        elif img == 1:
+            out.constant += coef
+        elif img != 0:
+            out.add_literal_term(coef, img)
+    return out
+
+
+def reference_objective_diff_constraint(a, b):
+    """The constraint  a - b >= 0  for two objectives (constants included)."""
+    raw = [(coef, v << 1) for v, coef in a.coeffs.items()]
+    raw += [(-coef, v << 1) for v, coef in b.coeffs.items()]
+    return pb.normalize(raw, b.constant - a.constant)
 
 
 # -- reference propagation ------------------------------------------------------

@@ -36,9 +36,9 @@ from certprep import cli, pb, preprocess
 from certprep.checker import check_wcnf_proof
 from certprep.preprocess import Config
 from certprep.wcnf import (WcnfInstance, encode_to_pb, opt_cost_bruteforce,
-                           parse_wcnf, pb_opt_bruteforce, write_wcnf)
+                           parse_wcnf, write_wcnf)
 from conftest import (all_assignments, constraint_satisfied, lit_value,
-                      entails, nx, random_instance, x)
+                      entails, nx, pb_opt_bruteforce, random_instance, x)
 
 DATA = pathlib.Path(__file__).parent / "data"
 SWEEP_SIZE = 1000

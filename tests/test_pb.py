@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from certprep import pb
 from conftest import (C, all_assignments, b, constraint_satisfied, entails,
-                      models, nb, nx, raw_satisfied, vars_of, x)
+                      models, nb, nx, raw_satisfied, reference_negate,
+                      vars_of, x)
 
 
 # -- strategies -------------------------------------------------------------
@@ -126,6 +127,29 @@ def test_negate_complements_solution_set(c):
         assert constraint_satisfied(c, assign) != constraint_satisfied(nc, assign)
 
 
+def test_negate_matches_reference():
+    """Negation without the merge and sort equals the `normalize`-based
+    reference on random normalized constraints over all three namespaces
+    and on what the pol rules make of them, including empty terms, degree 0
+    and degree above the coefficient sum."""
+    rng = random.Random(6)
+    seen = {"empty": 0, "degree 0": 0, "above sum": 0}
+    for _ in range(2000):
+        raw = [(rng.randint(1, 9),
+                pb.mklit(pb.mkvar(rng.randint(1, 5), rng.randrange(3)),
+                         rng.random() < 0.5))
+               for _ in range(rng.randint(0, 6))]
+        c = pb.normalize(raw, rng.randint(-3, 40))
+        k = rng.randint(1, 4)
+        for d in (c, pb.multiply(c, k), pb.divide(c, k), pb.saturate(c),
+                  pb.literal_axiom(raw[0][1] if raw else x(1))):
+            assert pb.negate(d) == reference_negate(d), d
+            seen["empty"] += not d.terms
+            seen["degree 0"] += d.degree == 0
+            seen["above sum"] += d.degree > sum(a for a, _ in d.terms)
+    assert min(seen.values()) > 100, seen
+
+
 @given(constraints(max_var=3), constraints(max_var=3))
 def test_add_is_sound(c1, c2):
     s = pb.add(c1, c2)
@@ -195,20 +219,30 @@ def test_objective_canonical_form():
     assert terms == ((2, x(1)),) and const == 3
 
 
-def test_objective_value_and_restrict():
+def test_objective_value_and_delta():
     o = pb.Objective({pb.mkvar(1): 2, pb.mkvar(2): -3}, constant=3)
     assert o.value({pb.mkvar(1): 1, pb.mkvar(2): 0}) == 5
     assert o.value({pb.mkvar(1): 0, pb.mkvar(2): 1}) == 0
-    r = o.restrict({pb.mkvar(1): 1, pb.mkvar(2): nx(5)})
+    terms, const = o.delta({pb.mkvar(1): 1, pb.mkvar(2): nx(5)})
+    r = o.copy()
+    for w, lit in terms:
+        r.add_literal_term(w, lit)
+    r.constant += const
     assert r.coeffs == {pb.mkvar(5): 3} and r.constant == 2
+    # only the witnessed variables that the objective carries are read
+    assert o.delta({pb.mkvar(9): 1}) == ([], 0)
 
 
-def test_objective_diff_constraint():
+def test_objective_delta_obligations():
     a = pb.Objective({pb.mkvar(1): 1})
-    bj = pb.Objective(constant=1)
-    assert pb.objective_diff_constraint(a, bj) == C("+1 x1 >= 1")
-    assert pb.objective_diff_constraint(bj, a) == C("+1 ~x1 >= 0")
-    assert pb.objective_diff_constraint(a, a).is_trivial()
+    terms, const = a.delta({pb.mkvar(1): 1})     # a becomes the constant 1
+    assert (terms, const) == ([(-1, x(1))], 1)
+    # a - new >= 0 is -delta >= 0, and new - a >= 0 is delta >= 0
+    assert pb.normalize([(-w, l) for w, l in terms], const) == C("+1 x1 >= 1")
+    assert pb.normalize(terms, -const) == C("+1 ~x1 >= 0")
+    terms, const = a.delta({pb.mkvar(1): x(1)})  # the identity changes nothing
+    assert pb.normalize(terms, -const).is_trivial()
+    assert pb.normalize([(-w, l) for w, l in terms], const).is_trivial()
 
 
 def test_objective_literal_form_of_negative_coef():

@@ -4,21 +4,24 @@ as the judge.
 The random family: nv variables, 2*nv hard clauses of width 2-3 satisfied by
 a planted model, and nv soft clauses of width 1-2 with weights 1-9, all drawn
 from ``random.Random(nv)``.  The default pipeline must produce a proof the
-checker accepts as equioptimal, and two mutations of that large proof must
-be rejected.  With `trim` and `harden` added, the proof gains long selector
-clauses that later steps propagate over; it must be accepted too, and
-rejected when its last `red` step is changed.  A second, larger instance
-with planted duplicates and tautologies exercises the `dup` and `taut` passes alone through the CLI, and
-the SAT oracle runs `trim`'s search pattern on the family's hard clauses in
-lockstep with the scanning reference oracle."""
+checker accepts as equioptimal; four mutations of that large proof (a `rup`
+literal, a `delc` witness, a renaming `obju diff` coefficient, a witness
+constant on an objective variable) must be rejected at their line; and the
+preprocessor's state must equal the checker's after every application.
+With `trim` and `harden` added, the proof gains long selector clauses that
+later steps propagate over; it must be accepted too, and rejected when its
+last `red` step is changed.  A second, larger instance with planted
+duplicates and tautologies exercises the `dup` and `taut` passes alone
+through the CLI, and the SAT oracle runs `trim`'s search pattern on the
+family's hard clauses in lockstep with the scanning reference oracle."""
 
 import random
 
 import pytest
 
 from certprep import cli, pb, preprocess
-from certprep.checker import check_wcnf_proof
-from certprep.wcnf import parse_wcnf
+from certprep.checker import ProofChecker, check_wcnf_proof
+from certprep.wcnf import encode_to_pb, parse_wcnf
 from conftest import Lockstep
 
 
@@ -79,6 +82,66 @@ def test_large_proof_rejects_a_delc_without_its_witness(large_run):
     v = check_wcnf_proof(inst, mutated, out)
     assert not v.accepted
     assert v.lineno == i + 1
+
+
+def test_large_proof_rejects_a_wrong_renaming_coefficient(large_run):
+    """The last `obju diff` of the finish stage moves one renamed
+    variable's weight onto its new name; one unit more on the first term
+    is not forced by the core."""
+    inst, out, lines, _ = large_run
+    i = _last(lines, lambda line: line.startswith("obju diff "))
+    assert i > lines.index("* constant removal and renaming")
+    toks = lines[i].split()
+    toks[2] = "%+d" % (int(toks[2]) + 1)
+    mutated = lines[:i] + [" ".join(toks)] + lines[i + 1:]
+    v = check_wcnf_proof(inst, mutated, out)
+    assert not v.accepted
+    assert v.lineno == i + 1 and "objective update" in v.error
+
+
+def test_large_proof_rejects_a_witness_with_a_wrong_constant(large_run):
+    """The last `red` whose witness maps an objective variable to a
+    constant, with that constant flipped."""
+    inst, out, lines, _ = large_run
+    cons, obj, _ = encode_to_pb(inst)
+    chk = ProofChecker(cons, obj)
+    last = None
+    for i, line in enumerate(lines):
+        if line.startswith("red ") and ";" in line:
+            witness, _ = pb.parse_witness_tokens(line.split(";")[1].split())
+            for var, img in witness.items():
+                if img in (0, 1) and chk.objective.coef(var):
+                    last = i, pb.fmt_var(var), img
+        chk.feed(line)
+    i, name, img = last
+    toks = lines[i].split()
+    k = toks.index(name, toks.index(";"))
+    toks[k + 2] = str(1 - img)
+    mutated = lines[:i] + [" ".join(toks)] + lines[i + 1:]
+    v = check_wcnf_proof(inst, mutated, out)
+    assert not v.accepted
+    assert v.lineno == i + 1 and "witness obligation" in v.error
+
+
+def test_large_run_checkpoints_match_checker_state():
+    """After every application the preprocessor's clauses equal the
+    checker's core and its objective equals the checker's."""
+    inst = random_family(200)
+    out, proof, p = preprocess.run(inst,
+                                   preprocess.Config(checkpoints=True))
+    assert len(p.checkpoints) == sum(p.counts.values()) == 100
+    lines = proof.splitlines()
+    cons, obj, _ = encode_to_pb(inst)
+    chk = ProofChecker(cons, obj)
+    fed = 0
+    for name, upto, snap, snap_obj in p.checkpoints:
+        while fed < upto:
+            chk.feed(lines[fed])
+            fed += 1
+        live = tuple(sorted((chk.constraints[i] for i in chk.core_ids),
+                            key=lambda c: (c.degree, c.terms)))
+        assert live == snap, (name, upto)
+        assert chk.objective == snap_obj, (name, upto)
 
 
 @pytest.fixture(scope="module")

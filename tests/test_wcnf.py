@@ -5,7 +5,8 @@ import random
 import pytest
 
 from certprep import pb, wcnf
-from conftest import C, all_assignments, b, nx, random_instance, x
+from conftest import (C, all_assignments, b, nx, pb_opt_bruteforce,
+                      random_instance, x)
 
 NEW_SAMPLE = """\
 c a comment
@@ -155,10 +156,10 @@ def test_opt_matches_naive_enumeration():
 def test_pb_opt_frozen():
     cons = [C("+1 x1 +1 x2 >= 1")]
     obj = pb.Objective({pb.mkvar(1): 1, pb.mkvar(2): 2}, constant=3)
-    assert wcnf.pb_opt_bruteforce(cons, obj) == 4
-    assert wcnf.pb_opt_bruteforce([C(">= 1")], obj) is None
+    assert pb_opt_bruteforce(cons, obj) == 4
+    assert pb_opt_bruteforce([C(">= 1")], obj) is None
     neg = pb.Objective({pb.mkvar(1): -5})
-    assert wcnf.pb_opt_bruteforce([], neg) == -5
+    assert pb_opt_bruteforce([], neg) == -5
 
 
 def test_translation_preserves_optimum():
@@ -166,4 +167,4 @@ def test_translation_preserves_optimum():
     for _ in range(60):
         inst = random_instance(rng, max_vars=6, max_clauses=10)
         cons, obj, _ = wcnf.encode_to_pb(inst)
-        assert wcnf.pb_opt_bruteforce(cons, obj) == wcnf.opt_cost_bruteforce(inst)
+        assert pb_opt_bruteforce(cons, obj) == wcnf.opt_cost_bruteforce(inst)
