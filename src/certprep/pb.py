@@ -272,9 +272,6 @@ class Objective:
     def coef(self, v):
         return self.coeffs.get(v, 0)
 
-    def vars(self):
-        return set(self.coeffs)
-
     def value(self, assign):
         total = self.constant
         for v, coef in self.coeffs.items():

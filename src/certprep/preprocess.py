@@ -14,6 +14,12 @@ proof, and ``self.objective`` equals the proof objective.  Every deletion
 recipe below was chosen so that the checker can discharge its obligations
 with unit propagation alone; the comments on the trickier ones record which
 live constraint closes each obligation.
+
+A clause is hard exactly when it has no soft label: in the WCNF phase every
+live clause is one or the other, and from the objective-centric switch on
+there are no labels, so every clause is hard.  Clauses enter the store
+through ``_install`` and every technique takes them out through
+``_remove_clause``, which also logs the ``delc`` and retires a soft label.
 """
 
 import heapq
@@ -107,15 +113,12 @@ class Preprocessor:
         self.occ = self.engine.occ              # literal -> set of cids
         self.closures = {}      # start literals -> _up_closure result
         self.soft_label = {}    # cid -> (label var, weight), WCNF phase only
-        self.hard_ids = set()
         self.core_live = set(range(1, len(cons) + 1))
         for pos, c in enumerate(cons):
             cid = pos + 1
             self._install(cid, c)
             if pos in soft_info:
                 self.soft_label[cid] = soft_info[pos]
-            else:
-                self.hard_ids.add(cid)
         self.next_aux = len(soft_info) + 1
         self.next_tmp = 1
         self.phase = "wcnf"
@@ -136,10 +139,26 @@ class Preprocessor:
 
     def _uninstall(self, cid):
         self.closures.clear()
-        return self.engine.remove(cid)
+        self.engine.remove(cid)
+
+    def _remove_clause(self, cid, witness=None):
+        """Take a live clause out of the store and the core (with the delc
+        witness, if any); a soft clause's label, now in no clause, leaves
+        the objective too."""
+        self._uninstall(cid)
+        self._delc(cid, witness)
+        if cid in self.soft_label:
+            self._retire_soft_label(self.soft_label.pop(cid)[0])
 
     def _lits(self, cid):
         return tuple(lit for _, lit in self.clauses[cid].terms)
+
+    def _real_lits(self, cid, label=None):
+        """The literals of clause `cid` other than those on `label`, by
+        default its soft label."""
+        if label is None and cid in self.soft_label:
+            label = self.soft_label[cid][0]
+        return tuple(l for l in self._lits(cid) if l >> 1 != label)
 
     def _occ_ids(self, lit):
         return self.engine.ids_with(lit)
@@ -165,23 +184,19 @@ class Preprocessor:
     # ------------------------------------------------------------------
     # proof emission, keeping core_live in sync with the checker
 
-    def _core_rup(self, c):
-        cid = self.writer.rup(c)
+    def _core(self, cid):
         self.writer.core_ids([cid])
         self.core_live.add(cid)
         return cid
+
+    def _core_rup(self, c):
+        return self._core(self.writer.rup(c))
 
     def _core_red(self, c, witness):
-        cid = self.writer.red(c, witness)
-        self.writer.core_ids([cid])
-        self.core_live.add(cid)
-        return cid
+        return self._core(self.writer.red(c, witness))
 
     def _core_pol(self, tokens):
-        cid = self.writer.pol(tokens)
-        self.writer.core_ids([cid])
-        self.core_live.add(cid)
-        return cid
+        return self._core(self.writer.pol(tokens))
 
     def _delc(self, cid, witness=None):
         self.writer.delc(cid, witness)
@@ -221,36 +236,26 @@ class Preprocessor:
         self._update_objective(*self.objective.delta({v: val}))
         units = []
         for cid in sorted(self._occ_ids(neg(lit))):
-            c = self._uninstall(cid)
-            new = pb.add(c, _unit(lit))
+            new = pb.add(self.clauses[cid], _unit(lit))
             nid = self._core_pol([cid, pid, "+"])
-            self._delc(cid)
+            if cid in self.soft_label:      # the soft clause lives on as nid
+                self.soft_label[nid] = self.soft_label.pop(cid)
+            self._remove_clause(cid)
             if not new.terms and new.degree:
                 raise Infeasible(nid)
             self._install(nid, new)
-            if cid in self.soft_label:
-                self.soft_label[nid] = self.soft_label.pop(cid)
-            else:
-                self.hard_ids.discard(cid)
-                self.hard_ids.add(nid)
-                if len(new.terms) == 1 and new.degree == 1:
-                    units.append(nid)
+            if self._is_hard_unit(nid):
+                units.append(nid)
         for cid in sorted(self._occ_ids(lit)):
-            if cid == pid:
-                continue
-            self._uninstall(cid)
-            self._delc(cid)
-            self.hard_ids.discard(cid)
-            if cid in self.soft_label:
-                label, w = self.soft_label.pop(cid)
-                self._retire_soft_label(label, w)
-        self._delc(pid, {v: val})
+            if cid != pid:
+                self._remove_clause(cid)
         if pid in self.clauses:
-            self._uninstall(pid)
-            self.hard_ids.discard(pid)
+            self._remove_clause(pid, {v: val})
+        else:
+            self._delc(pid, {v: val})
         return units
 
-    def _retire_soft_label(self, label, weight):
+    def _retire_soft_label(self, label):
         # the label no longer occurs in any clause; drop its objective term
         hb = self._core_red(_unit(mklit(label, True)), {label: 0})
         self._update_objective(*self.objective.delta({label: 0}))
@@ -273,9 +278,8 @@ class Preprocessor:
 
     def _is_hard_unit(self, cid):
         c = self.clauses[cid]
-        if len(c.terms) != 1 or c.degree != 1:
-            return False
-        return self.phase == "oc" or cid in self.hard_ids
+        return (len(c.terms) == 1 and c.degree == 1
+                and cid not in self.soft_label)
 
     def remove_duplicates(self):
         """Settle every group of clauses with the same real literals.
@@ -312,21 +316,14 @@ class Preprocessor:
     def _settle_duplicates(self, key, cids):
         """Apply the first applicable action to the live clauses `cids`
         (ascending) whose real literals are `key`; True if one applied."""
-        hards = [c for c in cids if c in self.hard_ids]
+        hards = [c for c in cids if c not in self.soft_label]
         softs = [c for c in cids if c in self.soft_label]
-        if len(hards) > 1:
-            for cid in hards[1:]:
-                self._uninstall(cid)
-                self._delc(cid)
-                self.hard_ids.discard(cid)
-                self._count("dup")
-            return True
-        if hards and softs:
-            for cid in softs:
-                label, w = self.soft_label.pop(cid)
-                self._uninstall(cid)
-                self._delc(cid)
-                self._retire_soft_label(label, w)
+        # the first hard copy makes the later hard copies redundant and,
+        # once those are gone, every soft copy
+        doomed = hards[1:] or (softs if hards else [])
+        if doomed:
+            for cid in doomed:
+                self._remove_clause(cid)
                 self._count("dup")
             return True
         if len(key) == 1 and softs:
@@ -350,13 +347,6 @@ class Preprocessor:
         coef = self.objective.coef(u >> 1)
         return coef > 0 if u & 1 else coef < 0
 
-    def _real_lits(self, cid):
-        lits = self._lits(cid)
-        if cid in self.soft_label:
-            label = self.soft_label[cid][0]
-            lits = tuple(l for l in lits if l >> 1 != label)
-        return lits
-
     def _merge_soft_pair(self, keep, dup):
         bc, wc = self.soft_label[keep]
         bd, wd = self.soft_label[dup]
@@ -368,9 +358,8 @@ class Preprocessor:
         e2 = self._core_red(constraint_from_clause(
             [mklit(bd, True), mklit(bc)]), {bc: 0, bd: 0})
         self._update_objective([(wd, mklit(bc)), (-wd, mklit(bd))])
-        self._uninstall(dup)
-        self._delc(dup)            # RUP through the kept clause and e1
         del self.soft_label[dup]
+        self._remove_clause(dup)   # RUP through the kept clause and e1
         self._delc(e1, {bd: 1})
         self._delc(e2, {bd: 0})
         self.soft_label[keep] = (bc, wc + wd)
@@ -381,12 +370,7 @@ class Preprocessor:
         for cid in sorted(self.clauses):
             if not self.clauses[cid].is_trivial():
                 continue
-            self._uninstall(cid)
-            self._delc(cid)        # negation of a trivial constraint conflicts
-            if cid in self.soft_label:
-                label, w = self.soft_label.pop(cid)
-                self._retire_soft_label(label, w)
-            self.hard_ids.discard(cid)
+            self._remove_clause(cid)   # negating a trivial constraint conflicts
             self._count("taut")
             changed = True
         return changed
@@ -403,18 +387,16 @@ class Preprocessor:
             # nothing left but the relaxer: the weight is paid forever
             self._update_objective(*self.objective.delta({label: 1}))
             del self.soft_label[cid]
-            self._uninstall(cid)
-            self._delc(cid, {label: 1})
+            self._remove_clause(cid, {label: 1})
             self._count("empty")
             changed = True
         return changed
 
     def _subsumed_once(self):
-        subsumers = (sorted(self.hard_ids & set(self.clauses))
-                     if self.phase == "wcnf" else sorted(self.clauses))
-        for cid in subsumers:
+        for cid in sorted(self.clauses):
             lits = self._lits(cid)
-            if not lits or self.clauses[cid].is_trivial():
+            if (not lits or cid in self.soft_label
+                    or self.clauses[cid].is_trivial()):
                 continue
             rare = min(lits, key=lambda l: (len(self._occ_ids(l)), l))
             for did in sorted(self._occ_ids(rare)):
@@ -424,30 +406,26 @@ class Preprocessor:
                     continue
                 if len(self._lits(did)) <= len(lits) and did < cid:
                     continue   # identical clause: keep the earlier copy
-                self._uninstall(did)
-                self._delc(did)
-                self.hard_ids.discard(did)
-                if did in self.soft_label:
-                    label, w = self.soft_label.pop(did)
-                    self._retire_soft_label(label, w)
+                self._remove_clause(did)
                 self._count("sub")
                 return True
         return False
 
     def _blocked_once(self):
         for cid in sorted(self.clauses):
-            if cid not in self.hard_ids:
+            if cid in self.soft_label or self.clauses[cid].is_trivial():
                 continue
-            if self.clauses[cid].is_trivial():
-                continue
-            for lit in self._real_lits(cid):
-                if self._blocked_on(cid, lit):
-                    self._delete_blocked(cid, lit)
+            for lit in self._lits(cid):
+                if self._blocked_under(cid, lit):
+                    self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
                     self._count("bce")
                     return True
         return False
 
-    def _blocked_on(self, cid, lit):
+    def _blocked_under(self, cid, lit, b=None):
+        """True if `lit` has no objective coefficient and clause `cid` is
+        blocked on it: every other clause with ~lit, once b = 1 if a label
+        b is given, is satisfied or clashes with `cid` on another literal."""
         if self.objective.coef(lit >> 1):
             return False
         mine = set(self._lits(cid)) - {lit}
@@ -455,17 +433,13 @@ class Preprocessor:
             if kid == cid:
                 return False
             other = set(self._lits(kid)) - {neg(lit)}
+            if b is not None:
+                if mklit(b) in other:
+                    continue        # satisfied once b=1
+                other.discard(mklit(b, True))
             if not any(neg(u) in other for u in mine):
                 return False
         return True
-
-    def _delete_blocked(self, cid, lit):
-        self._uninstall(cid)
-        self._delc(cid, {lit >> 1: 0 if lit & 1 else 1})
-        self.hard_ids.discard(cid)
-        if cid in self.soft_label:
-            label, w = self.soft_label.pop(cid)
-            self._retire_soft_label(label, w)
 
     # ------------------------------------------------------------------
     # stage 3: switch to the clause+objective view
@@ -477,20 +451,18 @@ class Preprocessor:
             c = self.clauses.get(cid)
             if c is not None and c.degree == 1 and len(c.terms) == 2:
                 self._sync_unit_soft(cid)
-        self.hard_ids = set(self.clauses)
         self.soft_label = {}
         self.phase = "oc"
 
     def _sync_unit_soft(self, cid):
         """Replace a relaxed unit soft (u v b) by the objective term w*~u."""
         label, w = self.soft_label.pop(cid)
-        u = self._real_lits(cid)[0]
+        u = self._real_lits(cid, label)[0]
         helper = self._core_red(constraint_from_clause(
             [neg(u), mklit(label, True)]), {label: 0})
         self._update_objective([(w, neg(u)), (-w, mklit(label))])
         self._delc(helper, {label: 0})
-        self._uninstall(cid)
-        self._delc(cid, {label: 1})
+        self._remove_clause(cid, {label: 1})
 
     # ------------------------------------------------------------------
     # clause-level unit propagation helper (for FLE and friends)
@@ -536,8 +508,7 @@ class Preprocessor:
                         c = constraint_from_clause(sorted(rest))
                         nid = self._core_rup(c)
                         self._install(nid, c)
-                        self._uninstall(did)
-                        self._delc(did)
+                        self._remove_clause(did)
                         self._count("ssr")
                         return True
         return False
@@ -569,26 +540,32 @@ class Preprocessor:
                 return True
         return False
 
-    def _impl_once(self):
-        lits = sorted((l for l in self.occ if self.occ[l]), key=pb.lit_sort_key)
-        for l1 in lits:
-            pos, cpos = self._up_closure([l1])
-            if cpos:
+    def _probes(self):
+        """Each live literal l1, in literal order, whose closure and whose
+        negation's closure both end without conflict, as (l1, the other
+        literals of l1's closure in literal order, the closure of ~l1).
+        A conflict on either side leaves neither impl nor eql anything to
+        apply to l1."""
+        for l1 in sorted((l for l in self.occ if self.occ[l]),
+                         key=pb.lit_sort_key):
+            pos, conflict = self._up_closure([l1])
+            if conflict:
                 continue
-            neg_cl, cneg = self._up_closure([neg(l1)])
-            if not cneg:
-                for l2 in sorted(pos & neg_cl, key=pb.lit_sort_key):
-                    if l2 >> 1 == l1 >> 1:
-                        continue
+            neg_cl, conflict = self._up_closure([neg(l1)])
+            if not conflict:
+                yield l1, sorted(pos - {l1}, key=pb.lit_sort_key), neg_cl
+
+    def _impl_once(self):
+        for l1, implied, neg_cl in self._probes():
+            for l2 in implied:
+                if l2 in neg_cl:
                     self._fix_implied(l1, l2, witnessed=False)
                     return True
             # extension: one-sided implication with flippable ~l2 clauses
-            for l2 in sorted(pos, key=pb.lit_sort_key):
-                if l2 >> 1 == l1 >> 1:
-                    continue
-                if self.objective.coef(l1 >> 1) or self.objective.coef(l2 >> 1):
-                    continue
-                if not self._occ_ids(neg(l2)):
+            if self.objective.coef(l1 >> 1):
+                continue
+            for l2 in implied:
+                if self.objective.coef(l2 >> 1) or not self._occ_ids(neg(l2)):
                     continue
                 if all(any(l3 != neg(l2) and l3 in neg_cl
                            for l3 in self._lits(cid))
@@ -611,20 +588,11 @@ class Preprocessor:
         self._count("impl")
 
     def _eql_once(self):
-        lits = sorted((l for l in self.occ if self.occ[l]), key=pb.lit_sort_key)
-        for l1 in lits:
-            pos, cpos = self._up_closure([l1])
-            if cpos:
-                continue
-            neg_cl, cneg = self._up_closure([neg(l1)])
-            for l2 in sorted(pos, key=pb.lit_sort_key):
-                if l2 >> 1 == l1 >> 1:
-                    continue
-                if not cneg and neg(l2) in neg_cl:
+        for l1, implied, neg_cl in self._probes():
+            for l2 in implied:
+                if neg(l2) in neg_cl:
                     self._substitute_equivalent(l1, l2, witnessed=False)
                     return True
-                if cneg:
-                    continue
                 if self.objective.coef(l1 >> 1) or self.objective.coef(l2 >> 1):
                     continue
                 if all(any(l3 != l2 and l3 in neg_cl for l3 in self._lits(cid))
@@ -654,8 +622,7 @@ class Preprocessor:
             if not c.is_trivial():
                 nid = self._core_rup(c)
                 self._install(nid, c)
-            self._uninstall(cid)
-            self._delc(cid)
+            self._remove_clause(cid)
         self._update_objective(*self.objective.delta({v: image}))
         self._delc(e1, {v: image})
         self._delc(e2, {v: image})
@@ -739,14 +706,14 @@ class Preprocessor:
         return False
 
     def eliminate_variable_bve(self, v):
-        """Resolve out variable v (must not carry an objective coefficient)."""
+        """Resolve out variable v, which must carry no objective coefficient
+        and occur in no soft clause (stage 4 has no soft clauses)."""
         pos = sorted(self._occ_ids(mklit(v)))
         negs = sorted(self._occ_ids(mklit(v, True)))
         for i in pos:
             for j in negs:
-                lits = [l for l in self._lits(i) + self._lits(j)
-                        if l >> 1 != v]
-                resolvent = constraint_from_clause(lits)
+                resolvent = constraint_from_clause(
+                    self._real_lits(i, v) + self._real_lits(j, v))
                 if resolvent.is_trivial():
                     continue
                 raw = pb.add(self.clauses[i], self.clauses[j])
@@ -757,13 +724,8 @@ class Preprocessor:
                 if not resolvent.terms:
                     raise Infeasible(nid)
                 self._install(nid, resolvent)
-                self.hard_ids.add(nid)
-        for cid in pos + negs:
-            self._uninstall(cid)
-            self.hard_ids.discard(cid)
-            self.soft_label.pop(cid, None)
         for cid in sorted(pos + negs):
-            self._delc(cid, {v: 1 if cid in pos else 0})
+            self._remove_clause(cid, {v: 1 if cid in pos else 0})
 
     def _bve_once(self):
         for v in sorted({l >> 1 for l in self.occ if self.occ[l]},
@@ -774,12 +736,14 @@ class Preprocessor:
             negs = self._occ_ids(mklit(v, True))
             if not pos or not negs:
                 continue
+            # a resolvent is a tautology exactly when its literals clash
+            pos_sides = [self._real_lits(i, v) for i in pos]
+            neg_sides = [self._real_lits(j, v) for j in negs]
             count = 0
-            for i in pos:
-                for j in negs:
-                    lits = [l for l in self._lits(i) + self._lits(j)
-                            if l >> 1 != v]
-                    if not constraint_from_clause(lits).is_trivial():
+            for a in pos_sides:
+                for b in neg_sides:
+                    lits = set(a + b)
+                    if not any(neg(l) in lits for l in lits):
                         count += 1
             if count > len(pos) + len(negs) + self.cfg.bve_growth:
                 continue
@@ -806,8 +770,7 @@ class Preprocessor:
             cid = self._core_red(c, {x: 1})
             self._install(cid, c)
         for cid in sorted(originals):
-            self._uninstall(cid)
-            self._delc(cid)
+            self._remove_clause(cid)
 
     def _find_clause(self, lits):
         want = set(lits)
@@ -849,8 +812,7 @@ class Preprocessor:
                                          mklit(bcd)])
         d2 = self.writer.red(clause, {bcd: 1})
         elim = self._core_pol([d1, bin_cid, "+", 2, "d"])
-        self.writer.core_ids([d2])
-        self.core_live.add(d2)
+        self._core(d2)
         self._update_objective(
             [(-w, mklit(bc)), (-w, mklit(bd)), (w, mklit(bcd))], w)
         self.writer.delc(d1)
@@ -915,27 +877,18 @@ class Preprocessor:
             return True
         return False
 
-    def label_matching(self, cid_c, cid_d, x_lit, bc=None, bd=None):
-        """Merge two equal-weight labels whose clauses clash on var(x_lit).
+    def label_matching(self, cid_c, cid_d, x_lit, bc, bd):
+        """Merge the equal-weight labels bc of `cid_c` and bd of `cid_d`,
+        whose clauses clash on var(x_lit).
 
         `cid_c` must contain neg(x_lit) and `cid_d` x_lit; each label may
         occur nowhere else.  The recipe derives the at-most-one over the two
         labels from the clash, reifies their disjunction into a fresh label,
         transfers the weight, and rewrites both clauses.
         """
-        if bc is None:
-            bc = next(l >> 1 for l in self._lits(cid_c)
-                      if self.objective.coef(l >> 1) > 0
-                      and self._occ_ids(mklit(l >> 1)) == {cid_c})
-        if bd is None:
-            bd = next(l >> 1 for l in self._lits(cid_d)
-                      if self.objective.coef(l >> 1) > 0
-                      and self._occ_ids(mklit(l >> 1)) == {cid_d})
         w = self.objective.coef(bc)
         if self.objective.coef(bd) != w:
             raise ValueError("label weights differ")
-        c_lits = [l for l in self._lits(cid_c) if l >> 1 != bc]
-        d_lits = [l for l in self._lits(cid_d) if l >> 1 != bd]
         bcd = self._fresh_label()
         am1c = self.writer.red(constraint_from_clause(
             [mklit(bc, True), mklit(bd, True)]), {bc: x_lit, bd: neg(x_lit)})
@@ -947,18 +900,16 @@ class Preprocessor:
         merged = self._core_pol([r2, am1c, "+", 2, "d"])
         self._update_objective(
             [(-w, mklit(bc)), (-w, mklit(bd)), (w, mklit(bcd))])
-        kc = constraint_from_clause(c_lits + [mklit(bcd)])
-        kd = constraint_from_clause(d_lits + [mklit(bcd)])
+        kc = constraint_from_clause(self._real_lits(cid_c, bc) + (mklit(bcd),))
+        kd = constraint_from_clause(self._real_lits(cid_d, bd) + (mklit(bcd),))
         kc_id = self._core_rup(kc)
         self._install(kc_id, kc)
         kd_id = self._core_rup(kd)
         self._install(kd_id, kd)
         self._delc(merged, {bc: 0, bd: 0})
         self.writer.delc(am1c)
-        self._uninstall(cid_c)
-        self._delc(cid_c, {bc: 1})
-        self._uninstall(cid_d)
-        self._delc(cid_d, {bd: 1})
+        self._remove_clause(cid_c, {bc: 1})
+        self._remove_clause(cid_d, {bd: 1})
         self.writer.delc(r2)
         self._delc(r1, {bc: 1})
         return bcd
@@ -978,8 +929,8 @@ class Preprocessor:
                 if self.objective.coef(bc) != self.objective.coef(bd):
                     continue
                 cid_c, cid_d = singles[bc], singles[bd]
-                c_lits = set(self._real_oc_lits(cid_c, bc))
-                d_lits = set(self._real_oc_lits(cid_d, bd))
+                c_lits = set(self._real_lits(cid_c, bc))
+                d_lits = set(self._real_lits(cid_d, bd))
                 for u in sorted(c_lits, key=pb.lit_sort_key):
                     if neg(u) in d_lits:
                         self.label_matching(cid_c, cid_d, neg(u), bc, bd)
@@ -987,16 +938,12 @@ class Preprocessor:
                         return True
         return False
 
-    def _real_oc_lits(self, cid, label):
-        return [l for l in self._lits(cid) if l >> 1 != label]
-
     def structure_based_labelling(self, cid, b, lit):
         """Weaken a clause blocked under b=1 into clause-or-b."""
         c = constraint_from_clause(list(self._lits(cid)) + [mklit(b)])
         nid = self._core_rup(c)
         self._install(nid, c)
-        self._uninstall(cid)
-        self._delc(cid, {lit >> 1: 0 if lit & 1 else 1})
+        self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
 
     def _sbl_once(self):
         obj_vars = [v for v in sorted(self.objective.coeffs,
@@ -1008,40 +955,27 @@ class Preprocessor:
                 if b in {l >> 1 for l in lits}:
                     continue
                 for lit in lits:
-                    if self.objective.coef(lit >> 1):
-                        continue
                     if self._blocked_under(cid, lit, b):
                         self.structure_based_labelling(cid, b, lit)
                         self._count("sbl")
                         return True
         return False
 
-    def _blocked_under(self, cid, lit, b):
-        mine = set(self._lits(cid)) - {lit}
-        for kid in self._occ_ids(neg(lit)):
-            if kid == cid:
-                return False
-            klits = set(self._lits(kid))
-            if mklit(b) in klits:
-                continue            # satisfied once b=1
-            other = (klits - {neg(lit), mklit(b, True)})
-            if not any(neg(u) in other for u in mine):
-                return False
-        return True
-
-    def trim_maxsat(self, candidates=None):
-        """Fix objective literals that a SAT oracle proves entailed false."""
-        if candidates is None:
-            candidates = [lit for _, lit in self.objective.literal_form()[0]]
-        derived = []
-        oracle = SatOracle(
-            on_learn=lambda lits: derived.append(
-                self.writer.rup(constraint_from_clause(lits))),
-            conflict_budget=self.cfg.oracle_conflicts)
+    def _oracle(self, on_learn=None):
+        """A SAT oracle over the live clauses, trivial ones left out."""
+        oracle = SatOracle(on_learn=on_learn,
+                           conflict_budget=self.cfg.oracle_conflicts)
         for cid in sorted(self.clauses):
             if not self.clauses[cid].is_trivial():
                 oracle.add_clause(self._lits(cid))
-        alive = list(candidates)
+        return oracle
+
+    def trim_maxsat(self):
+        """Fix objective literals that a SAT oracle proves entailed false."""
+        derived = []
+        oracle = self._oracle(on_learn=lambda lits: derived.append(
+            self.writer.rup(constraint_from_clause(lits))))
+        alive = [lit for _, lit in self.objective.literal_form()[0]]
         entailed = []
         m = len(alive)
         try:
@@ -1079,12 +1013,8 @@ class Preprocessor:
 
     def hardening(self):
         """Fix objective literals whose cost exceeds a known solution's."""
-        oracle = SatOracle(conflict_budget=self.cfg.oracle_conflicts)
-        for cid in sorted(self.clauses):
-            if not self.clauses[cid].is_trivial():
-                oracle.add_clause(self._lits(cid))
         try:
-            model = oracle.solve()
+            model = self._oracle().solve()
         except OracleBudget:
             return False
         if model is None:
@@ -1164,9 +1094,7 @@ class Preprocessor:
     def _drop_trivial(self):
         for cid in sorted(self.clauses):
             if self.clauses[cid].is_trivial():
-                self._uninstall(cid)
-                self._delc(cid)
-                self.hard_ids.discard(cid)
+                self._remove_clause(cid)
 
     def finish(self):
         """Close out a feasible run: sync, fold the constant, rename, emit."""
@@ -1222,8 +1150,8 @@ class Preprocessor:
 
     def _finish_wcnf(self):
         self._drop_trivial()
-        hard = [list(self._lits(cid))
-                for cid in sorted(self.hard_ids & set(self.clauses))]
+        hard = [list(self._lits(cid)) for cid in sorted(self.clauses)
+                if cid not in self.soft_label]
         soft = [(w, list(self._real_lits(cid)))
                 for cid, (label, w) in sorted(self.soft_label.items())]
         labels = {label for label, _ in self.soft_label.values()}
@@ -1240,7 +1168,6 @@ class Preprocessor:
         for cid in list(self.clauses):
             self._uninstall(cid)
         self.soft_label = {}
-        self.hard_ids = set()
         if self.objective.coeffs or self.objective.constant:
             self.writer.obju_new([], 0)
             self.objective = Objective()

@@ -288,21 +288,20 @@ def _reference_duplicates_once(p):
         groups.setdefault(p._real_lits(cid), []).append(cid)
     for key in sorted(groups, key=lambda k: groups[k][0]):
         cids = groups[key]
-        hards = [c for c in cids if c in p.hard_ids]
+        hards = [c for c in cids if c not in p.soft_label]
         softs = [c for c in cids if c in p.soft_label]
         if len(hards) > 1:
             for cid in hards[1:]:
                 p._uninstall(cid)
                 p._delc(cid)
-                p.hard_ids.discard(cid)
                 p._count("dup")
             return True
         if hards and softs:
             for cid in softs:
-                label, w = p.soft_label.pop(cid)
+                label, _ = p.soft_label.pop(cid)
                 p._uninstall(cid)
                 p._delc(cid)
-                p._retire_soft_label(label, w)
+                p._retire_soft_label(label)
                 p._count("dup")
             return True
         if len(key) == 1 and softs:

@@ -6,17 +6,24 @@ SLE draws its pairs from occurrence lists instead of all variable pairs, and
 _up_closure memoises closures between clause changes.  Each must leave the
 proof and the output exactly as the reference forms produce them."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from certprep import pb, preprocess
 from certprep.preprocess import Config, Preprocessor
-from certprep.wcnf import MAX_WEIGHT, WcnfInstance
+from certprep.wcnf import MAX_WEIGHT, WcnfInstance, write_wcnf
 from conftest import (random_instance, reference_remove_duplicates,
                       reference_sle_pairs)
 
 STAGE2 = ("dup", "taut", "up", "empty", "sub", "bce")
+SINGLES = preprocess.STAGE2_ORDER + tuple(
+    t for t in preprocess.STAGE4_ORDER if t not in preprocess.STAGE2_ORDER)
+PINNED_SETS = [(t,) for t in SINGLES] + [
+    STAGE2, preprocess.DEFAULT_TECHNIQUES,
+    preprocess.DEFAULT_TECHNIQUES + ("bva", "sbl", "trim", "harden")]
 
 
 def duplicate_instance(rng):
@@ -151,3 +158,22 @@ def test_passes_match_restarting_references(monkeypatch):
     # every branch of the changed passes was exercised
     assert applied["dup"] > 200 and applied["sle"] > 20
     assert seen["sync"] > 20 and seen["merge"] > 20 and seen["refused"] > 5
+
+
+def test_outputs_proofs_and_counts_match_pinned_digest():
+    """Every technique alone, stage 2 alone, the default set, and the default
+    set with the opt-in techniques, over every eighth instance: the output
+    WCNF, the proof and the sorted counts hash to the pinned SHA-1.  A
+    rewrite of the preprocessor that changes any byte of them fails here;
+    one that changes them on purpose pins the new digest.  The digest pins
+    behaviour, not soundness: with `taut` off, a tautology stays live into
+    stage 4, and some single-technique runs give proofs the checker
+    rejects."""
+    h = hashlib.sha1()
+    for inst in itertools.islice(instances(), 0, None, 8):
+        for names in PINNED_SETS:
+            out, proof, p = preprocess.run(inst, Config(techniques=names))
+            h.update(write_wcnf(out).encode())
+            h.update(proof.encode())
+            h.update(repr(sorted(p.counts.items())).encode())
+    assert h.hexdigest() == "fa0fa7cdf24ca27d7ff14e38ad2dac2ce804ce28"

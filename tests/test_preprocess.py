@@ -305,6 +305,19 @@ def test_bve_growth_bound():
     assert len(out.hard) == 6
 
 
+def test_bve_counts_only_resolvents_without_clash():
+    # (x1 v xk) and (~x1 v ~xj), k, j in 2..4: 9 pairs, but the 3 with k = j
+    # resolve to tautologies, so 6 resolvents meet the bound of 6 originals;
+    # the softs keep x2..x4 in the objective, out of bve's reach
+    pos = [[x(1), x(k)] for k in (2, 3, 4)]
+    neg = [[nx(1), nx(k)] for k in (2, 3, 4)]
+    inst = WcnfInstance(pos + neg, [(1, [nx(k)]) for k in (2, 3, 4)])
+    out, _, p = check_run(inst, techniques=("bve",))
+    assert p.counts == {"bve": 1}
+    assert sorted(map(sorted, out.hard)) == sorted(
+        sorted([x(k), nx(j)]) for k in (2, 3, 4) for j in (2, 3, 4) if k != j)
+
+
 def test_bve_explicit_saturates():
     inst = WcnfInstance([[x(1), x(2)], [nx(1), x(2)]], [])
     out, proof, _ = run_ops(inst, lambda p: p.eliminate_variable_bve(pb.mkvar(1)))
