@@ -20,6 +20,21 @@ live clause is one or the other, and from the objective-centric switch on
 there are no labels, so every clause is hard.  Clauses enter the store
 through ``_install`` and every technique takes them out through
 ``_remove_clause``, which also logs the ``delc`` and retires a soft label.
+
+The passes ``sub``, ``bce``, ``ssr``, ``sle``, ``bve`` and ``lm`` are driven
+by worklists (the touched-variable queue of SatELite, Een & Biere 2005).
+Each keeps a heap of the candidates (clause ids or variables) it still has
+to test, in the order the restart-from-scratch scan would test them.
+Invariant: a candidate absent from its pass's heap is known not to apply.
+A candidate that tests "not applicable" leaves the heap; ``_install``,
+``_uninstall`` and ``_update_objective`` push back every candidate whose
+test reads the changed clause's occurrences or the changed coefficient
+(each pass's ``_X_on_clause``/``_X_on_coef`` says which).  So a pass still
+applies the first applicable candidate in scan order, and a round that
+changes nothing near a candidate does not test it again.  The heaps live
+for one stage: they are filled with every candidate when the stage starts
+(for stage 4, right after the objective-centric switch drops every soft
+label at once) and emptied when it ends.
 """
 
 import heapq
@@ -87,6 +102,59 @@ def _exhaustively(once):
     return run
 
 
+class _Worklist:
+    """The candidates one pass still has to test, smallest sort key first
+    (`key` None: the candidate is its own key), with the pass's test and the
+    hooks that push candidates back after a change (see the module
+    docstring)."""
+
+    __slots__ = ("key", "heap", "queued", "test", "on_clause", "on_coef")
+
+    def __init__(self, candidates, key, test, on_clause, on_coef):
+        self.key = key
+        self.test = test
+        self.on_clause = on_clause
+        self.on_coef = on_coef
+        self.queued = set(candidates)
+        if key is None:
+            self.heap = list(self.queued)
+        else:
+            self.heap = [(key(c), c) for c in self.queued]
+        heapq.heapify(self.heap)
+
+    def push(self, c):
+        if c not in self.queued:
+            self.queued.add(c)
+            heapq.heappush(self.heap, c if self.key is None
+                           else (self.key(c), c))
+
+    def extend(self, cs):
+        for c in cs:
+            self.push(c)
+
+    def pop(self):
+        item = heapq.heappop(self.heap)
+        c = item if self.key is None else item[1]
+        self.queued.discard(c)
+        return c
+
+
+def _drain(name):
+    """The worklist pass `name`: test the pending candidates smallest first
+    and apply each one that applies, keeping it pending since it may apply
+    again; it returns whether anything applied."""
+    def run(self):
+        wl = self.worklists[name]
+        changed = False
+        while wl.heap:
+            c = wl.pop()
+            if wl.test(self, c):
+                wl.push(c)
+                changed = True
+        return changed
+    return run
+
+
 class Infeasible(Exception):
     """The proof derived 0 >= 1; carries the conflicting constraint id."""
 
@@ -111,6 +179,8 @@ class Preprocessor:
         self.engine = pb.Propagator()
         self.clauses = self.engine.constraints  # cid -> clause, = proof core
         self.occ = self.engine.occ              # literal -> set of cids
+        self.lits = {}          # cid -> its literals, in term order
+        self.worklists = {}     # pass name -> _Worklist, during a stage
         self.closures = {}      # start literals -> _up_closure result
         self.soft_label = {}    # cid -> (label var, weight), WCNF phase only
         self.core_live = set(range(1, len(cons) + 1))
@@ -135,11 +205,17 @@ class Preprocessor:
 
     def _install(self, cid, c):
         self.engine.add(cid, c)
+        self.lits[cid] = lits = tuple(lit for _, lit in c.terms)
         self.closures.clear()
+        for wl in self.worklists.values():
+            wl.on_clause(self, wl, cid, lits, True)
 
     def _uninstall(self, cid):
         self.closures.clear()
         self.engine.remove(cid)
+        lits = self.lits.pop(cid)
+        for wl in self.worklists.values():
+            wl.on_clause(self, wl, cid, lits, False)
 
     def _remove_clause(self, cid, witness=None):
         """Take a live clause out of the store and the core (with the delc
@@ -150,15 +226,12 @@ class Preprocessor:
         if cid in self.soft_label:
             self._retire_soft_label(self.soft_label.pop(cid)[0])
 
-    def _lits(self, cid):
-        return tuple(lit for _, lit in self.clauses[cid].terms)
-
     def _real_lits(self, cid, label=None):
         """The literals of clause `cid` other than those on `label`, by
         default its soft label."""
         if label is None and cid in self.soft_label:
             label = self.soft_label[cid][0]
-        return tuple(l for l in self._lits(cid) if l >> 1 != label)
+        return tuple(l for l in self.lits[cid] if l >> 1 != label)
 
     def _occ_ids(self, lit):
         return self.engine.ids_with(lit)
@@ -219,6 +292,10 @@ class Preprocessor:
         if diff or const:
             self.writer.obju_diff(diff, const)
             self.dirty = True
+        for wl in self.worklists.values():
+            if wl.on_coef is not None:
+                for _, lit in diff:
+                    wl.on_coef(self, wl, lit >> 1)
 
     # ------------------------------------------------------------------
     # the generic fixing procedure
@@ -273,7 +350,7 @@ class Preprocessor:
                 continue
             changed = True
             self._count("up")
-            queue.extend(self.fix_literal(self._lits(pid)[0], pid))
+            queue.extend(self.fix_literal(self.lits[pid][0], pid))
         return changed
 
     def _is_hard_unit(self, cid):
@@ -392,35 +469,71 @@ class Preprocessor:
             changed = True
         return changed
 
-    def _subsumed_once(self):
-        for cid in sorted(self.clauses):
-            lits = self._lits(cid)
-            if (not lits or cid in self.soft_label
-                    or self.clauses[cid].is_trivial()):
+    def _clause_ids(self):
+        return self.clauses.keys()
+
+    def _sub_at(self, cid):
+        """sub: remove the first clause, in id order, that clause `cid`
+        subsumes.  Which clause that is does not depend on the occurrence
+        list the scan walks: every clause with all of `cid`'s literals is in
+        each of their lists."""
+        lits = self.lits.get(cid)
+        if (not lits or cid in self.soft_label
+                or self.clauses[cid].is_trivial()):
+            return False
+        rare = min(lits, key=lambda l: (len(self._occ_ids(l)), l))
+        for did in sorted(self._occ_ids(rare)):
+            if did == cid or did not in self.clauses:
                 continue
-            rare = min(lits, key=lambda l: (len(self._occ_ids(l)), l))
-            for did in sorted(self._occ_ids(rare)):
-                if did == cid or did not in self.clauses:
-                    continue
-                if not set(lits) <= set(self._real_lits(did)):
-                    continue
-                if len(self._lits(did)) <= len(lits) and did < cid:
-                    continue   # identical clause: keep the earlier copy
-                self._remove_clause(did)
-                self._count("sub")
+            if not set(lits) <= set(self._real_lits(did)):
+                continue
+            if len(self.lits[did]) <= len(lits) and did < cid:
+                continue   # identical clause: keep the earlier copy
+            self._remove_clause(did)
+            self._count("sub")
+            return True
+        return False
+
+    def _sub_on_clause(self, wl, cid, lits, added):
+        """sub: a new clause may subsume, and may be subsumed by a clause
+        whose literals it all has (itself among them); a removal enables no
+        subsumption."""
+        if added:
+            mine = set(lits)
+            for l in lits:
+                for sid in self._occ_ids(l):
+                    if sid not in wl.queued and mine.issuperset(self.lits[sid]):
+                        wl.push(sid)
+
+    def _bce_at(self, cid):
+        """bce: remove clause `cid` if it is blocked on one of its literals
+        (the first one, in term order, is the witness)."""
+        if (cid not in self.clauses or cid in self.soft_label
+                or self.clauses[cid].is_trivial()):
+            return False
+        for lit in self.lits[cid]:
+            if self._blocked_under(cid, lit):
+                self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
+                self._count("bce")
                 return True
         return False
 
-    def _blocked_once(self):
-        for cid in sorted(self.clauses):
-            if cid in self.soft_label or self.clauses[cid].is_trivial():
-                continue
-            for lit in self._lits(cid):
-                if self._blocked_under(cid, lit):
-                    self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
-                    self._count("bce")
-                    return True
-        return False
+    def _bce_on_clause(self, wl, cid, lits, added):
+        """bce: a new clause is a candidate (it blocks nothing new, it only
+        adds a resolution partner); a removed one may leave blocked every
+        clause it resolved with, the clauses with a complementary literal."""
+        if added:
+            wl.push(cid)
+        else:
+            for l in lits:
+                wl.extend(self._occ_ids(neg(l)))
+
+    def _on_freed_var(self, wl, v):
+        """bce and ssr skip literals whose variable has an objective
+        coefficient: a coefficient dropping to 0 pushes the clauses on v."""
+        if not self.objective.coef(v):
+            wl.extend(self._occ_ids(mklit(v)))
+            wl.extend(self._occ_ids(mklit(v, True)))
 
     def _blocked_under(self, cid, lit, b=None):
         """True if `lit` has no objective coefficient and clause `cid` is
@@ -428,11 +541,11 @@ class Preprocessor:
         b is given, is satisfied or clashes with `cid` on another literal."""
         if self.objective.coef(lit >> 1):
             return False
-        mine = set(self._lits(cid)) - {lit}
+        mine = set(self.lits[cid]) - {lit}
         for kid in self._occ_ids(neg(lit)):
             if kid == cid:
                 return False
-            other = set(self._lits(kid)) - {neg(lit)}
+            other = set(self.lits[kid]) - {neg(lit)}
             if b is not None:
                 if mklit(b) in other:
                     continue        # satisfied once b=1
@@ -492,26 +605,37 @@ class Preprocessor:
     # ------------------------------------------------------------------
     # stage 4 techniques (objective-centric phase)
 
-    def _ssr_once(self):
-        for did in sorted(self.clauses):
-            dlits = self._lits(did)
-            if len(dlits) < 2:
+    def _ssr_at(self, did):
+        """ssr: drop from clause `did` the first literal m, in term order,
+        with no objective coefficient whose negation sits in a clause whose
+        other literals `did` all has."""
+        dlits = self.lits.get(did)
+        if dlits is None or len(dlits) < 2:
+            return False
+        for m in dlits:
+            if self.objective.coef(m >> 1):
                 continue
-            for m in dlits:
-                if self.objective.coef(m >> 1):
+            rest = set(dlits) - {m}
+            for cid in sorted(self._occ_ids(neg(m))):
+                if cid == did:
                     continue
-                rest = set(dlits) - {m}
-                for cid in sorted(self._occ_ids(neg(m))):
-                    if cid == did:
-                        continue
-                    if set(self._lits(cid)) - {neg(m)} <= rest:
-                        c = constraint_from_clause(sorted(rest))
-                        nid = self._core_rup(c)
-                        self._install(nid, c)
-                        self._remove_clause(did)
-                        self._count("ssr")
-                        return True
+                if set(self.lits[cid]) - {neg(m)} <= rest:
+                    c = constraint_from_clause(sorted(rest))
+                    nid = self._core_rup(c)
+                    self._install(nid, c)
+                    self._remove_clause(did)
+                    self._count("ssr")
+                    return True
         return False
+
+    def _ssr_on_clause(self, wl, cid, lits, added):
+        """ssr: a new clause is a candidate and may strengthen every clause
+        with a literal complementary to one of its own; a removal only takes
+        partners away."""
+        if added:
+            wl.push(cid)
+            for l in lits:
+                wl.extend(self._occ_ids(neg(l)))
 
     def _fle_candidates(self):
         for lit in sorted(self.occ, key=pb.lit_sort_key):
@@ -531,7 +655,7 @@ class Preprocessor:
                 self.fix_literal(neg(lit), pid)
                 self._count("fle")
                 return True
-            if all(any(l2 != lit and l2 in closure for l2 in self._lits(cid))
+            if all(any(l2 != lit and l2 in closure for l2 in self.lits[cid])
                    for cid in self._occ_ids(lit)):
                 pid = self._core_red(_unit(neg(lit)),
                                      {lit >> 1: 1 if lit & 1 else 0})
@@ -568,7 +692,7 @@ class Preprocessor:
                 if self.objective.coef(l2 >> 1) or not self._occ_ids(neg(l2)):
                     continue
                 if all(any(l3 != neg(l2) and l3 in neg_cl
-                           for l3 in self._lits(cid))
+                           for l3 in self.lits[cid])
                        for cid in self._occ_ids(neg(l2))):
                     self._fix_implied(l1, l2, witnessed=True)
                     return True
@@ -595,7 +719,7 @@ class Preprocessor:
                     return True
                 if self.objective.coef(l1 >> 1) or self.objective.coef(l2 >> 1):
                     continue
-                if all(any(l3 != l2 and l3 in neg_cl for l3 in self._lits(cid))
+                if all(any(l3 != l2 and l3 in neg_cl for l3 in self.lits[cid])
                        for cid in self._occ_ids(l2)):
                     self._substitute_equivalent(l1, l2, witnessed=True)
                     return True
@@ -618,7 +742,7 @@ class Preprocessor:
         the witness {v: image}."""
         for cid in sorted(self._occ_ids(mklit(v)) | self._occ_ids(mklit(v, True))):
             c = constraint_from_clause([image ^ (l & 1) if l >> 1 == v else l
-                                        for l in self._lits(cid)])
+                                        for l in self.lits[cid]])
             if not c.is_trivial():
                 nid = self._core_rup(c)
                 self._install(nid, c)
@@ -627,22 +751,24 @@ class Preprocessor:
         self._delc(e1, {v: image})
         self._delc(e2, {v: image})
 
-    def _sle_pairs(self):
-        """SLE candidates (x, y): x in variable order, then in variable
-        order every y that shares a clause with x.  A pair can apply only if
-        occ(y) <= occ(x) or occ(~x) <= occ(~y) with one side non-empty, so
-        every other pair is skipped without changing which applies first."""
-        for x in sorted({l >> 1 for l in self.occ}, key=pb.var_sort_key):
-            near = set()
-            for lit in (mklit(x), mklit(x, True)):
-                for cid in self._occ_ids(lit):
-                    near.update(l >> 1 for l in self._lits(cid))
-            near.discard(x)
-            for y in sorted(near, key=pb.var_sort_key):
-                yield x, y
+    def _live_vars(self):
+        return {l >> 1 for l in self.occ}
 
-    def _sle_once(self):
-        for x, y in self._sle_pairs():
+    def _near(self, x):
+        """The variables other than x that share a clause with x."""
+        near = set()
+        for lit in (mklit(x), mklit(x, True)):
+            for cid in self._occ_ids(lit):
+                near.update(l >> 1 for l in self.lits[cid])
+        near.discard(x)
+        return near
+
+    def _sle_at(self, x):
+        """sle: for x, the first y in variable order that x dominates.  A
+        pair can apply only if occ(y) <= occ(x) or occ(~x) <= occ(~y) with
+        one side non-empty, so only the y that share a clause with x are
+        tried, without changing which applies first."""
+        for y in sorted(self._near(x), key=pb.var_sort_key):
             cx, cy = self.objective.coef(x), self.objective.coef(y)
             if cx < 0 or cy < 0 or (cx > 0) != (cy > 0):
                 continue
@@ -667,6 +793,30 @@ class Preprocessor:
             self._count("sle")
             return True
         return False
+
+    def _sle_on_clause(self, wl, cid, lits, added):
+        """sle: x reads the occurrences of itself and of its neighbours y,
+        so a changed clause pushes its variables and every variable that
+        could dominate one of them."""
+        for l in lits:
+            self._sle_on_coef(wl, l >> 1)
+
+    def _sle_on_coef(self, wl, v):
+        """sle: x reads the coefficients of itself and of its neighbours y,
+        so a change on v pushes v and every x that could dominate v.  Such
+        an x is in every clause with v (if there is one, take the smallest)
+        or else negated in a clause with ~v, and so is v itself while it
+        occurs.  An x with a negative coefficient never applies."""
+        coef = self.objective.coef
+        pos = self._occ_ids(mklit(v))
+        if pos:
+            doms = [l >> 1 for l in self.lits[min(pos)] if not l & 1]
+        else:
+            doms = [l >> 1 for cid in self._occ_ids(mklit(v, True))
+                    for l in self.lits[cid] if l & 1]
+        for x in doms:
+            if coef(x) >= 0:
+                wl.push(x)
 
     def _gsle_once(self):
         for b in sorted(self.objective.coeffs, key=pb.var_sort_key):
@@ -727,30 +877,39 @@ class Preprocessor:
         for cid in sorted(pos + negs):
             self._remove_clause(cid, {v: 1 if cid in pos else 0})
 
-    def _bve_once(self):
-        for v in sorted({l >> 1 for l in self.occ if self.occ[l]},
-                        key=pb.var_sort_key):
-            if self.objective.coef(v):
-                continue
-            pos = self._occ_ids(mklit(v))
-            negs = self._occ_ids(mklit(v, True))
-            if not pos or not negs:
-                continue
-            # a resolvent is a tautology exactly when its literals clash
-            pos_sides = [self._real_lits(i, v) for i in pos]
-            neg_sides = [self._real_lits(j, v) for j in negs]
-            count = 0
-            for a in pos_sides:
-                for b in neg_sides:
-                    lits = set(a + b)
-                    if not any(neg(l) in lits for l in lits):
-                        count += 1
-            if count > len(pos) + len(negs) + self.cfg.bve_growth:
-                continue
-            self.eliminate_variable_bve(v)
-            self._count("bve")
-            return True
-        return False
+    def _bve_at(self, v):
+        """bve: eliminate v if it has no objective coefficient, occurs in
+        both polarities, and has at most as many non-tautological
+        resolvents as clauses (plus the growth bound)."""
+        if self.objective.coef(v):
+            return False
+        pos = self._occ_ids(mklit(v))
+        negs = self._occ_ids(mklit(v, True))
+        if not pos or not negs:
+            return False
+        # a resolvent is a tautology exactly when its literals clash
+        pos_sides = [self._real_lits(i, v) for i in pos]
+        neg_sides = [self._real_lits(j, v) for j in negs]
+        count = 0
+        for a in pos_sides:
+            for b in neg_sides:
+                lits = set(a + b)
+                if not any(neg(l) in lits for l in lits):
+                    count += 1
+        if count > len(pos) + len(negs) + self.cfg.bve_growth:
+            return False
+        self.eliminate_variable_bve(v)
+        self._count("bve")
+        return True
+
+    def _bve_on_clause(self, wl, cid, lits, added):
+        """bve: v reads its own occurrences and coefficient."""
+        for l in lits:
+            self._bve_on_coef(wl, l >> 1)
+
+    def _bve_on_coef(self, wl, v):
+        if not self.objective.coef(v):
+            wl.push(v)
 
     def add_variables_bva(self, m_lits, suffixes):
         """Factor the clauses {l v D : l in m_lits, D in suffixes} through a
@@ -775,14 +934,14 @@ class Preprocessor:
     def _find_clause(self, lits):
         want = set(lits)
         for cid in sorted(self._occ_ids(next(iter(want)))):
-            if set(self._lits(cid)) == want:
+            if set(self.lits[cid]) == want:
                 return cid
         raise KeyError("no live clause %r" % (sorted(want),))
 
     def _bva_once(self):
         by_clause = {}
         for cid in sorted(self.clauses):
-            by_clause.setdefault(frozenset(self._lits(cid)), cid)
+            by_clause.setdefault(frozenset(self.lits[cid]), cid)
         lits = sorted((l for l in self.occ if self.occ[l]), key=pb.lit_sort_key)
         for i, l1 in enumerate(lits):
             for l2 in lits[i + 1:]:
@@ -790,7 +949,7 @@ class Preprocessor:
                     continue
                 suffixes = []
                 for cid in sorted(self._occ_ids(l1)):
-                    d = frozenset(self._lits(cid)) - {l1}
+                    d = frozenset(self.lits[cid]) - {l1}
                     if d and l2 not in d and neg(l2) not in d \
                             and (d | {l2}) in by_clause:
                         suffixes.append(tuple(sorted(d, key=pb.lit_sort_key)))
@@ -821,7 +980,7 @@ class Preprocessor:
         return bcd, d2
 
     def _am1_eligible(self, bin_cid):
-        lits = self._lits(bin_cid)
+        lits = self.lits[bin_cid]
         if len(lits) != 2 or any(l & 1 for l in lits):
             return None
         bc, bd = lits[0] >> 1, lits[1] >> 1
@@ -854,9 +1013,9 @@ class Preprocessor:
         sides_d = sorted(self._occ_ids(mklit(bd)) - {bin_cid})
         produced = 0
         for i in sides_c:
-            ci = set(self._lits(i)) - {mklit(bc)}
+            ci = set(self.lits[i]) - {mklit(bc)}
             for j in sides_d:
-                dj = set(self._lits(j)) - {mklit(bd)}
+                dj = set(self.lits[j]) - {mklit(bd)}
                 if not any(neg(u) in dj for u in ci):
                     produced += 1
         return produced <= len(sides_c) + len(sides_d) + 1
@@ -914,33 +1073,71 @@ class Preprocessor:
         self._delc(r1, {bc: 1})
         return bcd
 
-    def _lm_once(self):
-        singles = {}
-        for v in sorted(self.objective.coeffs, key=pb.var_sort_key):
-            if self.objective.coef(v) <= 0 or self._occ_ids(mklit(v, True)):
-                continue
-            ids = self._occ_ids(mklit(v))
-            if len(ids) == 1:
-                singles[v] = next(iter(ids))
-        for bc in sorted(singles, key=pb.var_sort_key):
-            for bd in sorted(singles, key=pb.var_sort_key):
-                if bc == bd or singles[bc] == singles[bd]:
-                    continue
-                if self.objective.coef(bc) != self.objective.coef(bd):
-                    continue
-                cid_c, cid_d = singles[bc], singles[bd]
-                c_lits = set(self._real_lits(cid_c, bc))
-                d_lits = set(self._real_lits(cid_d, bd))
-                for u in sorted(c_lits, key=pb.lit_sort_key):
-                    if neg(u) in d_lits:
-                        self.label_matching(cid_c, cid_d, neg(u), bc, bd)
-                        self._count("lm")
-                        return True
+    def _paid_vars(self):
+        return [v for v, c in self.objective.coeffs.items() if c > 0]
+
+    def _lm_single(self, v):
+        """The one clause of v if v has a positive coefficient and occurs
+        in exactly one clause, positively; else None."""
+        if self.objective.coef(v) <= 0 or self._occ_ids(mklit(v, True)):
+            return None
+        ids = self._occ_ids(mklit(v))
+        return next(iter(ids)) if len(ids) == 1 else None
+
+    def _lm_at(self, bc):
+        """lm: match the single bc with the first single bd, in variable
+        order, of the same weight whose clause clashes with bc's.  Only the
+        singles in the clauses of ~u, for u in bc's clause, can clash."""
+        cid_c = self._lm_single(bc)
+        if cid_c is None:
+            return False
+        w = self.objective.coef(bc)
+        c_lits = set(self._real_lits(cid_c, bc))
+        partners = set()
+        for u in c_lits:
+            for cid_d in self._occ_ids(neg(u)):
+                for l in self.lits[cid_d]:
+                    bd = l >> 1
+                    if (bd != bc and cid_d != cid_c
+                            and self.objective.coef(bd) == w
+                            and self._lm_single(bd) == cid_d):
+                        partners.add(bd)
+        for bd in sorted(partners, key=pb.var_sort_key):
+            cid_d = self._lm_single(bd)
+            d_lits = set(self._real_lits(cid_d, bd))
+            for u in sorted(c_lits, key=pb.lit_sort_key):
+                if neg(u) in d_lits:
+                    self.label_matching(cid_c, cid_d, neg(u), bc, bd)
+                    self._count("lm")
+                    return True
         return False
+
+    def _lm_on_clause(self, wl, cid, lits, added):
+        """lm: the variables of a changed clause may change as singles."""
+        for l in lits:
+            self._lm_on_coef(wl, l >> 1)
+
+    def _lm_on_coef(self, wl, v):
+        """lm: bc reads its own coefficient and clause, and every single
+        whose clause clashes with bc's.  So a change on v pushes v and,
+        one hop further, the paid variables of every clause that clashes
+        with v's single clause."""
+        coef = self.objective.coef
+        if coef(v) <= 0:
+            return
+        wl.push(v)
+        e = self._lm_single(v)
+        if e is None:
+            return
+        for l in self.lits[e]:
+            for cid in self._occ_ids(neg(l)):
+                for u in self.lits[cid]:
+                    if coef(u >> 1) > 0:
+                        wl.push(u >> 1)
 
     def structure_based_labelling(self, cid, b, lit):
         """Weaken a clause blocked under b=1 into clause-or-b."""
-        c = constraint_from_clause(list(self._lits(cid)) + [mklit(b)])
+        c = constraint_from_clause(list(self.lits[cid]) + [mklit(b)])
         nid = self._core_rup(c)
         self._install(nid, c)
         self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
@@ -950,7 +1147,7 @@ class Preprocessor:
                                       key=pb.var_sort_key)
                     if self.objective.coef(v) > 0]
         for cid in sorted(self.clauses):
-            lits = self._lits(cid)
+            lits = self.lits[cid]
             for b in obj_vars:
                 if b in {l >> 1 for l in lits}:
                     continue
@@ -967,7 +1164,7 @@ class Preprocessor:
                            conflict_budget=self.cfg.oracle_conflicts)
         for cid in sorted(self.clauses):
             if not self.clauses[cid].is_trivial():
-                oracle.add_clause(self._lits(cid))
+                oracle.add_clause(self.lits[cid])
         return oracle
 
     def trim_maxsat(self):
@@ -1064,7 +1261,7 @@ class Preprocessor:
         order = []
         seen = set()
         for cid in sorted(self.clauses):
-            for lit in self._lits(cid):
+            for lit in self.lits[cid]:
                 if lit >> 1 not in seen:
                     seen.add(lit >> 1)
                     order.append(lit >> 1)
@@ -1111,7 +1308,7 @@ class Preprocessor:
         terms, const = self.objective.literal_form()
         if const:
             raise AssertionError("objective constant survived stage 5")
-        hard = [list(self._lits(cid)) for cid in sorted(self.clauses)]
+        hard = [list(self.lits[cid]) for cid in sorted(self.clauses)]
         soft = [(w, [neg(lit)]) for w, lit in terms]
         self.writer.conclude("EQUIOPTIMAL")
         return WcnfInstance(hard, soft)
@@ -1143,14 +1340,14 @@ class Preprocessor:
             elif pb.var_ns(v) != pb.NS_USER:
                 return False
         for cid in self.clauses:
-            for l in self._lits(cid):
+            for l in self.lits[cid]:
                 if pb.var_ns(l >> 1) != pb.NS_USER and l >> 1 not in labels:
                     return False
         return True
 
     def _finish_wcnf(self):
         self._drop_trivial()
-        hard = [list(self._lits(cid)) for cid in sorted(self.clauses)
+        hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
                 if cid not in self.soft_label]
         soft = [(w, list(self._real_lits(cid)))
                 for cid, (label, w) in sorted(self.soft_label.items())]
@@ -1182,39 +1379,65 @@ class Preprocessor:
         "taut": remove_tautologies,
         "up": propagate_hard_units,
         "empty": remove_empty_softs,
-        "sub": _exhaustively(_subsumed_once),
-        "bce": _exhaustively(_blocked_once),
+        "sub": _drain("sub"),
+        "bce": _drain("bce"),
     }
     _STAGE4 = {
         "up": propagate_hard_units,
-        "sub": _exhaustively(_subsumed_once),
-        "ssr": _exhaustively(_ssr_once),
+        "sub": _drain("sub"),
+        "ssr": _drain("ssr"),
         "fle": _exhaustively(_fle_once),
         "impl": _exhaustively(_impl_once),
         "eql": _exhaustively(_eql_once),
-        "sle": _exhaustively(_sle_once),
+        "sle": _drain("sle"),
         "gsle": _exhaustively(_gsle_once),
-        "bve": _exhaustively(_bve_once),
+        "bve": _drain("bve"),
         "bva": _exhaustively(_bva_once),
         "am1": _exhaustively(_am1_once),
         "bcr": _exhaustively(_bcr_once),
-        "lm": _exhaustively(_lm_once),
+        "lm": _drain("lm"),
         "sbl": _exhaustively(_sbl_once),
         "trim": trim_maxsat,
         "harden": hardening,
     }
 
+    # worklist pass -> (every candidate, sort key (None: the candidate
+    # itself), the test that applies one candidate, what a changed clause
+    # pushes back, what a changed objective coefficient pushes back)
+    _WORKLISTS = {
+        "sub": (_clause_ids, None, _sub_at, _sub_on_clause, None),
+        "bce": (_clause_ids, None, _bce_at, _bce_on_clause, _on_freed_var),
+        "ssr": (_clause_ids, None, _ssr_at, _ssr_on_clause, _on_freed_var),
+        "sle": (_live_vars, pb.var_sort_key, _sle_at, _sle_on_clause,
+                _sle_on_coef),
+        "bve": (_live_vars, pb.var_sort_key, _bve_at, _bve_on_clause,
+                _bve_on_coef),
+        "lm": (_paid_vars, pb.var_sort_key, _lm_at, _lm_on_clause,
+               _lm_on_coef),
+    }
+
     def _run_stage(self, names, table):
-        for _ in range(self.cfg.rounds):
-            changed = False
-            for name in names:
-                changed |= bool(table[name](self))
-                if self._line_budget_hit():
-                    self.cap_hit = True
+        """Run the passes `names` in rounds until a round changes nothing
+        (or the round or proof-line cap is hit), with every worklist pass
+        starting from all of its candidates."""
+        self.worklists = {}
+        for name in names:
+            if name in self._WORKLISTS:
+                candidates, *rest = self._WORKLISTS[name]
+                self.worklists[name] = _Worklist(candidates(self), *rest)
+        try:
+            for _ in range(self.cfg.rounds):
+                changed = False
+                for name in names:
+                    changed |= bool(table[name](self))
+                    if self._line_budget_hit():
+                        self.cap_hit = True
+                        return
+                if not changed:
                     return
-            if not changed:
-                return
-        self.cap_hit = True
+            self.cap_hit = True
+        finally:
+            self.worklists = {}
 
     def _line_budget_hit(self):
         cap = self.cfg.max_proof_lines

@@ -8,6 +8,8 @@ implementations are checked against an independent reading of the semantics.
 import itertools
 
 from certprep import pb
+from certprep.pb import constraint_from_clause, mklit, neg
+from certprep.preprocess import _exhaustively, _unit
 from certprep.sat import OracleBudget, SatOracle
 
 
@@ -326,6 +328,155 @@ def reference_sle_pairs(p):
         for y in vs:
             if x != y:
                 yield x, y
+
+
+def reference_lits(p, cid):
+    """A clause's literals read from its constraint, not from the cache."""
+    return tuple(lit for _, lit in p.clauses[cid].terms)
+
+
+# The scans that the worklist passes replaced, as the parent commit had them
+# (only `self._lits` now reads the constraint): each finds the first
+# applicable candidate by scanning every candidate after every application.
+
+def reference_subsumed_once(p):
+    for cid in sorted(p.clauses):
+        lits = reference_lits(p, cid)
+        if (not lits or cid in p.soft_label
+                or p.clauses[cid].is_trivial()):
+            continue
+        rare = min(lits, key=lambda l: (len(p._occ_ids(l)), l))
+        for did in sorted(p._occ_ids(rare)):
+            if did == cid or did not in p.clauses:
+                continue
+            if not set(lits) <= set(p._real_lits(did)):
+                continue
+            if len(reference_lits(p, did)) <= len(lits) and did < cid:
+                continue   # identical clause: keep the earlier copy
+            p._remove_clause(did)
+            p._count("sub")
+            return True
+    return False
+
+
+def reference_blocked_once(p):
+    for cid in sorted(p.clauses):
+        if cid in p.soft_label or p.clauses[cid].is_trivial():
+            continue
+        for lit in reference_lits(p, cid):
+            if p._blocked_under(cid, lit):
+                p._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
+                p._count("bce")
+                return True
+    return False
+
+
+def reference_ssr_once(p):
+    for did in sorted(p.clauses):
+        dlits = reference_lits(p, did)
+        if len(dlits) < 2:
+            continue
+        for m in dlits:
+            if p.objective.coef(m >> 1):
+                continue
+            rest = set(dlits) - {m}
+            for cid in sorted(p._occ_ids(neg(m))):
+                if cid == did:
+                    continue
+                if set(reference_lits(p, cid)) - {neg(m)} <= rest:
+                    c = constraint_from_clause(sorted(rest))
+                    nid = p._core_rup(c)
+                    p._install(nid, c)
+                    p._remove_clause(did)
+                    p._count("ssr")
+                    return True
+    return False
+
+
+def reference_sle_once(p):
+    for x, y in reference_sle_pairs(p):
+        cx, cy = p.objective.coef(x), p.objective.coef(y)
+        if cx < 0 or cy < 0 or (cx > 0) != (cy > 0):
+            continue
+        posy = p._occ_ids(mklit(y))
+        negx = p._occ_ids(mklit(x, True))
+        if not posy and not negx:
+            continue
+        if not posy <= p._occ_ids(mklit(x)):
+            continue
+        if not negx <= p._occ_ids(mklit(y, True)):
+            continue
+        if cx == 0:
+            px = p._core_red(_unit(mklit(x)), {x: 1, y: 0})
+            py = p._core_red(_unit(mklit(y, True)), {x: 1, y: 0})
+            p.fix_literal(mklit(x), px)
+            p.fix_literal(mklit(y, True), py)
+        else:
+            if cx > cy:
+                continue
+            py = p._core_red(_unit(mklit(y, True)), {y: 0, x: 1})
+            p.fix_literal(mklit(y, True), py)
+        p._count("sle")
+        return True
+    return False
+
+
+def reference_bve_once(p):
+    for v in sorted({l >> 1 for l in p.occ if p.occ[l]},
+                    key=pb.var_sort_key):
+        if p.objective.coef(v):
+            continue
+        pos = p._occ_ids(mklit(v))
+        negs = p._occ_ids(mklit(v, True))
+        if not pos or not negs:
+            continue
+        # a resolvent is a tautology exactly when its literals clash
+        pos_sides = [p._real_lits(i, v) for i in pos]
+        neg_sides = [p._real_lits(j, v) for j in negs]
+        count = 0
+        for a in pos_sides:
+            for b in neg_sides:
+                lits = set(a + b)
+                if not any(neg(l) in lits for l in lits):
+                    count += 1
+        if count > len(pos) + len(negs) + p.cfg.bve_growth:
+            continue
+        p.eliminate_variable_bve(v)
+        p._count("bve")
+        return True
+    return False
+
+
+def reference_lm_once(p):
+    singles = {}
+    for v in sorted(p.objective.coeffs, key=pb.var_sort_key):
+        if p.objective.coef(v) <= 0 or p._occ_ids(mklit(v, True)):
+            continue
+        ids = p._occ_ids(mklit(v))
+        if len(ids) == 1:
+            singles[v] = next(iter(ids))
+    for bc in sorted(singles, key=pb.var_sort_key):
+        for bd in sorted(singles, key=pb.var_sort_key):
+            if bc == bd or singles[bc] == singles[bd]:
+                continue
+            if p.objective.coef(bc) != p.objective.coef(bd):
+                continue
+            cid_c, cid_d = singles[bc], singles[bd]
+            c_lits = set(p._real_lits(cid_c, bc))
+            d_lits = set(p._real_lits(cid_d, bd))
+            for u in sorted(c_lits, key=pb.lit_sort_key):
+                if neg(u) in d_lits:
+                    p.label_matching(cid_c, cid_d, neg(u), bc, bd)
+                    p._count("lm")
+                    return True
+    return False
+
+
+
+REFERENCE_PASSES = {name: _exhaustively(once) for name, once in (
+    ("sub", reference_subsumed_once), ("bce", reference_blocked_once),
+    ("ssr", reference_ssr_once), ("sle", reference_sle_once),
+    ("bve", reference_bve_once), ("lm", reference_lm_once))}
 
 
 # -- reference SAT oracle ------------------------------------------------------
