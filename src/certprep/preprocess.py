@@ -558,8 +558,12 @@ class Preprocessor:
     # stage 3: switch to the clause+objective view
 
     def convert_to_objective_centric(self):
-        """Sync relaxed softs that shrank to unit clauses, then drop the
-        hard/soft distinction (labels live on in the objective)."""
+        """Drop trivial clauses, sync relaxed softs that shrank to unit
+        clauses, then drop the hard/soft distinction (labels live on in the
+        objective).  A trivial clause must not reach stage 4: `normalize`
+        has cancelled its complementary pair, so its literals would read as
+        a shorter real clause."""
+        self._drop_trivial()
         for cid in sorted(list(self.soft_label)):
             c = self.clauses.get(cid)
             if c is not None and c.degree == 1 and len(c.terms) == 2:

@@ -171,3 +171,19 @@ def test_opt_bound_exceeded(capsys):
 
 def test_no_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
+
+
+def test_bve_with_a_live_tautology_keeps_the_optimum(tmp_path, capsys):
+    """Without `taut`, the hard tautology (x1 v x5 v ~x5) is dropped at the
+    switch to stage 4 instead of reading as the clause (x1), so bve no
+    longer derives the unit x4 (cost 1 where the optimum is 0)."""
+    inp = tmp_path / "in.wcnf"
+    inp.write_text("h 1 5 -5 0\nh -1 4 0\n1 -4 0\n1 -5 0\n")
+    out, proof = tmp_path / "out.wcnf", tmp_path / "proof.pbp"
+    assert run_cli("preprocess", inp, "-o", out, "-p", proof,
+                   "--techniques=bve") == 0
+    capsys.readouterr()
+    assert run_cli("check", inp, proof, out) == 0
+    assert capsys.readouterr().out == "s VERIFIED OUTPUT EQUIOPTIMAL\n"
+    assert run_cli("opt", out) == 0
+    assert capsys.readouterr().out == "o 0\n"

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from certprep import pb, preprocess
+from certprep.checker import check_wcnf_proof
 from certprep.preprocess import Config, Preprocessor
 from certprep.wcnf import MAX_WEIGHT, WcnfInstance, parse_wcnf, write_wcnf
 from conftest import (REFERENCE_PASSES, random_instance,
@@ -104,14 +105,14 @@ def instances():
         yield random_instance(rng, max_vars=10, max_clauses=30)
 
 
-# Instances on which a worklist needs the push from a changed objective
-# coefficient, each with the techniques that show it.  The random instances
-# above rarely need it, since most recipes change a clause on the variable
-# after its coefficient.  GADGET implies x1 <-> x2 only once bve has
-# eliminated x3..x6, so eql merges them in round 2, after the pass under
-# test has already rejected its candidate on the old coefficient.
+# Instances on which a worklist needs a push that the random instances above
+# rarely need, each with the techniques that show it.  Most recipes change a
+# clause on a variable after its coefficient, so the push from the changed
+# coefficient seldom matters on its own.  GADGET implies x1 <-> x2 only once
+# bve has eliminated x3..x6, so eql merges them in round 2, after the pass
+# under test has already rejected its candidate on the old coefficient.
 GADGET = "h -1 3 4 0\nh -3 2 0\nh -4 2 0\nh -2 5 6 0\nh -5 1 0\nh -6 1 0\n"
-COEFFICIENT_CASES = [
+TARGETED_CASES = [
     # bce: dup syncs the soft unit (x2) in round 2, cancelling x2's weight,
     # which leaves (x2 v x3) blocked on x2
     ("h 1 0\nh 5 0\n3 2 -1 0\n3 2 -5 0\n3 -2 0\nh 2 3 0\nh -3 4 0\n1 4 0\n",
@@ -128,6 +129,12 @@ COEFFICIENT_CASES = [
     # lm: x2's weight goes from -1 to 3, making it a single that matches _b1
     (GADGET + "h 2 9 0\n3 -9 10 0\n4 -1 0\n1 2 0\n1 -9 0\n",
      ("eql", "bve", "lm")),
+    # lm: a label becomes a single whose clause clashes with another
+    # label's clause, which only the one-hop push reaches
+    ("h -1 -3 0\nh -4 -5 0\nh -4 -6 0\nh -5 -6 0\nh -8 -9 0\n3 2 4 0\n"
+     "3 6 8 0\n3 -5 8 0\n3 4 5 0\n3 9 -10 0\n3 9 10 0\n3 9 -8 0\n"
+     "3 9 11 0\n3 7 10 0\n3 12 -10 0\n3 10 -11 0\n",
+     ("up", "sub", "ssr", "bve", "am1", "lm")),
 ]
 
 
@@ -286,7 +293,7 @@ def test_passes_match_restarting_references(monkeypatch):
     configs += [Config(techniques=STAGE2), Config()]
     runs = [(inst, cfg) for inst in instances() for cfg in configs]
     runs += [(parse_wcnf(text), Config(techniques=names))
-             for text, names in COEFFICIENT_CASES]
+             for text, names in TARGETED_CASES]
     applied = {}
     for inst, cfg in runs:
         (out, proof, p), (rout, rproof, rp) = both(inst, cfg)
@@ -307,10 +314,7 @@ def test_outputs_proofs_and_counts_match_pinned_digest():
     set with the opt-in techniques, over every eighth instance: the output
     WCNF, the proof and the sorted counts hash to the pinned SHA-1.  A
     rewrite of the preprocessor that changes any byte of them fails here;
-    one that changes them on purpose pins the new digest.  The digest pins
-    behaviour, not soundness: with `taut` off, a tautology stays live into
-    stage 4, and some single-technique runs give proofs the checker
-    rejects."""
+    one that changes them on purpose pins the new digest."""
     h = hashlib.sha1()
     for inst in itertools.islice(instances(), 0, None, 8):
         for names in PINNED_SETS:
@@ -318,4 +322,16 @@ def test_outputs_proofs_and_counts_match_pinned_digest():
             h.update(write_wcnf(out).encode())
             h.update(proof.encode())
             h.update(repr(sorted(p.counts.items())).encode())
-    assert h.hexdigest() == "fa0fa7cdf24ca27d7ff14e38ad2dac2ce804ce28"
+    assert h.hexdigest() == "b0bc616e617399d97bc7df2f34aabb27a4d42e26"
+
+
+def test_every_single_technique_is_certified():
+    """Each technique alone, over every tenth instance, gives a proof the
+    checker accepts as EQUIOPTIMAL.  With `taut` off, a tautology used to
+    stay live into stage 4, where its cancelled literals read as a shorter
+    clause: ssr, eql, bve, lm and sbl runs were rejected and bva raised."""
+    for inst in itertools.islice(instances(), 0, None, 10):
+        for name in SINGLES:
+            out, proof, _ = preprocess.run(inst, Config(techniques=(name,)))
+            v = check_wcnf_proof(inst, proof.splitlines(), out)
+            assert v.accepted and v.level == "EQUIOPTIMAL", (name, v)
