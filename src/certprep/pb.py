@@ -220,9 +220,16 @@ def saturate(c):
 
 
 def restrict(c, witness):
-    """Apply a substitution {var: 0 | 1 | literal} to a constraint."""
+    """Apply a substitution {var: 0 | 1 | literal} to a normalized constraint.
+
+    A term fixed to a constant leaves, lowering the degree if it became
+    true; what remains of a normalized constraint is still normalized once
+    the degree is clamped at 0.  Only a literal image can repeat a variable
+    or flip a sign, so only then are the terms merged and sorted again.
+    """
     raw = []
     deg = c.degree
+    renamed = False
     for coef, lit in c.terms:
         img = witness.get(lit >> 1)
         if img is None:
@@ -232,7 +239,10 @@ def restrict(c, witness):
                 deg -= coef
         else:
             raw.append((coef, img ^ 1 if lit & 1 else img))
-    return normalize(raw, deg)
+            renamed = True
+    if renamed:
+        return normalize(raw, deg)
+    return LinearConstraint(tuple(raw), max(deg, 0))
 
 
 class Objective:

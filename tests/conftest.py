@@ -176,6 +176,23 @@ def reference_negate(c):
                         total - c.degree + 1)
 
 
+def reference_restrict(c, witness):
+    """A substitution {var: 0 | 1 | literal} through the full merge and sort
+    of `normalize`, whatever the images."""
+    raw = []
+    deg = c.degree
+    for coef, lit in c.terms:
+        img = witness.get(lit >> 1)
+        if img is None:
+            raw.append((coef, lit))
+        elif img == 0 or img == 1:
+            if img ^ (lit & 1):  # literal became true
+                deg -= coef
+        else:
+            raw.append((coef, img ^ 1 if lit & 1 else img))
+    return pb.normalize(raw, deg)
+
+
 def reference_restrict_objective(obj, witness):
     """The objective after the substitution {var: 0 | 1 | literal}, built
     over every variable of `obj`."""

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from certprep import pb
 from conftest import (C, all_assignments, b, constraint_satisfied, entails,
                       models, nb, nx, raw_satisfied, reference_negate,
-                      vars_of, x)
+                      reference_restrict, vars_of, x)
 
 
 # -- strategies -------------------------------------------------------------
@@ -204,6 +204,43 @@ def test_restrict_matches_semantic_substitution(c, witness):
             else:
                 sub[v] = assign[img >> 1] ^ (img & 1)
         assert constraint_satisfied(r, assign) == constraint_satisfied(c, sub)
+
+
+def test_restrict_matches_reference():
+    """Restriction without the merge and sort when every image is a
+    constant equals the `normalize`-based reference on random normalized
+    constraints over all three namespaces, with witnesses of constants,
+    literals or both, including empty terms, terms emptied by the witness
+    and constants that take the degree below 0."""
+    rng = random.Random(8)
+
+    def var():
+        return pb.mkvar(rng.randint(1, 5), rng.randrange(3))
+
+    seen = {"empty": 0, "emptied": 0, "below 0": 0, "literal": 0,
+            "constants": 0}
+    for _ in range(3000):
+        raw = [(rng.randint(1, 9), pb.mklit(var(), rng.random() < 0.5))
+               for _ in range(rng.randint(0, 6))]
+        c = pb.normalize(raw, rng.randint(-3, 30))
+        witness = {}
+        for _ in range(rng.randint(0, 12)):
+            r = rng.random()
+            witness[var()] = (rng.randint(0, 1) if r < 0.7
+                              else pb.mklit(var(), rng.random() < 0.5))
+        r = pb.restrict(c, witness)
+        assert r == reference_restrict(c, witness), (c, witness)
+        images = [witness[v] for v in c.vars() if v in witness]
+        literal = any(img not in (0, 1) for img in images)
+        seen["empty"] += not c.terms
+        seen["emptied"] += bool(c.terms) and not r.terms
+        made_true = sum(a for a, lit in c.terms
+                        if witness.get(lit >> 1) in (0, 1)
+                        and witness[lit >> 1] ^ (lit & 1))
+        seen["below 0"] += not literal and c.degree < made_true
+        seen["literal"] += literal
+        seen["constants"] += bool(images) and not literal
+    assert min(seen.values()) > 100, seen
 
 
 # -- objectives -------------------------------------------------------------
