@@ -13,7 +13,10 @@ later steps propagate over; it must be accepted too, and rejected when its
 last `red` step is changed.  A second, larger instance with planted
 duplicates and tautologies exercises the `dup` and `taut` passes alone
 through the CLI, and the SAT oracle runs `trim`'s search pattern on the
-family's hard clauses in lockstep with the scanning reference oracle."""
+family's hard clauses in lockstep with the scanning reference oracle.
+
+Tests marked `slow` take the family further (nv = 800); the default run
+leaves them out, and `pytest -m slow` runs them."""
 
 import random
 
@@ -54,6 +57,16 @@ def large_run():
 def test_large_proof_verifies(large_run):
     inst, out, lines, p = large_run
     assert p.writer.lines_written == len(lines) == 2848
+    v = check_wcnf_proof(inst, lines, out)
+    assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
+
+
+@pytest.mark.slow
+def test_random_family_800_is_certified():
+    inst = random_family(800)
+    out, proof, p = preprocess.run(inst)
+    lines = proof.splitlines()
+    assert p.writer.lines_written == len(lines) == 11428
     v = check_wcnf_proof(inst, lines, out)
     assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
 
