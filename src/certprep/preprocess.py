@@ -29,7 +29,7 @@ Invariant: a candidate absent from its pass's heap is known not to apply.
 A candidate that tests "not applicable" leaves the heap; ``_install``,
 ``_uninstall`` and ``_update_objective`` push back every candidate whose
 test reads the changed clause's occurrences or the changed coefficient
-(each pass's ``_X_on_clause``/``_X_on_coef`` says which).  So a pass still
+(the hooks in ``_WORKLISTS`` say which).  So a pass still
 applies the first applicable candidate in scan order, and a round that
 changes nothing near a candidate does not test it again.  The heaps live
 for one stage: they are filled with every candidate when the stage starts
@@ -137,6 +137,15 @@ class _Worklist:
         c = item if self.key is None else item[1]
         self.queued.discard(c)
         return c
+
+
+def _on_each_var(on_coef):
+    """A clause hook for a pass whose candidates are variables: a changed
+    clause counts as a change on each of its variables."""
+    def on_clause(self, wl, cid, lits, added):
+        for lit in lits:
+            on_coef(self, wl, lit >> 1)
+    return on_clause
 
 
 def _drain(name):
@@ -798,19 +807,13 @@ class Preprocessor:
             return True
         return False
 
-    def _sle_on_clause(self, wl, cid, lits, added):
-        """sle: x reads the occurrences of itself and of its neighbours y,
-        so a changed clause pushes its variables and every variable that
-        could dominate one of them."""
-        for l in lits:
-            self._sle_on_coef(wl, l >> 1)
-
     def _sle_on_coef(self, wl, v):
-        """sle: x reads the coefficients of itself and of its neighbours y,
-        so a change on v pushes v and every x that could dominate v.  Such
+        """sle: x reads the occurrences and coefficients of itself and of
+        its neighbours y, so a change on v pushes every x that could
+        dominate v (v itself among them while it occurs).  Such
         an x is in every clause with v (if there is one, take the smallest)
-        or else negated in a clause with ~v, and so is v itself while it
-        occurs.  An x with a negative coefficient never applies."""
+        or else negated in a clause with ~v.  An x with a negative
+        coefficient never applies."""
         coef = self.objective.coef
         pos = self._occ_ids(mklit(v))
         if pos:
@@ -906,12 +909,8 @@ class Preprocessor:
         self._count("bve")
         return True
 
-    def _bve_on_clause(self, wl, cid, lits, added):
-        """bve: v reads its own occurrences and coefficient."""
-        for l in lits:
-            self._bve_on_coef(wl, l >> 1)
-
     def _bve_on_coef(self, wl, v):
+        """bve: v reads its own occurrences and coefficient."""
         if not self.objective.coef(v):
             wl.push(v)
 
@@ -1115,11 +1114,6 @@ class Preprocessor:
                     self._count("lm")
                     return True
         return False
-
-    def _lm_on_clause(self, wl, cid, lits, added):
-        """lm: the variables of a changed clause may change as singles."""
-        for l in lits:
-            self._lm_on_coef(wl, l >> 1)
 
     def _lm_on_coef(self, wl, v):
         """lm: bc reads its own coefficient and clause, and every single
@@ -1412,12 +1406,12 @@ class Preprocessor:
         "sub": (_clause_ids, None, _sub_at, _sub_on_clause, None),
         "bce": (_clause_ids, None, _bce_at, _bce_on_clause, _on_freed_var),
         "ssr": (_clause_ids, None, _ssr_at, _ssr_on_clause, _on_freed_var),
-        "sle": (_live_vars, pb.var_sort_key, _sle_at, _sle_on_clause,
-                _sle_on_coef),
-        "bve": (_live_vars, pb.var_sort_key, _bve_at, _bve_on_clause,
-                _bve_on_coef),
-        "lm": (_paid_vars, pb.var_sort_key, _lm_at, _lm_on_clause,
-               _lm_on_coef),
+        "sle": (_live_vars, pb.var_sort_key, _sle_at,
+                _on_each_var(_sle_on_coef), _sle_on_coef),
+        "bve": (_live_vars, pb.var_sort_key, _bve_at,
+                _on_each_var(_bve_on_coef), _bve_on_coef),
+        "lm": (_paid_vars, pb.var_sort_key, _lm_at,
+               _on_each_var(_lm_on_coef), _lm_on_coef),
     }
 
     def _run_stage(self, names, table):
