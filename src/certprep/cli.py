@@ -9,12 +9,14 @@ preprocessor is imported by ``preprocess`` alone.
 """
 
 import argparse
+import gc
 import sys
 
 from .checker import check_wcnf_proof
 from .wcnf import opt_cost_bruteforce, parse_wcnf, write_wcnf
 
 VERIFIED_LINE = "s VERIFIED OUTPUT EQUIOPTIMAL"
+GC_THRESHOLD = 50000    # generation-0 allocations between collections
 
 
 def _read(path):
@@ -139,12 +141,21 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
+    # A command builds tens of thousands of long-lived clause objects, and
+    # at the default threshold the collector rescans them over and over; a
+    # higher generation-0 threshold still collects cycles.  Only this
+    # process's command is tuned: the old thresholds return with it.
+    old = gc.get_threshold()
+    gc.set_threshold(GC_THRESHOLD, *old[1:])
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        return args.func(args)
+    finally:
+        gc.set_threshold(*old)
 
 
 if __name__ == "__main__":

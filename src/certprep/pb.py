@@ -172,12 +172,15 @@ def normalize(raw_terms, degree):
 
 
 def constraint_from_clause(lits):
-    """Clause -> PB: one coefficient-1 term per *distinct* literal, degree 1."""
-    seen = []
-    for lit in lits:
-        if lit not in seen:
-            seen.append(lit)
-    return normalize([(1, lit) for lit in seen], 1)
+    """Clause -> PB: one coefficient-1 term per *distinct* literal, degree 1.
+
+    With every variable distinct that is already the normalized form; any
+    other clause (a repeated literal, a complementary pair) is normalized.
+    """
+    if len({lit >> 1 for lit in lits}) == len(lits):
+        return LinearConstraint(
+            tuple([(1, lit) for lit in sorted(lits, key=lit_sort_key)]), 1)
+    return normalize([(1, lit) for lit in dict.fromkeys(lits)], 1)
 
 
 def literal_axiom(lit):
@@ -355,8 +358,19 @@ class Propagator:
 
     def add(self, cid, c):
         self.constraints[cid] = c
-        for _, lit in c.terms:
-            self.occ.setdefault(lit, set()).add(cid)
+        occ = self.occ
+        terms = c.terms
+        for _, lit in terms:
+            ids = occ.get(lit)
+            if ids is None:
+                occ[lit] = {cid}
+            else:
+                ids.add(cid)
+        # degree <= 1 with two unit terms: the slack is at least 1, and no
+        # term's coefficient exceeds it, since another term makes up for it
+        if (c.degree <= 1 and len(terms) > 1 and terms[0][0] == 1
+                and terms[1][0] == 1):
+            return
         if _propagates_at_root(c):
             self.roots.add(cid)
 

@@ -34,7 +34,9 @@ applies the first applicable candidate in scan order, and a round that
 changes nothing near a candidate does not test it again.  The heaps live
 for one stage: they are filled with every candidate when the stage starts
 (for stage 4, right after the objective-centric switch drops every soft
-label at once) and emptied when it ends.
+label at once) and emptied when it ends.  ``dup`` keeps its groups of
+clauses with the same real literals the same way (``_Groups``): a pass
+settles only the groups changed since the last one, ordered when it starts.
 """
 
 import heapq
@@ -139,6 +141,24 @@ class _Worklist:
         return c
 
 
+class _Groups:
+    """dup's worklist, built like a _Worklist (`key` is None): the live
+    non-trivial clauses grouped by their real literals (ids ascending, since
+    ids only grow), and the keys of the groups changed since they were last
+    settled.  A group's place in the settling order is its smallest live
+    id, which other passes move, so `remove_duplicates` orders the changed
+    groups when it starts."""
+
+    __slots__ = ("members", "queued", "test", "on_clause", "on_coef")
+
+    def __init__(self, members, key, test, on_clause, on_coef):
+        self.members = members
+        self.queued = set(members)
+        self.test = test
+        self.on_clause = on_clause
+        self.on_coef = on_coef
+
+
 def _on_each_var(on_coef):
     """A clause hook for a pass whose candidates are variables: a changed
     clause counts as a change on each of its variables."""
@@ -189,15 +209,15 @@ class Preprocessor:
         self.clauses = self.engine.constraints  # cid -> clause, = proof core
         self.occ = self.engine.occ              # literal -> set of cids
         self.lits = {}          # cid -> its literals, in term order
+        self.real = {}          # soft cid -> its literals but its label
         self.worklists = {}     # pass name -> _Worklist, during a stage
         self.closures = {}      # start literals -> _up_closure result
         self.soft_label = {}    # cid -> (label var, weight), WCNF phase only
         self.core_live = set(range(1, len(cons) + 1))
         for pos, c in enumerate(cons):
-            cid = pos + 1
-            self._install(cid, c)
             if pos in soft_info:
-                self.soft_label[cid] = soft_info[pos]
+                self.soft_label[pos + 1] = soft_info[pos]
+            self._install(pos + 1, c)
         self.next_aux = len(soft_info) + 1
         self.next_tmp = 1
         self.phase = "wcnf"
@@ -213,8 +233,13 @@ class Preprocessor:
     # bookkeeping
 
     def _install(self, cid, c):
+        """Add clause `cid`.  A soft clause's label is in `soft_label`
+        already: its literals without the label are cached here."""
         self.engine.add(cid, c)
-        self.lits[cid] = lits = tuple(lit for _, lit in c.terms)
+        self.lits[cid] = lits = tuple([lit for _, lit in c.terms])
+        if cid in self.soft_label:
+            label = self.soft_label[cid][0]
+            self.real[cid] = tuple([l for l in lits if l >> 1 != label])
         self.closures.clear()
         for wl in self.worklists.values():
             wl.on_clause(self, wl, cid, lits, True)
@@ -225,6 +250,7 @@ class Preprocessor:
         lits = self.lits.pop(cid)
         for wl in self.worklists.values():
             wl.on_clause(self, wl, cid, lits, False)
+        self.real.pop(cid, None)
 
     def _remove_clause(self, cid, witness=None):
         """Take a live clause out of the store and the core (with the delc
@@ -237,9 +263,10 @@ class Preprocessor:
 
     def _real_lits(self, cid, label=None):
         """The literals of clause `cid` other than those on `label`, by
-        default its soft label."""
-        if label is None and cid in self.soft_label:
-            label = self.soft_label[cid][0]
+        default its soft label, as cached when it was installed."""
+        if label is None:
+            real = self.real.get(cid)
+            return self.lits[cid] if real is None else real
         return tuple(l for l in self.lits[cid] if l >> 1 != label)
 
     def _occ_ids(self, lit):
@@ -368,40 +395,74 @@ class Preprocessor:
                 and cid not in self.soft_label)
 
     def remove_duplicates(self):
-        """Settle every group of clauses with the same real literals.
+        """Settle every changed group of clauses with the same real literals
+        (at a stage's start, every group).
 
-        The groups are built once per pass and settled from a heap keyed by
-        each group's smallest live id, one action at a time, so the action
-        applied is always the first applicable one in id order, as if the
-        clauses were regrouped after every action.  That holds because an
-        action changes no other group's verdict: it deletes only its own
-        members and installs nothing, moves objective weight only onto or
-        off its own labels, and syncing the unit soft (u) adds weight on ~u,
-        which can only keep the group (~u) from applying.  Only the group
-        just changed is pushed again, under its new smallest id.
+        The groups are settled from a heap keyed by each group's smallest
+        live id, one action at a time, so the action applied is always the
+        first applicable one in id order, as if the clauses were regrouped
+        after every action.  That holds because an action changes no other
+        group's verdict: it deletes only its own members and installs
+        nothing, moves objective weight only onto or off its own labels, and
+        syncing the unit soft (u) adds weight on ~u, which can only keep the
+        group (~u) from applying.  Only the group just changed is pushed
+        again, under its new smallest id.  A group that did not apply and
+        has not changed since (see `_dup_on_clause` and `_dup_on_coef`)
+        still does not, so a later pass leaves it out.
         """
-        groups = {}
-        for cid in sorted(self.clauses):
-            if not self.clauses[cid].is_trivial():
-                groups.setdefault(self._real_lits(cid), []).append(cid)
+        wl = self.worklists["dup"]
+        groups = wl.members
         # a lone clause can apply only as a unit soft the objective pays for
-        heap = [(cids[0], key) for key, cids in groups.items()
-                if len(cids) > 1 or len(key) == 1]
+        heap = [(groups[key][0], key) for key in wl.queued
+                if key in groups and (len(groups[key]) > 1 or len(key) == 1)]
+        wl.queued = set()
         heapq.heapify(heap)
         changed = False
         while heap:
             _, key = heapq.heappop(heap)
-            if not self._settle_duplicates(key, groups[key]):
+            if not self._settle_duplicates(key):
                 continue
             changed = True
-            cids = groups[key] = [c for c in groups[key] if c in self.clauses]
-            if cids:
-                heapq.heappush(heap, (cids[0], key))
+            if key in groups:
+                heapq.heappush(heap, (groups[key][0], key))
         return changed
 
-    def _settle_duplicates(self, key, cids):
-        """Apply the first applicable action to the live clauses `cids`
-        (ascending) whose real literals are `key`; True if one applied."""
+    def _groups(self):
+        """dup's candidates: real literals -> the live non-trivial clauses
+        with them, ids ascending."""
+        groups = {}
+        for cid in sorted(self.clauses):
+            if self.clauses[cid].degree:
+                groups.setdefault(self._real_lits(cid), []).append(cid)
+        return groups
+
+    def _dup_on_clause(self, wl, cid, lits, added):
+        """dup: a clause joins or leaves the group of its real literals."""
+        key = self.real.get(cid, lits)
+        if added:
+            if self.clauses[cid].degree:
+                wl.members.setdefault(key, []).append(cid)
+                wl.queued.add(key)
+            return
+        cids = wl.members.get(key)
+        if cids and cid in cids:        # not if it was trivial
+            cids.remove(cid)
+            if cids:
+                wl.queued.add(key)
+            else:
+                del wl.members[key]
+
+    def _dup_on_coef(self, wl, v):
+        """dup: the group of a unit (u) reads the coefficient on u's
+        variable."""
+        for key in ((mklit(v),), (mklit(v, True),)):
+            if key in wl.members:
+                wl.queued.add(key)
+
+    def _settle_duplicates(self, key):
+        """Apply the first applicable action to the live clauses (ascending)
+        whose real literals are `key`; True if one applied."""
+        cids = self.worklists["dup"].members.get(key, ())
         hards = [c for c in cids if c not in self.soft_label]
         softs = [c for c in cids if c in self.soft_label]
         # the first hard copy makes the later hard copies redundant and,
@@ -578,6 +639,7 @@ class Preprocessor:
             if c is not None and c.degree == 1 and len(c.terms) == 2:
                 self._sync_unit_soft(cid)
         self.soft_label = {}
+        self.real = {}
         self.phase = "oc"
 
     def _sync_unit_soft(self, cid):
@@ -950,12 +1012,13 @@ class Preprocessor:
             for l2 in lits[i + 1:]:
                 if l2 >> 1 == l1 >> 1:
                     continue
-                suffixes = []
+                suffixes = {}   # each once, even if two clauses share it
                 for cid in sorted(self._occ_ids(l1)):
                     d = frozenset(self.lits[cid]) - {l1}
                     if d and l2 not in d and neg(l2) not in d \
                             and (d | {l2}) in by_clause:
-                        suffixes.append(tuple(sorted(d, key=pb.lit_sort_key)))
+                        suffixes[d] = tuple(sorted(d, key=pb.lit_sort_key))
+                suffixes = list(suffixes.values())
                 # replacing 2|S| clauses by |S|+2 must be a strict win
                 if len(suffixes) + 2 < 2 * len(suffixes):
                     self.add_variables_bva([l1, l2], suffixes)
@@ -1287,9 +1350,9 @@ class Preprocessor:
         self._rewrite_var(old, nl, e1, e2)
 
     def _drop_trivial(self):
-        for cid in sorted(self.clauses):
-            if self.clauses[cid].is_trivial():
-                self._remove_clause(cid)
+        for cid in sorted(cid for cid, c in self.clauses.items()
+                          if not c.degree):
+            self._remove_clause(cid)
 
     def finish(self):
         """Close out a feasible run: sync, fold the constant, rename, emit."""
@@ -1316,15 +1379,14 @@ class Preprocessor:
         labels are exactly the positional ones re-encoding the output would
         assign, and no other internal variable survives anywhere."""
         pairs = sorted(self.soft_label.items())
+        coeffs = self.objective.coeffs
         labels = set()
         for k, (cid, (label, w)) in enumerate(pairs):
-            if pb.var_ns(label) != pb.NS_AUX or pb.var_index(label) != k + 1:
+            if label != mkvar(k + 1, pb.NS_AUX) or coeffs.get(label) != w:
                 return False
-            if self.objective.coef(label) != w:
+            if not self.clauses[cid].degree:
                 return False
-            if self.clauses[cid].is_trivial():
-                return False
-            if len(self._real_lits(cid)) == 1:
+            if len(self.real[cid]) == 1:
                 return False   # re-encoding would treat it as a unit soft
             labels.add(label)
         terms, const = self.objective.literal_form()
@@ -1337,17 +1399,20 @@ class Preprocessor:
                     return False
             elif pb.var_ns(v) != pb.NS_USER:
                 return False
-        for cid in self.clauses:
-            for l in self.lits[cid]:
-                if pb.var_ns(l >> 1) != pb.NS_USER and l >> 1 not in labels:
-                    return False
+        for cid, lits in self.lits.items():
+            real = self.real.get(cid, lits)
+            # terms sort by namespace first: the last literal of a clause
+            # with an internal variable is on one
+            if real and real[-1] & 6 and any(
+                    l & 6 and l >> 1 not in labels for l in real):
+                return False
         return True
 
     def _finish_wcnf(self):
         self._drop_trivial()
         hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
                 if cid not in self.soft_label]
-        soft = [(w, list(self._real_lits(cid)))
+        soft = [(w, list(self.real[cid]))
                 for cid, (label, w) in sorted(self.soft_label.items())]
         labels = {label for label, _ in self.soft_label.values()}
         terms, _ = self.objective.literal_form()
@@ -1399,10 +1464,13 @@ class Preprocessor:
         "harden": hardening,
     }
 
-    # worklist pass -> (every candidate, sort key (None: the candidate
-    # itself), the test that applies one candidate, what a changed clause
-    # pushes back, what a changed objective coefficient pushes back)
+    # worklist pass -> (every candidate (dup: real literals -> group), sort
+    # key (None: the candidate itself), the test that applies one candidate,
+    # what a changed clause pushes back, what a changed objective
+    # coefficient pushes back)
     _WORKLISTS = {
+        "dup": (_groups, None, _settle_duplicates, _dup_on_clause,
+                _dup_on_coef),
         "sub": (_clause_ids, None, _sub_at, _sub_on_clause, None),
         "bce": (_clause_ids, None, _bce_at, _bce_on_clause, _on_freed_var),
         "ssr": (_clause_ids, None, _ssr_at, _ssr_on_clause, _on_freed_var),
@@ -1422,7 +1490,8 @@ class Preprocessor:
         for name in names:
             if name in self._WORKLISTS:
                 candidates, *rest = self._WORKLISTS[name]
-                self.worklists[name] = _Worklist(candidates(self), *rest)
+                kind = _Groups if name == "dup" else _Worklist
+                self.worklists[name] = kind(candidates(self), *rest)
         try:
             for _ in range(self.cfg.rounds):
                 changed = False

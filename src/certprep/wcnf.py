@@ -23,14 +23,11 @@ class WcnfInstance:
         self.soft = soft if soft is not None else []
 
     def max_var_index(self):
-        m = 0
-        for cl in self.hard:
-            for lit in cl:
-                m = max(m, pb.var_index(lit >> 1))
-        for _, cl in self.soft:
-            for lit in cl:
-                m = max(m, pb.var_index(lit >> 1))
-        return m
+        # a literal's variable index is the literal shifted right three
+        # places, whatever its namespace, so the largest literal has it
+        tops = [max(cl) for cl in self.hard if cl]
+        tops += [max(cl) for _, cl in self.soft if cl]
+        return max(tops, default=0) >> 3
 
     def __eq__(self, other):
         return (isinstance(other, WcnfInstance)
@@ -82,7 +79,8 @@ def parse_wcnf(text):
         toks = line.split()
         if not toks or toks[0] == "c":
             continue
-        if toks[0] == "p":
+        head = toks[0]
+        if head == "p":
             if saw_clause or top is not None:
                 raise ValueError("line %d: misplaced p-line" % lineno)
             if len(toks) != 5 or toks[1] != "wcnf":
@@ -96,12 +94,29 @@ def parse_wcnf(text):
                 raise ValueError("line %d: bad top weight" % lineno)
             continue
         saw_clause = True
-        if toks[0] == "h":
+        # Fast path for a well-formed clause line: one int pass, literals
+        # packed as mklit(mkvar(|n|), n < 0) would pack them.  A literal 0
+        # packs to 1, which no real literal is.  Anything else falls through
+        # to the checked path below, which raises the error.
+        if toks[-1] == "0" and (head.isdigit() or head == "h" and top is None):
+            try:
+                lits = [n << 3 if n > 0 else -n << 3 | 1
+                        for n in map(int, toks[1:-1])]
+                w = MAX_WEIGHT if head == "h" else int(head)  # h: any weight
+            except ValueError:
+                lits = [1]
+            if 1 not in lits and 0 < w <= MAX_WEIGHT:
+                if head == "h" or top is not None and w >= top:
+                    inst.hard.append(lits)
+                else:
+                    inst.soft.append((w, lits))
+                continue
+        if head == "h":
             if top is not None:
                 raise ValueError("line %d: 'h' clause in legacy format" % lineno)
             inst.hard.append(_parse_clause_lits(toks[1:], lineno))
             continue
-        w = _parse_weight(toks[0], lineno)
+        w = _parse_weight(head, lineno)
         lits = _parse_clause_lits(toks[1:], lineno)
         if top is not None and w >= top:
             inst.hard.append(lits)
@@ -131,10 +146,7 @@ def encode_to_pb(inst):
     soft_info = {}
     next_aux = 1
     for w, cl in inst.soft:
-        lits = []
-        for lit in cl:
-            if lit not in lits:
-                lits.append(lit)
+        lits = list(dict.fromkeys(cl))
         if len(lits) == 1:
             objective.add_literal_term(w, pb.neg(lits[0]))
         else:

@@ -215,6 +215,128 @@ def reference_objective_diff_constraint(a, b):
     return pb.normalize(raw, b.constant - a.constant)
 
 
+def reference_constraint_from_clause(lits):
+    """Every clause through `normalize`, after a list-based de-duplication."""
+    seen = []
+    for lit in lits:
+        if lit not in seen:
+            seen.append(lit)
+    return pb.normalize([(1, lit) for lit in seen], 1)
+
+
+def reference_propagates_at_root(c):
+    """The root-set test by the slack over every term."""
+    slack = sum(coef for coef, _ in c.terms) - c.degree
+    return slack < 0 or any(coef > slack for coef, _ in c.terms)
+
+
+# -- reference WCNF reading and translation -------------------------------------
+#
+# The token-by-token parser, the literal-by-literal max_var_index and the
+# list-based translation that the wcnf fast paths replaced.  The parser's
+# fast path falls back to the same checks for every line it does not accept,
+# so the two must agree on instances and on error texts.
+
+
+def _reference_clause_lits(toks, lineno):
+    if not toks or toks[-1] != "0":
+        raise ValueError("line %d: clause not terminated by 0" % lineno)
+    lits = []
+    for t in toks[:-1]:
+        try:
+            n = int(t)
+        except ValueError:
+            raise ValueError("line %d: bad literal %r" % (lineno, t))
+        if n == 0:
+            raise ValueError("line %d: literal 0 inside clause" % lineno)
+        lits.append(pb.mklit(pb.mkvar(abs(n)), n < 0))
+    return lits
+
+
+def _reference_weight(tok, lineno):
+    if not tok.isdigit():
+        raise ValueError("line %d: bad weight %r" % (lineno, tok))
+    w = int(tok)
+    if w == 0:
+        raise ValueError("line %d: zero-weight soft clause" % lineno)
+    if w > 2**63 - 1:
+        raise ValueError("line %d: weight exceeds 2^63-1" % lineno)
+    return w
+
+
+def reference_parse_wcnf(text):
+    from certprep.wcnf import WcnfInstance
+
+    inst = WcnfInstance()
+    top = None
+    saw_clause = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if not toks or toks[0] == "c":
+            continue
+        if toks[0] == "p":
+            if saw_clause or top is not None:
+                raise ValueError("line %d: misplaced p-line" % lineno)
+            if len(toks) != 5 or toks[1] != "wcnf":
+                raise ValueError("line %d: bad p-line (want 'p wcnf "
+                                 "<nvars> <nclauses> <top>')" % lineno)
+            try:
+                top = int(toks[4])
+            except ValueError:
+                raise ValueError("line %d: bad top weight" % lineno)
+            if top < 1:
+                raise ValueError("line %d: bad top weight" % lineno)
+            continue
+        saw_clause = True
+        if toks[0] == "h":
+            if top is not None:
+                raise ValueError("line %d: 'h' clause in legacy format" % lineno)
+            inst.hard.append(_reference_clause_lits(toks[1:], lineno))
+            continue
+        w = _reference_weight(toks[0], lineno)
+        lits = _reference_clause_lits(toks[1:], lineno)
+        if top is not None and w >= top:
+            inst.hard.append(lits)
+        else:
+            inst.soft.append((w, lits))
+    return inst
+
+
+def reference_max_var_index(inst):
+    m = 0
+    for cl in inst.hard:
+        for lit in cl:
+            m = max(m, pb.var_index(lit >> 1))
+    for _, cl in inst.soft:
+        for lit in cl:
+            m = max(m, pb.var_index(lit >> 1))
+    return m
+
+
+def reference_encode_to_pb(inst):
+    """encode_to_pb with list-based de-duplication and the reference clause
+    constructor."""
+    constraints = [reference_constraint_from_clause(cl) for cl in inst.hard]
+    objective = pb.Objective()
+    soft_info = {}
+    next_aux = 1
+    for w, cl in inst.soft:
+        lits = []
+        for lit in cl:
+            if lit not in lits:
+                lits.append(lit)
+        if len(lits) == 1:
+            objective.add_literal_term(w, pb.neg(lits[0]))
+        else:
+            label = pb.mkvar(next_aux, pb.NS_AUX)
+            next_aux += 1
+            soft_info[len(constraints)] = (label, w)
+            constraints.append(reference_constraint_from_clause(
+                lits + [pb.mklit(label)]))
+            objective.add_literal_term(w, pb.mklit(label))
+    return constraints, objective, soft_info
+
+
 # -- reference propagation ------------------------------------------------------
 #
 # The round-based loops the queue-driven pb.Propagator replaced, kept here as
@@ -304,7 +426,7 @@ def _reference_duplicates_once(p):
     for cid in sorted(p.clauses):
         if p.clauses[cid].is_trivial():
             continue
-        groups.setdefault(p._real_lits(cid), []).append(cid)
+        groups.setdefault(reference_real_lits(p, cid), []).append(cid)
     for key in sorted(groups, key=lambda k: groups[k][0]):
         cids = groups[key]
         hards = [c for c in cids if c not in p.soft_label]
@@ -352,6 +474,12 @@ def reference_lits(p, cid):
     return tuple(lit for _, lit in p.clauses[cid].terms)
 
 
+def reference_real_lits(p, cid):
+    """A clause's literals but its soft label, read from its constraint."""
+    label = p.soft_label[cid][0] if cid in p.soft_label else None
+    return tuple(lit for _, lit in p.clauses[cid].terms if lit >> 1 != label)
+
+
 # The scans that the worklist passes replaced, as the parent commit had them
 # (only `self._lits` now reads the constraint): each finds the first
 # applicable candidate by scanning every candidate after every application.
@@ -366,7 +494,7 @@ def reference_subsumed_once(p):
         for did in sorted(p._occ_ids(rare)):
             if did == cid or did not in p.clauses:
                 continue
-            if not set(lits) <= set(p._real_lits(did)):
+            if not set(lits) <= set(reference_real_lits(p, did)):
                 continue
             if len(reference_lits(p, did)) <= len(lits) and did < cid:
                 continue   # identical clause: keep the earlier copy

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, verdict lines, determinism."""
 
+import gc
 import os
 import pathlib
 import subprocess
@@ -187,3 +188,59 @@ def test_bve_with_a_live_tautology_keeps_the_optimum(tmp_path, capsys):
     assert capsys.readouterr().out == "s VERIFIED OUTPUT EQUIOPTIMAL\n"
     assert run_cli("opt", out) == 0
     assert capsys.readouterr().out == "o 0\n"
+
+
+@pytest.fixture
+def odd_gc_threshold():
+    """A generation-0 threshold no code sets on its own, restored after."""
+    old = gc.get_threshold()
+    gc.set_threshold(1234, 7, 9)
+    yield (1234, 7, 9)
+    gc.set_threshold(*old)
+
+
+def test_cli_restores_the_gc_threshold_on_every_exit(tmp_path, capsys,
+                                                     monkeypatch,
+                                                     odd_gc_threshold):
+    """The CLI raises the generation-0 threshold for its command only, and
+    puts back what it found after exit 0, 1 (rejected) and 2 (malformed
+    input or usage)."""
+    during = []
+    check = cli.check_wcnf_proof
+
+    def recording_check(*args):
+        during.append(gc.get_threshold())
+        return check(*args)
+    monkeypatch.setattr(cli, "check_wcnf_proof", recording_check)
+    code, out, proof = preprocess_golden(tmp_path)
+    assert code == 0 and gc.get_threshold() == odd_gc_threshold
+    assert run_cli("check", GOLDEN, proof, out) == 0
+    assert during == [(cli.GC_THRESHOLD, 7, 9)]
+    assert gc.get_threshold() == odd_gc_threshold
+    tampered = tmp_path / "tampered.pbp"
+    tampered.write_text(proof.read_text().replace("output EQUIOPTIMAL",
+                                                  "output DERIVABLE"))
+    assert run_cli("check", GOLDEN, tampered, out) == 1
+    assert gc.get_threshold() == odd_gc_threshold
+    bad = tmp_path / "bad.wcnf"
+    bad.write_text("h 1 x 0\n")
+    assert run_cli("preprocess", bad, "-o", out, "-p", proof) == 2
+    assert gc.get_threshold() == odd_gc_threshold
+    assert run_cli("check", bad, proof, out) == 2
+    assert gc.get_threshold() == odd_gc_threshold
+    assert run_cli("check", GOLDEN) == 2
+    assert gc.get_threshold() == odd_gc_threshold
+    assert "bad literal 'x'" in capsys.readouterr().err
+
+
+def test_library_calls_leave_the_gc_threshold_alone(odd_gc_threshold):
+    from certprep import preprocess
+    from certprep.checker import check_wcnf_proof
+    from certprep.wcnf import parse_wcnf
+
+    inst = parse_wcnf(GOLDEN.read_text())
+    out, proof, _ = preprocess.run(inst)
+    assert gc.get_threshold() == odd_gc_threshold
+    verdict = check_wcnf_proof(inst, proof.splitlines(), out)
+    assert verdict.accepted and verdict.level == "EQUIOPTIMAL"
+    assert gc.get_threshold() == odd_gc_threshold

@@ -1,0 +1,239 @@
+"""Differential tests for the clause ingest fast paths: the WCNF parser,
+the clause constructor, the root-set test of `Propagator.add`, the PB
+translation and `max_var_index`, each against the form it replaced
+(references in conftest).  The checker reads its inputs through the
+same code as the preprocessor, so a wrong fast path would fool both sides of
+a certified run at once; only a differential test can see it."""
+
+import random
+
+from certprep import pb, wcnf
+from conftest import (random_instance, reference_constraint_from_clause,
+                      reference_encode_to_pb, reference_max_var_index,
+                      reference_parse_wcnf, reference_propagates_at_root)
+
+MAX_WEIGHT = 2**63 - 1
+SPACES = (" ", " ", " ", "  ", "\t", " \t ")
+
+
+def outcome(fn, arg):
+    """What fn(arg) returns, or the text of the ValueError it raises."""
+    try:
+        return "ok", fn(arg)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def literal_token(rng):
+    n = rng.choice((rng.randint(1, 9), rng.randint(1, 300),
+                    rng.randint(1, 10**30)))
+    if rng.random() < 0.5:
+        return "-%d" % n
+    return rng.choice(("%d", "%d", "%d", "+%d", "0%d")) % n
+
+
+def random_wcnf_text(rng):
+    """A valid file: the current dialect or the legacy one (with a top
+    weight that makes some clauses hard), comments and blank lines,
+    irregular whitespace, `+` signs, leading zeros and huge literals."""
+    legacy = rng.random() < 0.35
+    top = rng.choice((1, 2, 5, 10, MAX_WEIGHT, 2**70))
+    lines = []
+    if legacy:
+        lines += ["c legacy"] * rng.randint(0, 2)
+        lines.append("p wcnf %d %d %d" % (rng.randint(1, 50),
+                                          rng.randint(0, 50), top))
+    for _ in range(rng.randint(0, 12)):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(("c", "c a comment", "  c\tindented 1 0")))
+            continue
+        if r < 0.15:
+            lines.append(rng.choice(("", "   ", "\t")))
+            continue
+        if not legacy and rng.random() < 0.4:
+            head = "h"
+        else:
+            w = rng.choice((rng.randint(1, 20), MAX_WEIGHT, top - 1, top,
+                            top + 1))
+            head = ("%d" if rng.random() < 0.9 else "00%d") % min(
+                max(w, 1), MAX_WEIGHT)
+        toks = [head] + [literal_token(rng)
+                         for _ in range(rng.randint(0, 5))] + ["0"]
+        lines.append(rng.choice(("", " ", "\t")) + "".join(
+            t + rng.choice(SPACES) for t in toks[:-1]) + toks[-1]
+            + rng.choice(("", " ", "\t ")))
+    return rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+
+
+BAD_TOKENS = ("x", "0", "-0", "+0", "00", "1.5", "--1", "+-1", "1e3", "²",
+              "٣", "5_0", "0x10", "-", "+", "h", "p", "c")
+
+
+def corrupt(rng, text):
+    """`text` with one line broken the way real files are: the final 0
+    dropped or doubled, a 0 or a bad token put among the literals, a bad or
+    zero or too large weight, an 'h' clause under a p-line, a p-line after
+    a clause or twice, a bad p-line."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    toks = lines[i].split()
+    kind = rng.randrange(8)
+    if kind == 0 and toks:
+        toks = toks[:-1]                                  # missing 0
+    elif kind == 1 and toks:
+        toks.insert(rng.randint(1, len(toks)), rng.choice(BAD_TOKENS))
+    elif kind == 2 and toks:
+        toks[0] = rng.choice(BAD_TOKENS + (
+            "0", "+3", "-3", str(MAX_WEIGHT + 1), "99999999999999999999"))
+    elif kind == 3 and toks:
+        toks[-1] = rng.choice(BAD_TOKENS)                # bad terminator
+    elif kind == 4:
+        toks = ["h"] + toks[1:] if toks else ["h", "1", "0"]
+    elif kind == 5:
+        toks = rng.choice((["p", "wcnf", "3", "3", "5"], ["p", "wcnf", "3"],
+                           ["p", "cnf", "3", "3", "5"],
+                           ["p", "wcnf", "3", "3", "x"],
+                           ["p", "wcnf", "3", "3", "0"]))
+    elif kind == 6:
+        toks = [rng.choice(("h", "3"))] + rng.choice(([], ["1"], ["1", "2"]))
+    else:
+        toks = toks + ["0"]
+    lines[i] = " ".join(toks)
+    return "\n".join(lines)
+
+
+MALFORMED = [
+    "h 1 2",                    # missing terminator
+    "h 1 2 0 0",                # inner 0
+    "2 1 0 3 0",                # literal 0 inside clause
+    "h 1 -0 0",                 # -0 is 0
+    "h 1 +0",                   # +0 does not terminate
+    "h 1 00",                   # nor does 00
+    "0 1 0",                    # zero weight
+    "0",                        # zero weight, nothing else
+    "%d 1 0" % (2**63),         # weight overflow
+    "w 1 0",                    # bad weight token
+    "+5 1 0",                   # a sign is not part of a weight
+    "² 1 0",                    # a digit that int() refuses
+    "h 1 x 0",                  # bad literal
+    "h 1 1.5 0",                # bad literal
+    "h",                        # nothing after h
+    "5",                        # nothing after the weight
+    "p wcnf 2 2\n2 1 0",        # legacy header missing top
+    "p wcnf 2 2 0\n2 1 0",      # bad top
+    "p wcnf 2 2 x\n2 1 0",      # bad top
+    "2 1 0\np wcnf 2 2 5",      # misplaced p-line
+    "p wcnf 2 2 5\np wcnf 2 2 5",   # a second p-line
+    "p wcnf 2 2 5\nh 1 0",      # 'h' inside legacy format
+]
+
+
+def test_parser_matches_reference_on_valid_files():
+    rng = random.Random(9001)
+    kinds = set()
+    for _ in range(3000):
+        text = random_wcnf_text(rng)
+        got = outcome(wcnf.parse_wcnf, text)
+        assert got == outcome(reference_parse_wcnf, text), text
+        assert got[0] == "ok", text
+        inst = got[1]
+        for cl in inst.hard + [cl for _, cl in inst.soft]:
+            assert type(cl) is list
+            kinds.update("neg" if lit & 1 else "pos" for lit in cl)
+            kinds.update("huge" for lit in cl if lit >> 3 > 2**64)
+        kinds.update("soft" for _ in inst.soft)
+    assert kinds == {"neg", "pos", "huge", "soft"}
+
+
+def test_parser_matches_reference_on_malformed_files():
+    rng = random.Random(4711)
+    errors = set()
+    for text in MALFORMED:
+        got = outcome(wcnf.parse_wcnf, text)
+        assert got == outcome(reference_parse_wcnf, text), text
+        assert got[0] == "error", text
+        errors.add(got[1].split(": ", 1)[1].split(" '")[0].split(" (")[0])
+    for _ in range(3000):
+        text = corrupt(rng, random_wcnf_text(rng))
+        got = outcome(wcnf.parse_wcnf, text)
+        assert got == outcome(reference_parse_wcnf, text), text
+        if got[0] == "error":
+            errors.add(got[1].split(": ", 1)[1].split(" '")[0].split(" (")[0])
+    assert len(errors) >= 10, errors
+
+
+def random_lits(rng):
+    """Literals over all three namespaces, with repeats and complementary
+    pairs now and then."""
+    lits = [pb.mklit(pb.mkvar(rng.randint(1, 6), rng.choice((0, 0, 1, 2))),
+                     rng.random() < 0.5) for _ in range(rng.randint(0, 6))]
+    if lits and rng.random() < 0.3:
+        lits.append(rng.choice(lits))
+    if lits and rng.random() < 0.3:
+        lits.append(pb.neg(rng.choice(lits)))
+    rng.shuffle(lits)
+    return lits
+
+
+def test_clause_constructor_matches_normalize():
+    rng = random.Random(1234)
+    seen = set()
+    for _ in range(5000):
+        lits = random_lits(rng)
+        got = pb.constraint_from_clause(lits)
+        assert got == reference_constraint_from_clause(lits), lits
+        assert type(got.terms) is tuple
+        distinct = len({lit >> 1 for lit in lits}) == len(lits)
+        seen.add((distinct, got.degree, len({lit & 6 for lit in lits}) > 1))
+    assert {(True, 1, True), (False, 1, True), (False, 0, True),
+            (False, 1, False)} <= seen
+
+
+def test_root_set_matches_slack_test():
+    rng = random.Random(77)
+    engine = pb.Propagator()
+    roots = 0
+    for cid in range(4000):
+        if rng.random() < 0.5:
+            c = pb.constraint_from_clause(random_lits(rng))
+        else:
+            terms = [(rng.choice((1, 1, 2, 5)), lit) for lit in random_lits(rng)]
+            c = pb.normalize(terms, rng.randint(-1, 4))
+        engine.add(cid, c)
+        assert (cid in engine.roots) == reference_propagates_at_root(c), c
+        roots += cid in engine.roots
+    assert 400 < roots < 3600
+
+
+def with_internal_literals(rng, inst):
+    """`inst` with some literals moved into the _b and _t namespaces."""
+    def move(cl):
+        return [lit | rng.choice((0, 0, 2, 4)) for lit in cl]
+    return wcnf.WcnfInstance([move(cl) for cl in inst.hard],
+                             [(w, move(cl)) for w, cl in inst.soft])
+
+
+def test_encode_to_pb_matches_reference():
+    rng = random.Random(555)
+    for i in range(1500):
+        inst = random_instance(rng, max_vars=8, max_clauses=20)
+        if i % 3 == 0:
+            inst = with_internal_literals(rng, inst)
+        cons, obj, info = wcnf.encode_to_pb(inst)
+        rcons, robj, rinfo = reference_encode_to_pb(inst)
+        assert cons == rcons and obj == robj and info == rinfo
+
+
+def test_max_var_index_matches_reference():
+    rng = random.Random(808)
+    for i in range(1500):
+        inst = random_instance(rng, max_vars=12, max_clauses=20)
+        if i % 4 == 0:
+            inst.hard.append([])
+            inst.soft.append((rng.randint(1, 9), []))
+        if i % 3 == 0:
+            inst = with_internal_literals(rng, inst)
+        assert inst.max_var_index() == reference_max_var_index(inst)
+    assert wcnf.WcnfInstance().max_var_index() == 0
+    assert wcnf.WcnfInstance([[]], [(3, [])]).max_var_index() == 0

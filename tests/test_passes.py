@@ -138,6 +138,38 @@ TARGETED_CASES = [
 ]
 
 
+# Instances 31 and 47 of test_worklists_hold_every_applicable_candidate's
+# random.Random(2718) sequence, and a hand-made one: two live clauses with
+# the same literals used to give `bva` the same suffix twice, so it removed
+# one clause id twice and `Propagator.remove` raised KeyError.
+GROUPS = ("h 1 2 3 0\nh -1 -2 0\nh -1 -3 0\nh -2 -3 0\nh 4 5 6 0\nh -4 -5 0\n"
+          "h -4 -6 0\nh -5 -6 0\nh 7 8 9 0\nh -7 -8 0\nh -7 -9 0\nh -8 -9 0\n"
+          "h 10 11 12 0\nh -10 -11 0\nh -10 -12 0\nh -11 -12 0\n")
+BVA_SHARED_SUFFIX = [
+    (GROUPS + "3 -3 10 0\n3 4 6 0\n3 -10 -2 0\n3 -9 -12 0\n3 12 8 0\n"
+     "3 7 -12 0\n3 9 -5 0\n3 -9 -4 0\n3 4 12 0\n3 4 11 0\n3 -7 -2 0\n"
+     "3 7 -3 0\n3 -3 12 0\n3 2 0\n", preprocess.DEFAULT_TECHNIQUES + ("bva",)),
+    (GROUPS + "3 -3 -6 0\n3 -6 3 0\n3 3 -10 0\n3 1 -7 0\n3 -10 1 0\n"
+     "3 12 -8 0\n3 12 7 0\n3 3 -1 0\n3 -3 1 0\n3 -2 5 0\n3 -12 1 0\n"
+     "3 -3 9 0\n3 -8 5 0\n3 -9 1 0\n3 1 4 0\n2 -4 0\n",
+     preprocess.DEFAULT_TECHNIQUES + ("bva",)),
+    ("h 1 3 0\nh 1 4 0\nh 1 5 0\nh 2 3 0\nh 2 4 0\nh 2 5 0\nh 3 1 0\n"
+     "1 -1 0\n1 -3 0\n", ("bva",)),
+]
+
+
+@pytest.mark.parametrize("text, names", BVA_SHARED_SUFFIX)
+def test_bva_takes_a_shared_suffix_once(text, names):
+    inst = parse_wcnf(text)
+    out, proof, p = preprocess.run(inst, Config(techniques=names))
+    v = check_wcnf_proof(inst, proof.splitlines(), out)
+    assert v.accepted and v.level == "EQUIOPTIMAL", v
+    if names == ("bva",):
+        # (x1 v x3) twice: the factoring applies once and keeps one copy
+        assert p.counts == {"bva": 1}
+        assert write_wcnf(out).startswith("h 1 3 0\nh 3 -6 0\n")
+
+
 @pytest.mark.parametrize("techniques", [STAGE2, None])
 def test_memoised_closure_matches_fresh_propagation(techniques):
     """After every technique application, each live literal's memoised
@@ -249,9 +281,10 @@ def test_worklists_hold_every_applicable_candidate(monkeypatch):
     rng = random.Random(2718)
     for i in range(120):
         inst = (duplicate_instance, label_group_instance)[i % 2](rng)
-        for names in (STAGE2, preprocess.DEFAULT_TECHNIQUES):
+        for names in (STAGE2, preprocess.DEFAULT_TECHNIQUES,
+                      preprocess.DEFAULT_TECHNIQUES + ("bva",)):
             preprocess.run(inst, Config(techniques=names))
-    assert len(checks) > 3000
+    assert len(checks) > 3000 and "bva" in checks
 
 
 def test_passes_match_restarting_references(monkeypatch):

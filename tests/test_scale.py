@@ -15,8 +15,9 @@ duplicates and tautologies exercises the `dup` and `taut` passes alone
 through the CLI, and the SAT oracle runs `trim`'s search pattern on the
 family's hard clauses in lockstep with the scanning reference oracle.
 
-Tests marked `slow` take the family further (nv = 800); the default run
-leaves them out, and `pytest -m slow` runs them."""
+Tests marked `slow` take the family further (nv = 800) and the planted
+duplicates to 64,000 clauses; the default run leaves them out, and
+`pytest -m slow` runs them."""
 
 import random
 
@@ -237,6 +238,25 @@ def test_dup_and_taut_remove_exactly_the_planted_clauses(tmp_path, capsys):
     assert cli.main(["preprocess", str(inp), "-o", str(out), "-p", str(proof),
                      "--techniques=dup,taut"]) == 0
     assert "clauses: 4060 -> 4000" in capsys.readouterr().out
+    assert as_multiset(parse_wcnf(out.read_text())) == \
+        as_multiset(parse_wcnf(expected))
+    assert cli.main(["check", str(inp), str(proof), str(out)]) == 0
+    assert capsys.readouterr().out.strip() == cli.VERIFIED_LINE
+
+
+@pytest.mark.slow
+def test_dup_and_taut_at_64000_clauses(tmp_path, capsys):
+    """The benchmark's large-light shape at four times its size (64,000
+    clauses, 100 planted duplicates and 100 tautologies) through the CLI:
+    the output is the input without the planted clauses, and `check`
+    verifies it."""
+    text, expected = planted_duplicates(
+        64000, nv=16000, n_hard=38300, n_soft=25500, n_dup=100, n_taut=100)
+    inp, out, proof = (tmp_path / n for n in ("in.wcnf", "out.wcnf", "p.pbp"))
+    inp.write_text(text)
+    assert cli.main(["preprocess", str(inp), "-o", str(out), "-p", str(proof),
+                     "--techniques=dup,taut"]) == 0
+    assert "clauses: 64000 -> 63800" in capsys.readouterr().out
     assert as_multiset(parse_wcnf(out.read_text())) == \
         as_multiset(parse_wcnf(expected))
     assert cli.main(["check", str(inp), str(proof), str(out)]) == 0
