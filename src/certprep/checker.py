@@ -54,11 +54,9 @@ block is closed by a bare ``end``.
 """
 
 from . import pb
+from .pb import HEADER, TRAILER
 
 LEVELS = ("EQUIOPTIMAL", "EQUISATISFIABLE", "DERIVABLE")
-
-HEADER = "pseudo-Boolean proof version 2.0"
-TRAILER = "end pseudo-Boolean proof"
 
 
 class ProofRejected(Exception):

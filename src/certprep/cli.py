@@ -4,15 +4,15 @@ Exit codes: 0 success/verified, 1 rejected or unequal, 2 usage or I/O
 error, 3 resource limit.  Diagnostics go to stderr; verdicts and summaries
 to stdout.
 
-``check`` loads only the checker, the PB kernel and the WCNF reader; the
-preprocessor is imported by ``preprocess`` alone.
+Each command loads only what it runs: all of them the PB kernel and the
+WCNF reader, ``preprocess`` the preprocessor and the proof writer (the SAT
+oracle only for ``trim`` or ``harden``), ``check`` the checker.
 """
 
 import argparse
 import gc
 import sys
 
-from .checker import check_wcnf_proof
 from .wcnf import opt_cost_bruteforce, parse_wcnf, write_wcnf
 
 VERIFIED_LINE = "s VERIFIED OUTPUT EQUIOPTIMAL"
@@ -32,6 +32,14 @@ def _proof_lines(fh):
     # the lines of fh.read().splitlines(), read one file line at a time
     for line in fh:
         yield from line.splitlines()
+
+
+def check_wcnf_proof(input_instance, proof_lines, output_instance=None):
+    """``checker.check_wcnf_proof``, looked up when called: only ``check``
+    loads the checker."""
+    from .checker import check_wcnf_proof as check
+
+    return check(input_instance, proof_lines, output_instance)
 
 
 def cmd_preprocess(args):
@@ -70,6 +78,10 @@ def cmd_preprocess(args):
 
 
 def cmd_check(args):
+    # compile the checker before the instances are read: the compiler's
+    # transient then peaks while the process is still small
+    from . import checker  # noqa: F401
+
     try:
         inst = _parse_instance(args.input)
         out = _parse_instance(args.output)

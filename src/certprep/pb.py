@@ -8,6 +8,14 @@ Keeping everything integral makes assignments and witnesses cheap dicts.
 
 Constraints are kept in normalized form: distinct variables, positive
 coefficients, non-negative degree, terms sorted by (namespace, index).
+For literals without a namespace bit that is value order, so a clause of
+problem literals is sorted by value, and so is the part before the label of
+a relaxed soft clause.  An encoding builds its clause terms through one
+table of the terms (1, literal), so a literal costs one such tuple per
+encoding however many clauses hold it.
+
+The proof's first and last lines, ``HEADER`` and ``TRAILER``, are defined
+here: the writer and the checker share them through this kernel alone.
 
 Objective changes travel as deltas: signed (coef, literal) terms plus a
 constant, the payload of an ``obju diff`` step.  ``Objective.delta`` gives
@@ -45,6 +53,12 @@ per false occurrence.  The counters belong to the call; ``add`` and
 ``unit_propagate`` and ``rup_check`` are thin wrappers over a throwaway
 engine.
 """
+
+from functools import reduce
+from operator import or_
+
+HEADER = "pseudo-Boolean proof version 2.0"
+TRAILER = "end pseudo-Boolean proof"
 
 NS_USER = 0
 NS_AUX = 1
@@ -171,15 +185,29 @@ def normalize(raw_terms, degree):
     return LinearConstraint(tuple(terms), deg)
 
 
-def constraint_from_clause(lits):
+def constraint_from_clause(lits, units=None):
     """Clause -> PB: one coefficient-1 term per *distinct* literal, degree 1.
 
     With every variable distinct that is already the normalized form; any
     other clause (a repeated literal, a complementary pair) is normalized.
+    The terms of the first kind are looked up in ``units`` when it is
+    given: a dict literal -> (1, literal) holding every literal of the
+    clause.
     """
     if len({lit >> 1 for lit in lits}) == len(lits):
-        return LinearConstraint(
-            tuple([(1, lit) for lit in sorted(lits, key=lit_sort_key)]), 1)
+        # Literals without a namespace bit sort by value, and before any
+        # literal with one.  So a clause needs lit_sort_key (a call per
+        # literal) only when a literal but the last carries a bit; the last
+        # literal of a relaxed soft clause is its label.
+        if not reduce(or_, lits, 0) & 6:
+            lits = sorted(lits)
+        elif not reduce(or_, lits[:-1], 0) & 6:
+            lits = sorted(lits[:-1]) + [lits[-1]]
+        else:
+            lits = sorted(lits, key=lit_sort_key)
+        if units is None:
+            return LinearConstraint(tuple([(1, lit) for lit in lits]), 1)
+        return LinearConstraint(tuple(map(units.__getitem__, lits)), 1)
     return normalize([(1, lit) for lit in dict.fromkeys(lits)], 1)
 
 

@@ -45,7 +45,6 @@ import io
 from . import pb
 from .pb import (LinearConstraint, Objective, constraint_from_clause,
                  mklit, mkvar, neg)
-from .sat import OracleBudget, SatOracle
 from .wcnf import MAX_WEIGHT, WcnfInstance, encode_to_pb
 from .writer import ProofWriter
 
@@ -224,9 +223,7 @@ class Preprocessor:
         self.counts = {}
         self.cap_hit = False
         self.checkpoints = []
-        self.input_instance = WcnfInstance(
-            [list(c) for c in instance.hard],
-            [(w, list(c)) for w, c in instance.soft])
+        self.input_instance = instance
         self.dirty = False
 
     # ------------------------------------------------------------------
@@ -1221,6 +1218,8 @@ class Preprocessor:
 
     def _oracle(self, on_learn=None):
         """A SAT oracle over the live clauses, trivial ones left out."""
+        from .sat import SatOracle   # only trim and harden load the oracle
+
         oracle = SatOracle(on_learn=on_learn,
                            conflict_budget=self.cfg.oracle_conflicts)
         for cid in sorted(self.clauses):
@@ -1230,6 +1229,8 @@ class Preprocessor:
 
     def trim_maxsat(self):
         """Fix objective literals that a SAT oracle proves entailed false."""
+        from .sat import OracleBudget
+
         derived = []
         oracle = self._oracle(on_learn=lambda lits: derived.append(
             self.writer.rup(constraint_from_clause(lits))))
@@ -1271,6 +1272,8 @@ class Preprocessor:
 
     def hardening(self):
         """Fix objective literals whose cost exceeds a known solution's."""
+        from .sat import OracleBudget
+
         try:
             model = self._oracle().solve()
         except OracleBudget:
@@ -1359,7 +1362,9 @@ class Preprocessor:
         if self.phase == "wcnf":
             if not self.dirty:
                 self.writer.conclude("EQUIOPTIMAL")
-                return self.input_instance
+                inst = self.input_instance
+                return WcnfInstance([list(c) for c in inst.hard],
+                                    [(w, list(c)) for w, c in inst.soft])
             if self._pristine_softs():
                 return self._finish_wcnf()
             self.convert_to_objective_centric()

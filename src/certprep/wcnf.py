@@ -9,6 +9,11 @@ The PB translation mirrors the cost semantics exactly: hard clauses become
 clausal constraints, a unit soft (u, w) contributes w * ~u to the objective,
 and every other soft clause C gets a fresh relaxer b with constraint
 asPB(C v b) and objective term w * b.
+
+Both steps keep a repeated value once per call: a parse packs each distinct
+literal token to one int, and an encoding builds one (1, literal) term per
+distinct literal.  So an instance costs memory per distinct literal plus
+one reference per occurrence.  The tables live for their call alone.
 """
 
 from . import pb
@@ -60,6 +65,18 @@ def _parse_clause_lits(toks, lineno):
     return lits
 
 
+class _PackedTokens(dict):
+    """Clause token -> packed literal, filled by one parse as tokens come,
+    so that each distinct token packs to one int object.  The literal 0
+    packs to 1, which no real literal is; a token that int() refuses
+    raises its ValueError."""
+
+    def __missing__(self, tok):
+        n = int(tok)
+        lit = self[tok] = n << 3 if n > 0 else -n << 3 | 1
+        return lit
+
+
 def _parse_weight(tok, lineno):
     if not tok.isdigit():
         raise ValueError("line %d: bad weight %r" % (lineno, tok))
@@ -73,6 +90,7 @@ def _parse_weight(tok, lineno):
 
 def parse_wcnf(text):
     inst = WcnfInstance()
+    packed = _PackedTokens()
     top = None
     saw_clause = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -94,14 +112,13 @@ def parse_wcnf(text):
                 raise ValueError("line %d: bad top weight" % lineno)
             continue
         saw_clause = True
-        # Fast path for a well-formed clause line: one int pass, literals
-        # packed as mklit(mkvar(|n|), n < 0) would pack them.  A literal 0
-        # packs to 1, which no real literal is.  Anything else falls through
-        # to the checked path below, which raises the error.
+        # Fast path for a well-formed clause line: literals packed as
+        # mklit(mkvar(|n|), n < 0) would pack them, once per distinct token.
+        # Anything else falls through to the checked path below, which
+        # raises the error.
         if toks[-1] == "0" and (head.isdigit() or head == "h" and top is None):
             try:
-                lits = [n << 3 if n > 0 else -n << 3 | 1
-                        for n in map(int, toks[1:-1])]
+                lits = list(map(packed.__getitem__, toks[1:-1]))
                 w = MAX_WEIGHT if head == "h" else int(head)  # h: any weight
             except ValueError:
                 lits = [1]
@@ -139,9 +156,13 @@ def encode_to_pb(inst):
 
     soft_info maps constraint position -> (label_var, weight) for relaxed
     (non-unit) soft clauses; hard clauses and unit softs have no entry.
-    Duplicate unit softs merge additively into the objective.
+    Duplicate unit softs merge additively into the objective.  Equal clause
+    terms are one tuple within the result.
     """
-    constraints = [pb.constraint_from_clause(cl) for cl in inst.hard]
+    # one term (1, literal) per distinct literal, for every clause holding it
+    units = {lit: (1, lit) for lit in set().union(
+        *inst.hard, *[cl for _, cl in inst.soft])}
+    constraints = [pb.constraint_from_clause(cl, units) for cl in inst.hard]
     objective = pb.Objective()
     soft_info = {}
     next_aux = 1
@@ -153,8 +174,10 @@ def encode_to_pb(inst):
             label = pb.mkvar(next_aux, pb.NS_AUX)
             next_aux += 1
             soft_info[len(constraints)] = (label, w)
-            constraints.append(pb.constraint_from_clause(lits + [pb.mklit(label)]))
-            objective.add_literal_term(w, pb.mklit(label))
+            lit = pb.mklit(label)
+            units[lit] = (1, lit)
+            constraints.append(pb.constraint_from_clause(lits + [lit], units))
+            objective.add_literal_term(w, lit)
     return constraints, objective, soft_info
 
 

@@ -8,7 +8,7 @@ for timing comparisons.
 """
 
 from . import pb
-from .checker import HEADER, TRAILER
+from .pb import HEADER, TRAILER
 
 
 class ProofWriter:

@@ -126,23 +126,44 @@ def test_check_undecodable_proof_is_an_io_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and not captured.out
 
 
-def test_check_does_not_load_the_preprocessor():
-    """`certprep check` imports neither the preprocessor nor the modules
-    only it uses, before or after checking the golden proof."""
+def loaded_modules(argv, names):
+    """Run `cli.main(argv)` in a fresh interpreter: which of `names` are
+    loaded after `from certprep import cli`, which after the command, and
+    its exit code."""
     script = (
         "import sys\n"
         "from certprep import cli\n"
-        "others = ('certprep.preprocess', 'certprep.sat', 'certprep.writer')\n"
-        "before = [m for m in others if m in sys.modules]\n"
+        "names = %r\n"
+        "before = [m for m in names if m in sys.modules]\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(before, [m for m in others if m in sys.modules], code)\n")
+        "print(before, [m for m in names if m in sys.modules], code)\n"
+        % (names,))
     src = os.path.dirname(os.path.dirname(certprep.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run(
-        [sys.executable, "-c", script, "check", str(GOLDEN),
-         str(DATA / "golden.pbp"), str(DATA / "golden.out.wcnf")],
-        capture_output=True, text=True, env=env, check=True)
-    assert res.stdout.splitlines()[-1] == "[] [] 0"
+    res = subprocess.run([sys.executable, "-c", script] + [str(a) for a in argv],
+                         capture_output=True, text=True, env=env, check=True)
+    return res.stdout.splitlines()[-1]
+
+
+def test_check_does_not_load_the_preprocessor():
+    """`certprep check` imports neither the preprocessor nor the modules
+    only it uses, before or after checking the golden proof."""
+    others = ("certprep.preprocess", "certprep.sat", "certprep.writer")
+    argv = ["check", GOLDEN, DATA / "golden.pbp", DATA / "golden.out.wcnf"]
+    assert loaded_modules(argv, others) == "[] [] 0"
+
+
+@pytest.mark.parametrize("extra, loaded", [
+    ((), "[]"),
+    (("--techniques=dup,up,trim",), "['certprep.sat']"),
+])
+def test_preprocess_loads_the_oracle_only_for_it(tmp_path, extra, loaded):
+    """`certprep preprocess` never imports the checker, and imports the SAT
+    oracle only when a technique that calls it is selected."""
+    argv = ["preprocess", GOLDEN, "-o", tmp_path / "out.wcnf",
+            "-p", tmp_path / "proof.pbp", *extra]
+    names = ("certprep.checker", "certprep.sat")
+    assert loaded_modules(argv, names) == "[] %s 0" % loaded
 
 
 def test_opt_reports_optimum(capsys):

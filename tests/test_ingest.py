@@ -5,7 +5,9 @@ translation and `max_var_index`, each against the form it replaced
 same code as the preprocessor, so a wrong fast path would fool both sides of
 a certified run at once; only a differential test can see it."""
 
+import gc
 import random
+import tracemalloc
 
 from certprep import pb, wcnf
 from conftest import (random_instance, reference_constraint_from_clause,
@@ -237,3 +239,88 @@ def test_max_var_index_matches_reference():
         assert inst.max_var_index() == reference_max_var_index(inst)
     assert wcnf.WcnfInstance().max_var_index() == 0
     assert wcnf.WcnfInstance([[]], [(3, [])]).max_var_index() == 0
+
+
+def test_clause_constructor_orders_mixed_namespaces():
+    """A problem clause with one internal literal first, in the middle or
+    last: value order would put the internal literal among the problem
+    ones, namespace-major order puts it last."""
+    rng = random.Random(2468)
+    for _ in range(3000):
+        lits = [pb.mklit(pb.mkvar(v), rng.random() < 0.5)
+                for v in rng.sample(range(2, 60), rng.randint(2, 5))]
+        inner = pb.mklit(pb.mkvar(rng.randint(1, 70), rng.choice((1, 2))),
+                         rng.random() < 0.5)
+        for pos in (0, len(lits) // 2, len(lits)):
+            clause = lits[:pos] + [inner] + lits[pos:]
+            got = pb.constraint_from_clause(clause)
+            assert got == reference_constraint_from_clause(clause), clause
+            assert got.terms[-1][1] == inner
+            assert pb.constraint_from_clause(tuple(clause)) == got
+
+
+# -- one object per distinct value -------------------------------------------
+#
+# Each call keeps one int per distinct literal token and one (1, literal)
+# term per distinct literal.  Variables start above 32: CPython keeps one
+# object for each int up to 256 anyway, which is literal 31 packed.
+
+
+def large_light_text(rng, nv=1000, n_hard=2400, n_soft=1600):
+    """The large-light benchmark's shape at a quarter of its size: hard
+    clauses of width 3-5, relaxed softs of width 2-3, distinct variables
+    within each clause."""
+    def clause(width):
+        return " ".join(str(v if rng.random() < 0.5 else -v)
+                        for v in rng.sample(range(33, 33 + nv), width))
+    lines = ["h %s 0" % clause(rng.randint(3, 5)) for _ in range(n_hard)]
+    lines += ["%d %s 0" % (rng.randint(1, 9), clause(rng.randint(2, 3)))
+              for _ in range(n_soft)]
+    return "\n".join(lines) + "\n"
+
+
+def test_one_int_per_literal_token_and_one_term_per_literal():
+    text = large_light_text(random.Random(31), 300, 600, 400)
+    inst = wcnf.parse_wcnf(text)
+    first = {}
+    for cl in inst.hard + [cl for _, cl in inst.soft]:
+        for lit in cl:
+            assert first.setdefault(lit, lit) is lit
+    assert len(first) <= 600
+    again = wcnf.parse_wcnf(text)     # its own table: new ints
+    assert not {id(lit) for cl in again.hard for lit in cl} & set(
+        map(id, first.values()))
+    encodings = [wcnf.encode_to_pb(inst), wcnf.encode_to_pb(inst)]
+    seen = []
+    for cons, _, _ in encodings:
+        terms = {}
+        for c in cons:
+            for term in c.terms:
+                assert terms.setdefault(term[1], term) is term
+                assert term[1] is first.get(term[1], term[1])
+        seen.append({id(t) for t in terms.values()})
+    assert not seen[0] & seen[1]      # a table serves one call alone
+
+
+def retained_bytes(fn, arg):
+    """Bytes that fn(arg) allocates and its result keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(arg)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return size
+
+
+def test_parse_and_encode_keep_repeated_values_once():
+    text = large_light_text(random.Random(17))
+    parsed = retained_bytes(wcnf.parse_wcnf, text)
+    assert parsed <= 0.8 * retained_bytes(reference_parse_wcnf, text)
+    inst = wcnf.parse_wcnf(text)
+    encoded = retained_bytes(wcnf.encode_to_pb, inst)
+    assert encoded <= 0.6 * retained_bytes(reference_encode_to_pb, inst)

@@ -404,11 +404,18 @@ def test_hardening_fixes_expensive_literal():
 def test_no_techniques_returns_input_verbatim():
     inst = WcnfInstance([[x(1), x(2)], [nx(2)]],
                         [(1, [nx(1)]), (2, [x(3), nx(4)]), (3, [x(4), nx(5)])])
+    before = write_wcnf(inst)
     out, proof, p = preprocess.run(inst, Config(techniques=()))
     verified(inst, out, proof)
     assert out == inst
-    assert write_wcnf(out) == write_wcnf(inst)
+    assert write_wcnf(out) == before
     assert p.counts == {}
+    # the output is a copy: changing it leaves the input as it was
+    out.hard[0].append(x(6))
+    out.soft[1][1].append(x(6))
+    out.hard.append([x(7)])
+    out.soft.append((5, [x(7)]))
+    assert write_wcnf(inst) == before
 
 
 def test_stage2_only_keeps_soft_clauses():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from certprep import pb, preprocess
+from certprep import pb, preprocess, sat
 from certprep.checker import check_wcnf_proof
 from certprep.preprocess import DEFAULT_TECHNIQUES, Config
 from certprep.sat import OracleBudget, SatOracle
@@ -252,7 +252,7 @@ def test_trim_and_harden_proofs_match_the_reference_oracle(monkeypatch):
     cfg = Config(techniques=DEFAULT_TECHNIQUES + ("trim", "harden"))
     out, proof, p = preprocess.run(inst, cfg)
     assert p.counts.get("trim", 0) > 0 and p.counts.get("harden", 0) > 0
-    monkeypatch.setattr(preprocess, "SatOracle", ReferenceSatOracle)
+    monkeypatch.setattr(sat, "SatOracle", ReferenceSatOracle)
     ref_out, ref_proof, _ = preprocess.run(inst, cfg)
     assert write_wcnf(out) == write_wcnf(ref_out)
     assert proof == ref_proof
