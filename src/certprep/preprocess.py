@@ -21,22 +21,32 @@ there are no labels, so every clause is hard.  Clauses enter the store
 through ``_install`` and every technique takes them out through
 ``_remove_clause``, which also logs the ``delc`` and retires a soft label.
 
-The passes ``sub``, ``bce``, ``ssr``, ``sle``, ``bve`` and ``lm`` are driven
-by worklists (the touched-variable queue of SatELite, Een & Biere 2005).
-Each keeps a heap of the candidates (clause ids or variables) it still has
-to test, in the order the restart-from-scratch scan would test them.
-Invariant: a candidate absent from its pass's heap is known not to apply.
-A candidate that tests "not applicable" leaves the heap; ``_install``,
-``_uninstall`` and ``_update_objective`` push back every candidate whose
-test reads the changed clause's occurrences or the changed coefficient
-(the hooks in ``_WORKLISTS`` say which).  So a pass still
-applies the first applicable candidate in scan order, and a round that
-changes nothing near a candidate does not test it again.  The heaps live
+Every pass but the one-shot oracle passes ``trim`` and ``harden`` has one
+shape, a row of ``_WORKLISTS`` drained by ``_drain``: its candidates
+(clause ids, literals or variables), their sort key, a test that applies
+one candidate, and the hooks that a changed clause and a changed objective
+coefficient call.  Each pass keeps a heap of the candidates it still has to
+test (the touched-variable queue of SatELite, Een & Biere 2005), and pops
+them in the order a scan that restarts after every application would test
+them, so it applies what that scan would.  A candidate that tests "not
+applicable" leaves the heap; ``_install``, ``_uninstall`` and
+``_update_objective`` call every list's hooks.
+
+A precise hook pushes back exactly the candidates whose test reads the
+change: ``dup`` the head of a changed group, ``up``, ``taut`` and ``empty``
+a new clause they can accept, ``sub``, ``bce``, ``ssr``, ``sle``, ``bve``
+and ``lm`` the clauses or variables near it.  The other passes (``fle``,
+``impl``, ``eql``, ``gsle``, ``bva``, ``am1``, ``bcr``, ``sbl``) read more
+than such a hook would track, so their hook, ``_restart``, marks the list
+stale on any change, and ``_drain`` refills a stale list with every
+candidate before it pops.  That replays the restarting scan, yet a pass
+with no change since its last drain tests nothing.
+
+Invariant: a candidate absent from a list that is not stale is known not
+to apply (a stale list counts as holding every candidate).  The lists live
 for one stage: they are filled with every candidate when the stage starts
 (for stage 4, right after the objective-centric switch drops every soft
-label at once) and emptied when it ends.  ``dup`` keeps its groups of
-clauses with the same real literals the same way (``_Groups``): a pass
-settles only the groups changed since the last one, ordered when it starts.
+label at once) and dropped when it ends.
 """
 
 import heapq
@@ -92,36 +102,32 @@ def _unit(lit):
     return constraint_from_clause([lit])
 
 
-def _exhaustively(once):
-    """The pass that repeats `once` until it applies nothing; it returns
-    whether anything applied."""
-    def run(self):
-        changed = False
-        while once(self):
-            changed = True
-        return changed
-    return run
-
-
 class _Worklist:
     """The candidates one pass still has to test, smallest sort key first
     (`key` None: the candidate is its own key), with the pass's test and the
-    hooks that push candidates back after a change (see the module
-    docstring)."""
+    hooks that push candidates back after a change or mark the list stale
+    (see the module docstring).  It starts with every candidate of `p`."""
 
-    __slots__ = ("key", "heap", "queued", "test", "on_clause", "on_coef")
+    __slots__ = ("candidates", "key", "test", "on_clause", "on_coef",
+                 "heap", "queued", "stale")
 
-    def __init__(self, candidates, key, test, on_clause, on_coef):
+    def __init__(self, p, candidates, key, test, on_clause, on_coef):
+        self.candidates = candidates
         self.key = key
         self.test = test
         self.on_clause = on_clause
         self.on_coef = on_coef
-        self.queued = set(candidates)
-        if key is None:
+        self.fill(p)
+
+    def fill(self, p):
+        """Hold every candidate of `p` and nothing else."""
+        self.queued = set(self.candidates(p))
+        if self.key is None:
             self.heap = list(self.queued)
         else:
-            self.heap = [(key(c), c) for c in self.queued]
+            self.heap = [(self.key(c), c) for c in self.queued]
         heapq.heapify(self.heap)
+        self.stale = False
 
     def push(self, c):
         if c not in self.queued:
@@ -140,22 +146,10 @@ class _Worklist:
         return c
 
 
-class _Groups:
-    """dup's worklist, built like a _Worklist (`key` is None): the live
-    non-trivial clauses grouped by their real literals (ids ascending, since
-    ids only grow), and the keys of the groups changed since they were last
-    settled.  A group's place in the settling order is its smallest live
-    id, which other passes move, so `remove_duplicates` orders the changed
-    groups when it starts."""
-
-    __slots__ = ("members", "queued", "test", "on_clause", "on_coef")
-
-    def __init__(self, members, key, test, on_clause, on_coef):
-        self.members = members
-        self.queued = set(members)
-        self.test = test
-        self.on_clause = on_clause
-        self.on_coef = on_coef
+def _restart(self, wl, *change):
+    """The hook of a pass whose test reads more than a precise hook would
+    track: any clause or coefficient change marks its list stale."""
+    wl.stale = True
 
 
 def _on_each_var(on_coef):
@@ -167,19 +161,40 @@ def _on_each_var(on_coef):
     return on_clause
 
 
+def _clauses_where(accepts):
+    """The candidates of a pass whose test can accept only the clauses
+    `accepts` holds for, a property fixed when the clause is installed."""
+    def candidates(self):
+        return [cid for cid in self.clauses if accepts(self, cid)]
+    return candidates
+
+
+def _on_new(accepts):
+    """The clause hook of such a pass: a new clause it can accept is
+    pushed, and a removal makes no other clause acceptable."""
+    def on_clause(self, wl, cid, lits, added):
+        if added and accepts(self, cid):
+            wl.push(cid)
+    return on_clause
+
+
 def _drain(name):
     """The worklist pass `name`: test the pending candidates smallest first
-    and apply each one that applies, keeping it pending since it may apply
-    again; it returns whether anything applied."""
+    (after refilling a stale list with every candidate) and apply each one
+    that applies, keeping it pending since it may apply again; it returns
+    whether anything applied."""
     def run(self):
         wl = self.worklists[name]
         changed = False
-        while wl.heap:
+        while True:
+            if wl.stale:
+                wl.fill(self)
+            if not wl.heap:
+                return changed
             c = wl.pop()
             if wl.test(self, c):
                 wl.push(c)
                 changed = True
-        return changed
     return run
 
 
@@ -210,6 +225,7 @@ class Preprocessor:
         self.lits = {}          # cid -> its literals, in term order
         self.real = {}          # soft cid -> its literals but its label
         self.worklists = {}     # pass name -> _Worklist, during a stage
+        self.groups = None      # dup's groups, while dup has a worklist
         self.closures = {}      # start literals -> _up_closure result
         self.soft_label = {}    # cid -> (label var, weight), WCNF phase only
         self.core_live = set(range(1, len(cons) + 1))
@@ -339,12 +355,10 @@ class Preprocessor:
         Emits the objective update, shrinks every clause containing ~lit,
         drops every other clause containing lit, retires satisfied soft
         labels, and finally deletes `pid` itself with the witness {var->val}.
-        Returns the ids of newly created unit clauses.
         """
         v = lit >> 1
         val = 0 if lit & 1 else 1
         self._update_objective(*self.objective.delta({v: val}))
-        units = []
         for cid in sorted(self._occ_ids(neg(lit))):
             new = pb.add(self.clauses[cid], _unit(lit))
             nid = self._core_pol([cid, pid, "+"])
@@ -354,8 +368,6 @@ class Preprocessor:
             if not new.terms and new.degree:
                 raise Infeasible(nid)
             self._install(nid, new)
-            if self._is_hard_unit(nid):
-                units.append(nid)
         for cid in sorted(self._occ_ids(lit)):
             if cid != pid:
                 self._remove_clause(cid)
@@ -363,7 +375,6 @@ class Preprocessor:
             self._remove_clause(pid, {v: val})
         else:
             self._delc(pid, {v: val})
-        return units
 
     def _retire_soft_label(self, label):
         # the label no longer occurs in any clause; drop its objective term
@@ -374,92 +385,83 @@ class Preprocessor:
     # ------------------------------------------------------------------
     # stage 2: clause-level simplification (WCNF phase)
 
-    def propagate_hard_units(self):
-        queue = [cid for cid in sorted(self.clauses) if self._is_hard_unit(cid)]
-        changed = False
-        while queue:
-            pid = queue.pop(0)
-            if pid not in self.clauses or not self._is_hard_unit(pid):
-                continue
-            changed = True
-            self._count("up")
-            queue.extend(self.fix_literal(self.lits[pid][0], pid))
-        return changed
-
     def _is_hard_unit(self, cid):
-        c = self.clauses[cid]
-        return (len(c.terms) == 1 and c.degree == 1
+        c = self.clauses.get(cid)
+        return (c is not None and len(c.terms) == 1 and c.degree == 1
                 and cid not in self.soft_label)
 
-    def remove_duplicates(self):
-        """Settle every changed group of clauses with the same real literals
-        (at a stage's start, every group).
+    def _up_at(self, pid):
+        """up: propagate the hard unit `pid`.  The units this makes are new
+        clauses, with ids above every pending one, so draining by id
+        propagates the units in the order they appear."""
+        if not self._is_hard_unit(pid):
+            return False
+        self._count("up")
+        self.fix_literal(self.lits[pid][0], pid)
+        return True
 
-        The groups are settled from a heap keyed by each group's smallest
-        live id, one action at a time, so the action applied is always the
-        first applicable one in id order, as if the clauses were regrouped
-        after every action.  That holds because an action changes no other
-        group's verdict: it deletes only its own members and installs
-        nothing, moves objective weight only onto or off its own labels, and
-        syncing the unit soft (u) adds weight on ~u, which can only keep the
-        group (~u) from applying.  Only the group just changed is pushed
-        again, under its new smallest id.  A group that did not apply and
-        has not changed since (see `_dup_on_clause` and `_dup_on_coef`)
-        still does not, so a later pass leaves it out.
-        """
-        wl = self.worklists["dup"]
-        groups = wl.members
-        # a lone clause can apply only as a unit soft the objective pays for
-        heap = [(groups[key][0], key) for key in wl.queued
-                if key in groups and (len(groups[key]) > 1 or len(key) == 1)]
-        wl.queued = set()
-        heapq.heapify(heap)
-        changed = False
-        while heap:
-            _, key = heapq.heappop(heap)
-            if not self._settle_duplicates(key):
-                continue
-            changed = True
-            if key in groups:
-                heapq.heappush(heap, (groups[key][0], key))
-        return changed
+    def _dup_heads(self, keys):
+        """The smallest id of each group among `keys` that can apply: one
+        with two or more members, or a lone clause that is a unit (only as
+        a unit soft the objective pays for)."""
+        groups = self.groups
+        return [groups[k][0] for k in keys
+                if k in groups and (len(groups[k]) > 1 or len(k) == 1)]
 
-    def _groups(self):
-        """dup's candidates: real literals -> the live non-trivial clauses
-        with them, ids ascending."""
-        groups = {}
-        for cid in sorted(self.clauses):
-            if self.clauses[cid].degree:
-                groups.setdefault(self._real_lits(cid), []).append(cid)
-        return groups
+    def _dup_candidates(self):
+        """The heads of dup's groups: real literals -> the live non-trivial
+        clauses with them, ids ascending.  The groups are built once, with
+        dup's worklist; from then on dup's hooks keep them."""
+        if self.groups is None:
+            self.groups = {}
+            for cid in sorted(self.clauses):
+                if self.clauses[cid].degree:
+                    self.groups.setdefault(self._real_lits(cid),
+                                           []).append(cid)
+        return self._dup_heads(self.groups)
+
+    def _dup_at(self, cid):
+        """dup: settle the group of clause `cid` if `cid` is its smallest
+        live id.  So the action applied is always the first applicable one
+        in id order, as if the clauses were regrouped after every action:
+        an action changes no other group's verdict.  It deletes only its own
+        members and installs nothing, moves objective weight only onto or
+        off its own labels, and syncing the unit soft (u) adds weight on
+        ~u, which can only keep the group (~u) from applying."""
+        c = self.clauses.get(cid)
+        if c is None or not c.degree:
+            return False
+        key = self._real_lits(cid)
+        return self.groups[key][0] == cid and self._settle_duplicates(key)
 
     def _dup_on_clause(self, wl, cid, lits, added):
-        """dup: a clause joins or leaves the group of its real literals."""
+        """dup: a clause joins or leaves the group of its real literals,
+        and the group's head is pushed."""
         key = self.real.get(cid, lits)
+        groups = self.groups
         if added:
-            if self.clauses[cid].degree:
-                wl.members.setdefault(key, []).append(cid)
-                wl.queued.add(key)
-            return
-        cids = wl.members.get(key)
-        if cids and cid in cids:        # not if it was trivial
+            if not self.clauses[cid].degree:
+                return
+            groups.setdefault(key, []).append(cid)
+        else:
+            cids = groups.get(key)
+            if not cids or cid not in cids:     # it was trivial
+                return
             cids.remove(cid)
-            if cids:
-                wl.queued.add(key)
-            else:
-                del wl.members[key]
+            if not cids:
+                del groups[key]
+                return
+        wl.extend(self._dup_heads((key,)))
 
     def _dup_on_coef(self, wl, v):
         """dup: the group of a unit (u) reads the coefficient on u's
         variable."""
-        for key in ((mklit(v),), (mklit(v, True),)):
-            if key in wl.members:
-                wl.queued.add(key)
+        wl.extend(self._dup_heads(((mklit(v),), (mklit(v, True),))))
 
     def _settle_duplicates(self, key):
         """Apply the first applicable action to the live clauses (ascending)
         whose real literals are `key`; True if one applied."""
-        cids = self.worklists["dup"].members.get(key, ())
+        cids = self.groups.get(key, ())
         hards = [c for c in cids if c not in self.soft_label]
         softs = [c for c in cids if c in self.soft_label]
         # the first hard copy makes the later hard copies redundant and,
@@ -509,32 +511,34 @@ class Preprocessor:
         self.soft_label[keep] = (bc, wc + wd)
         return True
 
-    def remove_tautologies(self):
-        changed = False
-        for cid in sorted(self.clauses):
-            if not self.clauses[cid].is_trivial():
-                continue
-            self._remove_clause(cid)   # negating a trivial constraint conflicts
-            self._count("taut")
-            changed = True
-        return changed
+    def _is_trivial(self, cid):
+        c = self.clauses.get(cid)
+        return c is not None and c.is_trivial()
 
-    def remove_empty_softs(self):
-        changed = False
-        for cid in sorted(self.clauses):
-            if cid not in self.soft_label:
-                continue
-            c = self.clauses[cid]
-            label, w = self.soft_label[cid]
-            if c.degree != 1 or self._real_lits(cid):
-                continue
-            # nothing left but the relaxer: the weight is paid forever
-            self._update_objective(*self.objective.delta({label: 1}))
-            del self.soft_label[cid]
-            self._remove_clause(cid, {label: 1})
-            self._count("empty")
-            changed = True
-        return changed
+    def _taut_at(self, cid):
+        """taut: remove clause `cid` if it is trivial."""
+        if not self._is_trivial(cid):
+            return False
+        self._remove_clause(cid)   # negating a trivial constraint conflicts
+        self._count("taut")
+        return True
+
+    def _is_empty_soft(self, cid):
+        c = self.clauses.get(cid)
+        return (c is not None and c.degree == 1 and cid in self.soft_label
+                and not self.real[cid])
+
+    def _empty_at(self, cid):
+        """empty: a soft clause with nothing left but its label pays its
+        weight forever; move the weight into the objective constant."""
+        if not self._is_empty_soft(cid):
+            return False
+        label = self.soft_label[cid][0]
+        self._update_objective(*self.objective.delta({label: 1}))
+        del self.soft_label[cid]
+        self._remove_clause(cid, {label: 1})
+        self._count("empty")
+        return True
 
     def _clause_ids(self):
         return self.clauses.keys()
@@ -709,65 +713,65 @@ class Preprocessor:
             for l in lits:
                 wl.extend(self._occ_ids(neg(l)))
 
-    def _fle_candidates(self):
-        for lit in sorted(self.occ, key=pb.lit_sort_key):
-            if not self.occ[lit]:
-                continue
-            # fixing lit=0 must not pay anything: ~lit may not be a paid term
-            coef = self.objective.coef(lit >> 1)
-            if (coef < 0) if lit & 1 == 0 else (coef > 0):
-                continue
-            yield lit
+    def _live_lits(self):
+        return self.occ.keys()
 
-    def _fle_once(self):
-        for lit in self._fle_candidates():
-            closure, conflict = self._up_closure([lit])
-            if conflict:
-                pid = self._core_rup(_unit(neg(lit)))
-                self.fix_literal(neg(lit), pid)
-                self._count("fle")
-                return True
-            if all(any(l2 != lit and l2 in closure for l2 in self.lits[cid])
-                   for cid in self._occ_ids(lit)):
-                pid = self._core_red(_unit(neg(lit)),
-                                     {lit >> 1: 1 if lit & 1 else 0})
-                self.fix_literal(neg(lit), pid)
-                self._count("fle")
-                return True
-        return False
+    def _fle_at(self, lit):
+        """fle: fix ~lit if lit's closure conflicts, or if it satisfies
+        every clause with lit through another literal.  Fixing lit = 0 must
+        not pay anything: ~lit may not be a paid term."""
+        coef = self.objective.coef(lit >> 1)
+        if not self._occ_ids(lit) or ((coef < 0) if lit & 1 == 0
+                                      else (coef > 0)):
+            return False
+        closure, conflict = self._up_closure([lit])
+        if conflict:
+            pid = self._core_rup(_unit(neg(lit)))
+        elif all(any(l2 != lit and l2 in closure for l2 in self.lits[cid])
+                 for cid in self._occ_ids(lit)):
+            pid = self._core_red(_unit(neg(lit)),
+                                 {lit >> 1: 1 if lit & 1 else 0})
+        else:
+            return False
+        self.fix_literal(neg(lit), pid)
+        self._count("fle")
+        return True
 
-    def _probes(self):
-        """Each live literal l1, in literal order, whose closure and whose
-        negation's closure both end without conflict, as (l1, the other
-        literals of l1's closure in literal order, the closure of ~l1).
-        A conflict on either side leaves neither impl nor eql anything to
+    def _probe(self, l1):
+        """(the other literals of l1's closure in literal order, the closure
+        of ~l1) if both closures end without conflict, else None: a
+        conflict on either side leaves neither impl nor eql anything to
         apply to l1."""
-        for l1 in sorted((l for l in self.occ if self.occ[l]),
-                         key=pb.lit_sort_key):
-            pos, conflict = self._up_closure([l1])
-            if conflict:
-                continue
-            neg_cl, conflict = self._up_closure([neg(l1)])
-            if not conflict:
-                yield l1, sorted(pos - {l1}, key=pb.lit_sort_key), neg_cl
+        pos, conflict = self._up_closure([l1])
+        if conflict:
+            return None
+        neg_cl, conflict = self._up_closure([neg(l1)])
+        if conflict:
+            return None
+        return sorted(pos - {l1}, key=pb.lit_sort_key), neg_cl
 
-    def _impl_once(self):
-        for l1, implied, neg_cl in self._probes():
-            for l2 in implied:
-                if l2 in neg_cl:
-                    self._fix_implied(l1, l2, witnessed=False)
-                    return True
-            # extension: one-sided implication with flippable ~l2 clauses
-            if self.objective.coef(l1 >> 1):
+    def _impl_at(self, l1):
+        """impl: fix the first l2 implied both by l1 and by ~l1, or one that
+        l1 implies when every clause with ~l2 is satisfied under ~l1."""
+        probe = self._probe(l1)
+        if probe is None:
+            return False
+        implied, neg_cl = probe
+        for l2 in implied:
+            if l2 in neg_cl:
+                self._fix_implied(l1, l2, witnessed=False)
+                return True
+        # extension: one-sided implication with flippable ~l2 clauses
+        if self.objective.coef(l1 >> 1):
+            return False
+        for l2 in implied:
+            if self.objective.coef(l2 >> 1) or not self._occ_ids(neg(l2)):
                 continue
-            for l2 in implied:
-                if self.objective.coef(l2 >> 1) or not self._occ_ids(neg(l2)):
-                    continue
-                if all(any(l3 != neg(l2) and l3 in neg_cl
-                           for l3 in self.lits[cid])
-                       for cid in self._occ_ids(neg(l2))):
-                    self._fix_implied(l1, l2, witnessed=True)
-                    return True
+            if all(any(l3 != neg(l2) and l3 in neg_cl
+                       for l3 in self.lits[cid])
+                   for cid in self._occ_ids(neg(l2))):
+                self._fix_implied(l1, l2, witnessed=True)
+                return True
         return False
 
     def _fix_implied(self, l1, l2, witnessed):
@@ -783,18 +787,24 @@ class Preprocessor:
         self.fix_literal(l2, pid)
         self._count("impl")
 
-    def _eql_once(self):
-        for l1, implied, neg_cl in self._probes():
-            for l2 in implied:
-                if neg(l2) in neg_cl:
-                    self._substitute_equivalent(l1, l2, witnessed=False)
-                    return True
-                if self.objective.coef(l1 >> 1) or self.objective.coef(l2 >> 1):
-                    continue
-                if all(any(l3 != l2 and l3 in neg_cl for l3 in self.lits[cid])
-                       for cid in self._occ_ids(l2)):
-                    self._substitute_equivalent(l1, l2, witnessed=True)
-                    return True
+    def _eql_at(self, l1):
+        """eql: substitute l2 for l1, for the first l2 that l1 implies and
+        ~l1 falsifies, or, with neither weighted, for one whose clauses ~l1
+        satisfies through another literal."""
+        probe = self._probe(l1)
+        if probe is None:
+            return False
+        implied, neg_cl = probe
+        for l2 in implied:
+            if neg(l2) in neg_cl:
+                self._substitute_equivalent(l1, l2, witnessed=False)
+                return True
+            if self.objective.coef(l1 >> 1) or self.objective.coef(l2 >> 1):
+                continue
+            if all(any(l3 != l2 and l3 in neg_cl for l3 in self.lits[cid])
+                   for cid in self._occ_ids(l2)):
+                self._substitute_equivalent(l1, l2, witnessed=True)
+                return True
         return False
 
     def _substitute_equivalent(self, l1, l2, witnessed):
@@ -884,42 +894,39 @@ class Preprocessor:
             if coef(x) >= 0:
                 wl.push(x)
 
-    def _gsle_once(self):
-        for b in sorted(self.objective.coeffs, key=pb.var_sort_key):
-            cb = self.objective.coef(b)
-            if cb <= 0 or self._occ_ids(mklit(b, True)):
-                continue
-            cids = self._occ_ids(mklit(b))
-            if not cids:
-                continue
-            group = set()
-            ok = True
-            for cid in sorted(cids):
-                best = None
-                for _, lit in self.clauses[cid].terms:
-                    v = lit >> 1
-                    if v == b or lit & 1:
-                        continue
-                    cv = self.objective.coef(v)
-                    if cv <= 0 or self._occ_ids(mklit(v, True)):
-                        continue
-                    if best is None or (cv, pb.var_sort_key(v)) < best[0]:
-                        best = ((cv, pb.var_sort_key(v)), v)
-                if best is None:
-                    ok = False
-                    break
-                group.add(best[1])
-            if not ok or not group:
-                continue
-            if cb < sum(self.objective.coef(v) for v in group):
-                continue
-            witness = {b: 0}
-            witness.update({v: 1 for v in group})
-            pid = self._core_red(_unit(mklit(b, True)), witness)
-            self.fix_literal(mklit(b, True), pid)
-            self._count("gsle")
-            return True
-        return False
+    def _gsle_at(self, b):
+        """gsle: fix ~b for a paid b, never negated, if each clause with b
+        has another paid literal never negated and b costs at least the
+        cheapest such literals of its clauses together."""
+        cb = self.objective.coef(b)
+        if cb <= 0 or self._occ_ids(mklit(b, True)):
+            return False
+        cids = self._occ_ids(mklit(b))
+        if not cids:
+            return False
+        group = set()
+        for cid in sorted(cids):
+            best = None
+            for _, lit in self.clauses[cid].terms:
+                v = lit >> 1
+                if v == b or lit & 1:
+                    continue
+                cv = self.objective.coef(v)
+                if cv <= 0 or self._occ_ids(mklit(v, True)):
+                    continue
+                if best is None or (cv, pb.var_sort_key(v)) < best[0]:
+                    best = ((cv, pb.var_sort_key(v)), v)
+            if best is None:
+                return False
+            group.add(best[1])
+        if cb < sum(self.objective.coef(v) for v in group):
+            return False
+        witness = {b: 0}
+        witness.update({v: 1 for v in group})
+        pid = self._core_red(_unit(mklit(b, True)), witness)
+        self.fix_literal(mklit(b, True), pid)
+        self._count("gsle")
+        return True
 
     def eliminate_variable_bve(self, v):
         """Resolve out variable v, which must carry no objective coefficient
@@ -1000,27 +1007,27 @@ class Preprocessor:
                 return cid
         raise KeyError("no live clause %r" % (sorted(want),))
 
-    def _bva_once(self):
-        by_clause = {}
-        for cid in sorted(self.clauses):
-            by_clause.setdefault(frozenset(self.lits[cid]), cid)
-        lits = sorted((l for l in self.occ if self.occ[l]), key=pb.lit_sort_key)
-        for i, l1 in enumerate(lits):
-            for l2 in lits[i + 1:]:
-                if l2 >> 1 == l1 >> 1:
-                    continue
-                suffixes = {}   # each once, even if two clauses share it
-                for cid in sorted(self._occ_ids(l1)):
-                    d = frozenset(self.lits[cid]) - {l1}
-                    if d and l2 not in d and neg(l2) not in d \
-                            and (d | {l2}) in by_clause:
-                        suffixes[d] = tuple(sorted(d, key=pb.lit_sort_key))
-                suffixes = list(suffixes.values())
-                # replacing 2|S| clauses by |S|+2 must be a strict win
-                if len(suffixes) + 2 < 2 * len(suffixes):
-                    self.add_variables_bva([l1, l2], suffixes)
-                    self._count("bva")
-                    return True
+    def _bva_at(self, l1):
+        """bva: for the first l2 after l1 in literal order whose clauses
+        share with l1's enough suffixes D, factor every (l1 v D), (l2 v D)
+        through a fresh variable."""
+        lits = sorted(self.occ, key=pb.lit_sort_key)
+        for l2 in lits[lits.index(l1) + 1:]:
+            if l2 >> 1 == l1 >> 1:
+                continue
+            with_l2 = {frozenset(self.lits[cid]) for cid in self._occ_ids(l2)}
+            suffixes = {}   # each once, even if two clauses share it
+            for cid in sorted(self._occ_ids(l1)):
+                d = frozenset(self.lits[cid]) - {l1}
+                if d and l2 not in d and neg(l2) not in d \
+                        and (d | {l2}) in with_l2:
+                    suffixes[d] = tuple(sorted(d, key=pb.lit_sort_key))
+            suffixes = list(suffixes.values())
+            # replacing 2|S| clauses by |S|+2 must be a strict win
+            if len(suffixes) + 2 < 2 * len(suffixes):
+                self.add_variables_bva([l1, l2], suffixes)
+                self._count("bva")
+                return True
         return False
 
     def intrinsic_at_most_ones(self, bc, bd, bin_cid):
@@ -1056,18 +1063,16 @@ class Preprocessor:
             return None
         return bc, bd
 
-    def _am1_once(self):
-        skip_bcr = "bcr" in self.cfg.stage4
-        for cid in sorted(self.clauses):
-            pair = self._am1_eligible(cid)
-            if pair is None:
-                continue
-            if skip_bcr and self._bcr_eligible(cid, *pair):
-                continue
-            self.intrinsic_at_most_ones(pair[0], pair[1], cid)
-            self._count("am1")
-            return True
-        return False
+    def _am1_at(self, cid):
+        """am1: reify the at-most-one over the two labels of clause `cid`,
+        unless bcr runs and would remove them instead."""
+        pair = self._am1_eligible(cid)
+        if pair is None or ("bcr" in self.cfg.stage4
+                            and self._bcr_eligible(cid, *pair)):
+            return False
+        self.intrinsic_at_most_ones(pair[0], pair[1], cid)
+        self._count("am1")
+        return True
 
     def _bcr_eligible(self, bin_cid, bc, bd):
         if (self._occ_ids(mklit(bc)) & self._occ_ids(mklit(bd))) != {bin_cid}:
@@ -1089,15 +1094,15 @@ class Preprocessor:
         self.eliminate_variable_bve(bd)
         return bcd
 
-    def _bcr_once(self):
-        for cid in sorted(self.clauses):
-            pair = self._am1_eligible(cid)
-            if pair is None or not self._bcr_eligible(cid, *pair):
-                continue
-            self.binary_core_removal(pair[0], pair[1], cid)
-            self._count("bcr")
-            return True
-        return False
+    def _bcr_at(self, cid):
+        """bcr: remove the two labels of clause `cid` if eliminating them
+        after am1's reification does not grow the instance."""
+        pair = self._am1_eligible(cid)
+        if pair is None or not self._bcr_eligible(cid, *pair):
+            return False
+        self.binary_core_removal(pair[0], pair[1], cid)
+        self._count("bcr")
+        return True
 
     def label_matching(self, cid_c, cid_d, x_lit, bc, bd):
         """Merge the equal-weight labels bc of `cid_c` and bd of `cid_d`,
@@ -1200,20 +1205,19 @@ class Preprocessor:
         self._install(nid, c)
         self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
 
-    def _sbl_once(self):
-        obj_vars = [v for v in sorted(self.objective.coeffs,
-                                      key=pb.var_sort_key)
-                    if self.objective.coef(v) > 0]
-        for cid in sorted(self.clauses):
-            lits = self.lits[cid]
-            for b in obj_vars:
-                if b in {l >> 1 for l in lits}:
-                    continue
-                for lit in lits:
-                    if self._blocked_under(cid, lit, b):
-                        self.structure_based_labelling(cid, b, lit)
-                        self._count("sbl")
-                        return True
+    def _sbl_at(self, cid):
+        """sbl: weaken clause `cid` into clause-or-b for the first paid b,
+        in variable order, that is not in it and under which it is blocked
+        on one of its literals."""
+        lits = self.lits[cid]
+        for b in sorted(self._paid_vars(), key=pb.var_sort_key):
+            if b in {l >> 1 for l in lits}:
+                continue
+            for lit in lits:
+                if self._blocked_under(cid, lit, b):
+                    self.structure_based_labelling(cid, b, lit)
+                    self._count("sbl")
+                    return True
         return False
 
     def _oracle(self, on_learn=None):
@@ -1442,61 +1446,47 @@ class Preprocessor:
     # ------------------------------------------------------------------
     # the full pipeline
 
-    _STAGE2 = {
-        "dup": remove_duplicates,
-        "taut": remove_tautologies,
-        "up": propagate_hard_units,
-        "empty": remove_empty_softs,
-        "sub": _drain("sub"),
-        "bce": _drain("bce"),
-    }
-    _STAGE4 = {
-        "up": propagate_hard_units,
-        "sub": _drain("sub"),
-        "ssr": _drain("ssr"),
-        "fle": _exhaustively(_fle_once),
-        "impl": _exhaustively(_impl_once),
-        "eql": _exhaustively(_eql_once),
-        "sle": _drain("sle"),
-        "gsle": _exhaustively(_gsle_once),
-        "bve": _drain("bve"),
-        "bva": _exhaustively(_bva_once),
-        "am1": _exhaustively(_am1_once),
-        "bcr": _exhaustively(_bcr_once),
-        "lm": _drain("lm"),
-        "sbl": _exhaustively(_sbl_once),
-        "trim": trim_maxsat,
-        "harden": hardening,
-    }
-
-    # worklist pass -> (every candidate (dup: real literals -> group), sort
-    # key (None: the candidate itself), the test that applies one candidate,
-    # what a changed clause pushes back, what a changed objective
-    # coefficient pushes back)
+    # worklist pass -> (its candidates, sort key (None: the candidate
+    # itself), the test that applies one candidate, what a changed clause
+    # pushes back, what a changed objective coefficient pushes back)
     _WORKLISTS = {
-        "dup": (_groups, None, _settle_duplicates, _dup_on_clause,
-                _dup_on_coef),
+        "dup": (_dup_candidates, None, _dup_at, _dup_on_clause, _dup_on_coef),
+        "taut": (_clauses_where(_is_trivial), None, _taut_at,
+                 _on_new(_is_trivial), None),
+        "up": (_clauses_where(_is_hard_unit), None, _up_at,
+               _on_new(_is_hard_unit), None),
+        "empty": (_clauses_where(_is_empty_soft), None, _empty_at,
+                  _on_new(_is_empty_soft), None),
         "sub": (_clause_ids, None, _sub_at, _sub_on_clause, None),
         "bce": (_clause_ids, None, _bce_at, _bce_on_clause, _on_freed_var),
         "ssr": (_clause_ids, None, _ssr_at, _ssr_on_clause, _on_freed_var),
+        "fle": (_live_lits, pb.lit_sort_key, _fle_at, _restart, _restart),
+        "impl": (_live_lits, pb.lit_sort_key, _impl_at, _restart, _restart),
+        "eql": (_live_lits, pb.lit_sort_key, _eql_at, _restart, _restart),
         "sle": (_live_vars, pb.var_sort_key, _sle_at,
                 _on_each_var(_sle_on_coef), _sle_on_coef),
+        "gsle": (_paid_vars, pb.var_sort_key, _gsle_at, _restart, _restart),
         "bve": (_live_vars, pb.var_sort_key, _bve_at,
                 _on_each_var(_bve_on_coef), _bve_on_coef),
+        "bva": (_live_lits, pb.lit_sort_key, _bva_at, _restart, _restart),
+        "am1": (_clause_ids, None, _am1_at, _restart, _restart),
+        "bcr": (_clause_ids, None, _bcr_at, _restart, _restart),
         "lm": (_paid_vars, pb.var_sort_key, _lm_at,
                _on_each_var(_lm_on_coef), _lm_on_coef),
+        "sbl": (_clause_ids, None, _sbl_at, _restart, _restart),
     }
+
+    _STAGE2 = {name: _drain(name) for name in STAGE2_ORDER}
+    _STAGE4 = {name: _drain(name) for name in STAGE4_ORDER
+               if name not in ("trim", "harden")}
+    _STAGE4.update(trim=trim_maxsat, harden=hardening)
 
     def _run_stage(self, names, table):
         """Run the passes `names` in rounds until a round changes nothing
         (or the round or proof-line cap is hit), with every worklist pass
         starting from all of its candidates."""
-        self.worklists = {}
-        for name in names:
-            if name in self._WORKLISTS:
-                candidates, *rest = self._WORKLISTS[name]
-                kind = _Groups if name == "dup" else _Worklist
-                self.worklists[name] = kind(candidates(self), *rest)
+        self.worklists = {name: _Worklist(self, *self._WORKLISTS[name])
+                          for name in names if name in self._WORKLISTS}
         try:
             for _ in range(self.cfg.rounds):
                 changed = False
@@ -1510,6 +1500,7 @@ class Preprocessor:
             self.cap_hit = True
         finally:
             self.worklists = {}
+            self.groups = None
 
     def _line_budget_hit(self):
         cap = self.cfg.max_proof_lines

@@ -9,7 +9,7 @@ import itertools
 
 from certprep import pb
 from certprep.pb import constraint_from_clause, mklit, neg
-from certprep.preprocess import _exhaustively, _unit
+from certprep.preprocess import _unit
 from certprep.sat import OracleBudget, SatOracle
 
 
@@ -421,12 +421,18 @@ def reference_remove_duplicates(p):
     return changed
 
 
-def _reference_duplicates_once(p):
+def reference_groups(p):
+    """The live non-trivial clauses grouped by their real literals, ids
+    ascending."""
     groups = {}
     for cid in sorted(p.clauses):
-        if p.clauses[cid].is_trivial():
-            continue
-        groups.setdefault(reference_real_lits(p, cid), []).append(cid)
+        if not p.clauses[cid].is_trivial():
+            groups.setdefault(reference_real_lits(p, cid), []).append(cid)
+    return groups
+
+
+def _reference_duplicates_once(p):
+    groups = reference_groups(p)
     for key in sorted(groups, key=lambda k: groups[k][0]):
         cids = groups[key]
         hards = [c for c in cids if c not in p.soft_label]
@@ -617,11 +623,255 @@ def reference_lm_once(p):
     return False
 
 
+# The restart loops that the worklists marked stale by `_restart` replaced,
+# as they were before: each scans every candidate again after every
+# application.
+
+def reference_fle_once(p):
+    for lit in sorted(p.occ, key=pb.lit_sort_key):
+        if not p.occ[lit]:
+            continue
+        # fixing lit=0 must not pay anything: ~lit may not be a paid term
+        coef = p.objective.coef(lit >> 1)
+        if (coef < 0) if lit & 1 == 0 else (coef > 0):
+            continue
+        closure, conflict = p._up_closure([lit])
+        if conflict:
+            pid = p._core_rup(_unit(neg(lit)))
+            p.fix_literal(neg(lit), pid)
+            p._count("fle")
+            return True
+        if all(any(l2 != lit and l2 in closure for l2 in p.lits[cid])
+               for cid in p._occ_ids(lit)):
+            pid = p._core_red(_unit(neg(lit)),
+                              {lit >> 1: 1 if lit & 1 else 0})
+            p.fix_literal(neg(lit), pid)
+            p._count("fle")
+            return True
+    return False
+
+
+def reference_probes(p):
+    """Each live literal l1, in literal order, whose closure and whose
+    negation's closure both end without conflict, as (l1, the other
+    literals of l1's closure in literal order, the closure of ~l1)."""
+    for l1 in sorted((l for l in p.occ if p.occ[l]), key=pb.lit_sort_key):
+        pos, conflict = p._up_closure([l1])
+        if conflict:
+            continue
+        neg_cl, conflict = p._up_closure([neg(l1)])
+        if not conflict:
+            yield l1, sorted(pos - {l1}, key=pb.lit_sort_key), neg_cl
+
+
+def reference_impl_once(p):
+    for l1, implied, neg_cl in reference_probes(p):
+        for l2 in implied:
+            if l2 in neg_cl:
+                p._fix_implied(l1, l2, witnessed=False)
+                return True
+        # extension: one-sided implication with flippable ~l2 clauses
+        if p.objective.coef(l1 >> 1):
+            continue
+        for l2 in implied:
+            if p.objective.coef(l2 >> 1) or not p._occ_ids(neg(l2)):
+                continue
+            if all(any(l3 != neg(l2) and l3 in neg_cl for l3 in p.lits[cid])
+                   for cid in p._occ_ids(neg(l2))):
+                p._fix_implied(l1, l2, witnessed=True)
+                return True
+    return False
+
+
+def reference_eql_once(p):
+    for l1, implied, neg_cl in reference_probes(p):
+        for l2 in implied:
+            if neg(l2) in neg_cl:
+                p._substitute_equivalent(l1, l2, witnessed=False)
+                return True
+            if p.objective.coef(l1 >> 1) or p.objective.coef(l2 >> 1):
+                continue
+            if all(any(l3 != l2 and l3 in neg_cl for l3 in p.lits[cid])
+                   for cid in p._occ_ids(l2)):
+                p._substitute_equivalent(l1, l2, witnessed=True)
+                return True
+    return False
+
+
+def reference_gsle_once(p):
+    for b in sorted(p.objective.coeffs, key=pb.var_sort_key):
+        cb = p.objective.coef(b)
+        if cb <= 0 or p._occ_ids(mklit(b, True)):
+            continue
+        cids = p._occ_ids(mklit(b))
+        if not cids:
+            continue
+        group = set()
+        ok = True
+        for cid in sorted(cids):
+            best = None
+            for _, lit in p.clauses[cid].terms:
+                v = lit >> 1
+                if v == b or lit & 1:
+                    continue
+                cv = p.objective.coef(v)
+                if cv <= 0 or p._occ_ids(mklit(v, True)):
+                    continue
+                if best is None or (cv, pb.var_sort_key(v)) < best[0]:
+                    best = ((cv, pb.var_sort_key(v)), v)
+            if best is None:
+                ok = False
+                break
+            group.add(best[1])
+        if not ok or not group:
+            continue
+        if cb < sum(p.objective.coef(v) for v in group):
+            continue
+        witness = {b: 0}
+        witness.update({v: 1 for v in group})
+        pid = p._core_red(_unit(mklit(b, True)), witness)
+        p.fix_literal(mklit(b, True), pid)
+        p._count("gsle")
+        return True
+    return False
+
+
+def reference_bva_once(p):
+    by_clause = {}
+    for cid in sorted(p.clauses):
+        by_clause.setdefault(frozenset(p.lits[cid]), cid)
+    lits = sorted((l for l in p.occ if p.occ[l]), key=pb.lit_sort_key)
+    for i, l1 in enumerate(lits):
+        for l2 in lits[i + 1:]:
+            if l2 >> 1 == l1 >> 1:
+                continue
+            suffixes = {}   # each once, even if two clauses share it
+            for cid in sorted(p._occ_ids(l1)):
+                d = frozenset(p.lits[cid]) - {l1}
+                if d and l2 not in d and neg(l2) not in d \
+                        and (d | {l2}) in by_clause:
+                    suffixes[d] = tuple(sorted(d, key=pb.lit_sort_key))
+            suffixes = list(suffixes.values())
+            # replacing 2|S| clauses by |S|+2 must be a strict win
+            if len(suffixes) + 2 < 2 * len(suffixes):
+                p.add_variables_bva([l1, l2], suffixes)
+                p._count("bva")
+                return True
+    return False
+
+
+def reference_am1_once(p):
+    skip_bcr = "bcr" in p.cfg.stage4
+    for cid in sorted(p.clauses):
+        pair = p._am1_eligible(cid)
+        if pair is None:
+            continue
+        if skip_bcr and p._bcr_eligible(cid, *pair):
+            continue
+        p.intrinsic_at_most_ones(pair[0], pair[1], cid)
+        p._count("am1")
+        return True
+    return False
+
+
+def reference_bcr_once(p):
+    for cid in sorted(p.clauses):
+        pair = p._am1_eligible(cid)
+        if pair is None or not p._bcr_eligible(cid, *pair):
+            continue
+        p.binary_core_removal(pair[0], pair[1], cid)
+        p._count("bcr")
+        return True
+    return False
+
+
+def reference_sbl_once(p):
+    obj_vars = [v for v in sorted(p.objective.coeffs, key=pb.var_sort_key)
+                if p.objective.coef(v) > 0]
+    for cid in sorted(p.clauses):
+        lits = p.lits[cid]
+        for b in obj_vars:
+            if b in {l >> 1 for l in lits}:
+                continue
+            for lit in lits:
+                if p._blocked_under(cid, lit, b):
+                    p.structure_based_labelling(cid, b, lit)
+                    p._count("sbl")
+                    return True
+    return False
+
+
+# The one-off scans that the `up`, `taut` and `empty` worklists replaced:
+# the FIFO queue of hard units, in which the units a fix makes join the
+# queue's end, and two scans of every clause in id order.
+
+def reference_propagate_hard_units(p):
+    queue = [cid for cid in sorted(p.clauses) if p._is_hard_unit(cid)]
+    changed = False
+    while queue:
+        pid = queue.pop(0)
+        if pid not in p.clauses or not p._is_hard_unit(pid):
+            continue
+        changed = True
+        p._count("up")
+        top = max(p.clauses)
+        p.fix_literal(p.lits[pid][0], pid)
+        queue.extend(cid for cid in sorted(p.clauses)
+                     if cid > top and p._is_hard_unit(cid))
+    return changed
+
+
+def reference_remove_tautologies(p):
+    changed = False
+    for cid in sorted(p.clauses):
+        if not p.clauses[cid].is_trivial():
+            continue
+        p._remove_clause(cid)   # negating a trivial constraint conflicts
+        p._count("taut")
+        changed = True
+    return changed
+
+
+def reference_remove_empty_softs(p):
+    changed = False
+    for cid in sorted(p.clauses):
+        if cid not in p.soft_label:
+            continue
+        c = p.clauses[cid]
+        label, w = p.soft_label[cid]
+        if c.degree != 1 or reference_real_lits(p, cid):
+            continue
+        # nothing left but the relaxer: the weight is paid forever
+        p._update_objective(*p.objective.delta({label: 1}))
+        del p.soft_label[cid]
+        p._remove_clause(cid, {label: 1})
+        p._count("empty")
+        changed = True
+    return changed
+
+
+def _exhaustively(once):
+    """The pass that repeats `once` until it applies nothing; it returns
+    whether anything applied."""
+    def run(p):
+        changed = False
+        while once(p):
+            changed = True
+        return changed
+    return run
+
 
 REFERENCE_PASSES = {name: _exhaustively(once) for name, once in (
     ("sub", reference_subsumed_once), ("bce", reference_blocked_once),
-    ("ssr", reference_ssr_once), ("sle", reference_sle_once),
-    ("bve", reference_bve_once), ("lm", reference_lm_once))}
+    ("ssr", reference_ssr_once), ("fle", reference_fle_once),
+    ("impl", reference_impl_once), ("eql", reference_eql_once),
+    ("sle", reference_sle_once), ("gsle", reference_gsle_once),
+    ("bve", reference_bve_once), ("bva", reference_bva_once),
+    ("am1", reference_am1_once), ("bcr", reference_bcr_once),
+    ("lm", reference_lm_once), ("sbl", reference_sbl_once))}
+REFERENCE_PASSES.update(
+    dup=reference_remove_duplicates, up=reference_propagate_hard_units,
+    taut=reference_remove_tautologies, empty=reference_remove_empty_softs)
 
 
 # -- reference SAT oracle ------------------------------------------------------

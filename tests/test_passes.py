@@ -1,11 +1,15 @@
-"""Differential tests: the restart-free technique passes against the
-restarting scans they replaced (references in conftest).
+"""Differential tests: the worklist passes against the restarting scans
+they replaced (references in conftest).
 
-`dup` settles groups from a heap instead of regrouping after each action;
-`sub`, `bce`, `ssr`, `sle`, `bve` and `lm` test only the candidates on their
-worklists instead of rescanning every candidate after every application
-(SLE and LM draw their partners from occurrence lists instead of all pairs);
-and _up_closure memoises closures between clause changes.  Each must leave
+Every pass but `trim` and `harden` drains a worklist.  `dup` settles groups
+from their smallest ids instead of regrouping after each action; `up`,
+`taut` and `empty` take the new clauses their hooks report instead of
+scanning every clause; `sub`, `bce`, `ssr`, `sle`, `bve` and `lm` test
+only the candidates their hooks push back (SLE and LM draw their partners
+from occurrence lists instead of all pairs); the other passes refill their
+lists with every candidate after a change, as the restarting scans did,
+but not when nothing changed since their last drain; and _up_closure
+memoises closures between clause changes.  Each must leave
 the proof and the output exactly as the reference forms produce them."""
 
 import hashlib
@@ -18,11 +22,13 @@ from certprep import pb, preprocess
 from certprep.checker import check_wcnf_proof
 from certprep.preprocess import Config, Preprocessor
 from certprep.wcnf import MAX_WEIGHT, WcnfInstance, parse_wcnf, write_wcnf
-from conftest import (REFERENCE_PASSES, random_instance,
-                      reference_remove_duplicates)
+from conftest import REFERENCE_PASSES, random_instance, reference_groups
 
 STAGE2 = ("dup", "taut", "up", "empty", "sub", "bce")
-WORKLIST_PASSES = ("sub", "bce", "ssr", "sle", "bve", "lm")
+# sbl can apply over a hundred times on one small instance, and bva's
+# reference scan tests every pair of literals after every application, so
+# the differential runs them alone on every fourth instance only
+SLOW_PASSES = ("bva", "sbl")
 SINGLES = preprocess.STAGE2_ORDER + tuple(
     t for t in preprocess.STAGE4_ORDER if t not in preprocess.STAGE2_ORDER)
 PINNED_SETS = [(t,) for t in SINGLES] + [
@@ -95,6 +101,45 @@ def label_group_instance(rng):
         soft.append((rng.choice((2, 3)), [pb.mklit(
             pb.mkvar(rng.randint(1, nv)), rng.random() < 0.5)]))
     return WcnfInstance(hard, soft)
+
+
+def binary_core_instance(rng):
+    """Pairs of relaxed softs (x v D) and (~x v E) over a fresh x each, with
+    hard units against some literals of D and E, and a grid of hard clauses
+    (h v t) with a few cells missing.  bve resolves x and the units out, so
+    two labels come to share a binary clause, which am1 and bcr take when
+    their weights are equal and gsle when they are not; bva factors the
+    grid."""
+    pairs = rng.randint(2, 6)
+    nv = pairs + 3
+    pool = [pb.mklit(pb.mkvar(v), rng.random() < 0.5)
+            for v in range(pairs + 1, nv + 1)]
+    hard, soft = [], []
+    for x in range(1, pairs + 1):
+        w = rng.choice((2, 3))
+        for side in (pb.mklit(pb.mkvar(x)), pb.mklit(pb.mkvar(x), True)):
+            cl = [side] + rng.sample(pool, rng.randint(1, 2))
+            soft.append((w if rng.random() < 0.8 else rng.choice((2, 3)), cl))
+    for u in rng.sample(pool, rng.randint(0, len(pool))):
+        hard.append([pb.neg(u)])
+    heads = [pb.mklit(pb.mkvar(nv + 1 + i), rng.random() < 0.3)
+             for i in range(rng.randint(2, 3))]
+    tails = [pb.mklit(pb.mkvar(nv + 4 + i), rng.random() < 0.3)
+             for i in range(rng.randint(2, 4))]
+    for h in heads:
+        for t in tails:
+            if rng.random() < 0.85:
+                hard.append([h, t] + ([rng.choice(pool)]
+                                      if rng.random() < 0.2 else []))
+    rng.shuffle(hard)
+    rng.shuffle(soft)
+    return WcnfInstance(hard, soft)
+
+
+# Technique sets under which bva, gsle, am1 and bcr apply on
+# binary_core_instance
+CORE_SETS = [("bva",), ("bve", "bva"), ("bve", "gsle"), ("bve", "am1"),
+             ("bve", "bcr"), ("bve", "am1", "bcr")]
 
 
 def instances():
@@ -220,14 +265,17 @@ def _stop(*args, **kw):
     raise _Applies
 
 
+STOPPED = ("_install", "_uninstall", "_update_objective", "_fresh_label",
+           "_count")
+
+
 def would_apply(p, test, c):
     """Whether the worklist test applies candidate c, stopped before its
-    first change to the store, the objective, the fresh names or the proof
-    (so a test that does not apply leaves `p` as it was)."""
+    first change to the store, the objective, the fresh names, the counts
+    or the proof (so a test that does not apply leaves `p` as it was)."""
     writer = p.writer
     p.writer = _Stop()
-    for name in ("_install", "_uninstall", "_update_objective",
-                 "_fresh_label"):
+    for name in STOPPED:
         setattr(p, name, _stop)
     try:
         return bool(test(p, c))
@@ -235,22 +283,24 @@ def would_apply(p, test, c):
         return True
     finally:
         p.writer = writer
-        for name in ("_install", "_uninstall", "_update_objective",
-                     "_fresh_label"):
+        for name in STOPPED:
             delattr(p, name)
 
 
 def assert_worklists_complete(p, running=None):
     """The worklist invariant: every candidate absent from a pass's heap
-    tests as not applicable.  `running` names a pass whose candidate under
-    test is popped, so its heap is left out."""
+    tests as not applicable, and a stale list counts as holding every
+    candidate.  `running` names a pass whose candidate under test is
+    popped, so its heap is left out.  dup's maintained groups equal a fresh
+    regrouping of the live clauses."""
+    if "dup" in p.worklists:
+        assert p.groups == reference_groups(p)
     for name, wl in p.worklists.items():
-        if name == running:
+        if name == running or wl.stale:
             continue
-        candidates, _, test, _, _ = Preprocessor._WORKLISTS[name]
-        for c in list(candidates(p)):
+        for c in list(wl.candidates(p)):
             if c not in wl.queued:
-                assert not would_apply(p, test, c), (name, c)
+                assert not would_apply(p, wl.test, c), (name, c)
 
 
 def test_worklists_hold_every_applicable_candidate(monkeypatch):
@@ -281,10 +331,19 @@ def test_worklists_hold_every_applicable_candidate(monkeypatch):
     rng = random.Random(2718)
     for i in range(120):
         inst = (duplicate_instance, label_group_instance)[i % 2](rng)
-        for names in (STAGE2, preprocess.DEFAULT_TECHNIQUES,
-                      preprocess.DEFAULT_TECHNIQUES + ("bva",)):
+        sets = [STAGE2, preprocess.DEFAULT_TECHNIQUES,
+                preprocess.DEFAULT_TECHNIQUES + ("bva",)]
+        if i % 4 == 0:
+            sets.append(preprocess.DEFAULT_TECHNIQUES + ("sbl",))
+        for names in sets:
             preprocess.run(inst, Config(techniques=names))
-    assert len(checks) > 3000 and "bva" in checks
+    core = random.Random(1618)
+    for _ in range(30):
+        inst = binary_core_instance(core)
+        for names in CORE_SETS:
+            preprocess.run(inst, Config(techniques=names))
+    assert len(checks) > 3000
+    assert {"bva", "sbl", "am1", "bcr", "gsle"} <= set(checks)
 
 
 def test_passes_match_restarting_references(monkeypatch):
@@ -314,17 +373,24 @@ def test_passes_match_restarting_references(monkeypatch):
             new = preprocess.run(inst, cfg)
         with monkeypatch.context() as m:
             m.setattr(Preprocessor, "_count", bounded_count)
-            m.setitem(Preprocessor._STAGE2, "dup", reference_remove_duplicates)
-            for name, once in REFERENCE_PASSES.items():
+            for name, ref_pass in REFERENCE_PASSES.items():
                 for table in (Preprocessor._STAGE2, Preprocessor._STAGE4):
                     if name in table:
-                        m.setitem(table, name, once)
+                        m.setitem(table, name, ref_pass)
             ref = preprocess.run(inst, cfg)
         return new, ref
 
-    configs = [Config(techniques=(t,)) for t in WORKLIST_PASSES]
+    configs = [Config(techniques=(t,)) for t in SINGLES
+               if t in REFERENCE_PASSES and t not in SLOW_PASSES]
     configs += [Config(techniques=STAGE2), Config()]
     runs = [(inst, cfg) for inst in instances() for cfg in configs]
+    runs += [(inst, Config(techniques=(t,)))
+             for inst in itertools.islice(instances(), 0, None, 4)
+             for t in SLOW_PASSES]
+    core = random.Random(1618)
+    runs += [(inst, Config(techniques=names))
+             for inst in [binary_core_instance(core) for _ in range(60)]
+             for names in CORE_SETS]
     runs += [(parse_wcnf(text), Config(techniques=names))
              for text, names in TARGETED_CASES]
     applied = {}
@@ -337,7 +403,7 @@ def test_passes_match_restarting_references(monkeypatch):
             applied[name] = applied.get(name, 0) + n
     # every branch of the changed passes was exercised
     assert applied["dup"] > 200
-    for name in WORKLIST_PASSES:
+    for name in REFERENCE_PASSES:
         assert applied[name] > 20, name
     assert seen["sync"] > 20 and seen["merge"] > 20 and seen["refused"] > 5
 
