@@ -51,11 +51,7 @@ def cmd_preprocess(args):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        if args.techniques is None:
-            cfg = preprocess.Config(rounds=args.rounds)
-        else:
-            cfg = preprocess.Config.from_flag(args.techniques,
-                                              rounds=args.rounds)
+        cfg = preprocess.Config.from_flag(args.techniques, rounds=args.rounds)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -87,10 +87,6 @@ def neg(lit):
     return lit ^ 1
 
 
-def lit_var(lit):
-    return lit >> 1
-
-
 def var_sort_key(v):
     # problem variables first (by index), then _b, then _t
     return (v & 3, v >> 2)

@@ -69,37 +69,47 @@ DEFAULT_TECHNIQUES = ("dup", "taut", "up", "empty", "sub", "bce",
                       "bve", "am1", "bcr", "lm")
 
 
-class Config:
-    """Technique selection and resource knobs for a pipeline run."""
+ORACLE_CONFLICTS = 20000    # per oracle call: past it, trim or harden gives up
 
-    def __init__(self, techniques=DEFAULT_TECHNIQUES, rounds=5, bve_growth=0,
-                 oracle_conflicts=20000, max_proof_lines=None,
-                 checkpoints=False):
+
+class Config:
+    """What the CLI selects: the techniques to run and the cap on rounds
+    per stage."""
+
+    def __init__(self, techniques=DEFAULT_TECHNIQUES, rounds=5):
         names = set(techniques)
         unknown = names - set(STAGE2_ORDER) - set(STAGE4_ORDER)
         if unknown:
             raise ValueError("unknown technique(s): %s" % ", ".join(sorted(unknown)))
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if bve_growth < 0:
-            raise ValueError("bve growth bound must be >= 0")
         self.stage2 = tuple(n for n in STAGE2_ORDER if n in names)
         self.stage4 = tuple(n for n in STAGE4_ORDER if n in names)
         self.rounds = rounds
-        self.bve_growth = bve_growth
-        self.oracle_conflicts = oracle_conflicts
-        self.max_proof_lines = max_proof_lines
-        self.checkpoints = checkpoints
 
     @classmethod
     def from_flag(cls, text, **kw):
-        """Build from a comma-separated technique list ('' = none)."""
-        names = tuple(t for t in text.split(",") if t)
-        return cls(techniques=names, **kw)
+        """Build from a comma-separated technique list ('' = none, None =
+        the default set)."""
+        if text is None:
+            return cls(**kw)
+        return cls(tuple(t for t in text.split(",") if t), **kw)
 
 
 def _unit(lit):
     return constraint_from_clause([lit])
+
+
+def _resolvents(sides_a, sides_b):
+    """How many pairs in `sides_a` x `sides_b` clash on no literal: the
+    non-tautological resolvents on a variable, each side given without it."""
+    count = 0
+    for a in sides_a:
+        clash = {neg(l) for l in a}
+        for b in sides_b:
+            if clash.isdisjoint(b):
+                count += 1
+    return count
 
 
 class _Worklist:
@@ -238,7 +248,6 @@ class Preprocessor:
         self.phase = "wcnf"
         self.counts = {}
         self.cap_hit = False
-        self.checkpoints = []
         self.input_instance = instance
         self.dirty = False
 
@@ -297,11 +306,6 @@ class Preprocessor:
 
     def _count(self, name):
         self.counts[name] = self.counts.get(name, 0) + 1
-        if self.cfg.checkpoints:
-            snap = tuple(sorted(self.clauses.values(),
-                                key=lambda c: (c.degree, c.terms)))
-            self.checkpoints.append((name, self.writer.lines_written,
-                                     snap, self.objective.copy()))
 
     # ------------------------------------------------------------------
     # proof emission, keeping core_live in sync with the checker
@@ -727,8 +731,7 @@ class Preprocessor:
         closure, conflict = self._up_closure([lit])
         if conflict:
             pid = self._core_rup(_unit(neg(lit)))
-        elif all(any(l2 != lit and l2 in closure for l2 in self.lits[cid])
-                 for cid in self._occ_ids(lit)):
+        elif self._satisfied_elsewhere(lit, closure):
             pid = self._core_red(_unit(neg(lit)),
                                  {lit >> 1: 1 if lit & 1 else 0})
         else:
@@ -736,6 +739,12 @@ class Preprocessor:
         self.fix_literal(neg(lit), pid)
         self._count("fle")
         return True
+
+    def _satisfied_elsewhere(self, lit, closure):
+        """True if every clause with `lit` has another literal in
+        `closure`."""
+        return all(any(l != lit and l in closure for l in self.lits[cid])
+                   for cid in self._occ_ids(lit))
 
     def _probe(self, l1):
         """(the other literals of l1's closure in literal order, the closure
@@ -767,9 +776,7 @@ class Preprocessor:
         for l2 in implied:
             if self.objective.coef(l2 >> 1) or not self._occ_ids(neg(l2)):
                 continue
-            if all(any(l3 != neg(l2) and l3 in neg_cl
-                       for l3 in self.lits[cid])
-                   for cid in self._occ_ids(neg(l2))):
+            if self._satisfied_elsewhere(neg(l2), neg_cl):
                 self._fix_implied(l1, l2, witnessed=True)
                 return True
         return False
@@ -801,8 +808,7 @@ class Preprocessor:
                 return True
             if self.objective.coef(l1 >> 1) or self.objective.coef(l2 >> 1):
                 continue
-            if all(any(l3 != l2 and l3 in neg_cl for l3 in self.lits[cid])
-                   for cid in self._occ_ids(l2)):
+            if self._satisfied_elsewhere(l2, neg_cl):
                 self._substitute_equivalent(l1, l2, witnessed=True)
                 return True
         return False
@@ -953,23 +959,16 @@ class Preprocessor:
     def _bve_at(self, v):
         """bve: eliminate v if it has no objective coefficient, occurs in
         both polarities, and has at most as many non-tautological
-        resolvents as clauses (plus the growth bound)."""
+        resolvents as clauses."""
         if self.objective.coef(v):
             return False
         pos = self._occ_ids(mklit(v))
         negs = self._occ_ids(mklit(v, True))
         if not pos or not negs:
             return False
-        # a resolvent is a tautology exactly when its literals clash
-        pos_sides = [self._real_lits(i, v) for i in pos]
-        neg_sides = [self._real_lits(j, v) for j in negs]
-        count = 0
-        for a in pos_sides:
-            for b in neg_sides:
-                lits = set(a + b)
-                if not any(neg(l) in lits for l in lits):
-                    count += 1
-        if count > len(pos) + len(negs) + self.cfg.bve_growth:
+        if _resolvents([self._real_lits(i, v) for i in pos],
+                       [self._real_lits(j, v) for j in negs]) \
+                > len(pos) + len(negs):
             return False
         self.eliminate_variable_bve(v)
         self._count("bve")
@@ -1077,15 +1076,10 @@ class Preprocessor:
     def _bcr_eligible(self, bin_cid, bc, bd):
         if (self._occ_ids(mklit(bc)) & self._occ_ids(mklit(bd))) != {bin_cid}:
             return False
-        sides_c = sorted(self._occ_ids(mklit(bc)) - {bin_cid})
-        sides_d = sorted(self._occ_ids(mklit(bd)) - {bin_cid})
-        produced = 0
-        for i in sides_c:
-            ci = set(self.lits[i]) - {mklit(bc)}
-            for j in sides_d:
-                dj = set(self.lits[j]) - {mklit(bd)}
-                if not any(neg(u) in dj for u in ci):
-                    produced += 1
+        sides_c = self._occ_ids(mklit(bc)) - {bin_cid}
+        sides_d = self._occ_ids(mklit(bd)) - {bin_cid}
+        produced = _resolvents([self._real_lits(i, bc) for i in sides_c],
+                               [self._real_lits(j, bd) for j in sides_d])
         return produced <= len(sides_c) + len(sides_d) + 1
 
     def binary_core_removal(self, bc, bd, bin_cid):
@@ -1224,8 +1218,7 @@ class Preprocessor:
         """A SAT oracle over the live clauses, trivial ones left out."""
         from .sat import SatOracle   # only trim and harden load the oracle
 
-        oracle = SatOracle(on_learn=on_learn,
-                           conflict_budget=self.cfg.oracle_conflicts)
+        oracle = SatOracle(on_learn=on_learn, conflict_budget=ORACLE_CONFLICTS)
         for cid in sorted(self.clauses):
             if not self.clauses[cid].is_trivial():
                 oracle.add_clause(self.lits[cid])
@@ -1375,13 +1368,9 @@ class Preprocessor:
         self._drop_trivial()
         self.remove_objective_constant()
         self.rename_variables()
-        terms, const = self.objective.literal_form()
-        if const:
+        if self.objective.literal_form()[1]:
             raise AssertionError("objective constant survived stage 5")
-        hard = [list(self.lits[cid]) for cid in sorted(self.clauses)]
-        soft = [(w, [neg(lit)]) for w, lit in terms]
-        self.writer.conclude("EQUIOPTIMAL")
-        return WcnfInstance(hard, soft)
+        return self._finish_wcnf()
 
     def _pristine_softs(self):
         """True when the relaxed softs can be written back verbatim: their
@@ -1418,6 +1407,8 @@ class Preprocessor:
         return True
 
     def _finish_wcnf(self):
+        """The output: the hard clauses, the softs without their labels, and
+        a unit soft per other objective term (all of them, in phase "oc")."""
         self._drop_trivial()
         hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
                 if cid not in self.soft_label]
@@ -1483,8 +1474,8 @@ class Preprocessor:
 
     def _run_stage(self, names, table):
         """Run the passes `names` in rounds until a round changes nothing
-        (or the round or proof-line cap is hit), with every worklist pass
-        starting from all of its candidates."""
+        (or the round cap is hit), with every worklist pass starting from
+        all of its candidates."""
         self.worklists = {name: _Worklist(self, *self._WORKLISTS[name])
                           for name in names if name in self._WORKLISTS}
         try:
@@ -1492,19 +1483,12 @@ class Preprocessor:
                 changed = False
                 for name in names:
                     changed |= bool(table[name](self))
-                    if self._line_budget_hit():
-                        self.cap_hit = True
-                        return
                 if not changed:
                     return
             self.cap_hit = True
         finally:
             self.worklists = {}
             self.groups = None
-
-    def _line_budget_hit(self):
-        cap = self.cfg.max_proof_lines
-        return cap is not None and self.writer.lines_written >= cap
 
     def _initial_conflict(self):
         for cid in sorted(self.clauses):

@@ -39,10 +39,6 @@ class WcnfInstance:
                 and self.hard == other.hard and self.soft == other.soft)
 
 
-def _lit_from_dimacs(n):
-    return pb.mklit(pb.mkvar(abs(n)), n < 0)
-
-
 def _lit_to_dimacs(lit):
     v = lit >> 1
     if pb.var_ns(v) != pb.NS_USER:
@@ -50,42 +46,17 @@ def _lit_to_dimacs(lit):
     return -pb.var_index(v) if lit & 1 else pb.var_index(v)
 
 
-def _parse_clause_lits(toks, lineno):
-    if not toks or toks[-1] != "0":
-        raise ValueError("line %d: clause not terminated by 0" % lineno)
-    lits = []
-    for t in toks[:-1]:
-        try:
-            n = int(t)
-        except ValueError:
-            raise ValueError("line %d: bad literal %r" % (lineno, t))
-        if n == 0:
-            raise ValueError("line %d: literal 0 inside clause" % lineno)
-        lits.append(_lit_from_dimacs(n))
-    return lits
-
-
 class _PackedTokens(dict):
     """Clause token -> packed literal, filled by one parse as tokens come,
-    so that each distinct token packs to one int object.  The literal 0
-    packs to 1, which no real literal is; a token that int() refuses
-    raises its ValueError."""
+    so that each distinct token packs to one int object: DIMACS n packs as
+    mklit(mkvar(|n|), n < 0) would pack it.  The literal 0 packs to 1,
+    which no real literal is; a token that int() refuses raises its
+    ValueError."""
 
     def __missing__(self, tok):
         n = int(tok)
         lit = self[tok] = n << 3 if n > 0 else -n << 3 | 1
         return lit
-
-
-def _parse_weight(tok, lineno):
-    if not tok.isdigit():
-        raise ValueError("line %d: bad weight %r" % (lineno, tok))
-    w = int(tok)
-    if w == 0:
-        raise ValueError("line %d: zero-weight soft clause" % lineno)
-    if w > MAX_WEIGHT:
-        raise ValueError("line %d: weight exceeds 2^63-1" % lineno)
-    return w
 
 
 def parse_wcnf(text):
@@ -112,30 +83,36 @@ def parse_wcnf(text):
                 raise ValueError("line %d: bad top weight" % lineno)
             continue
         saw_clause = True
-        # Fast path for a well-formed clause line: literals packed as
-        # mklit(mkvar(|n|), n < 0) would pack them, once per distinct token.
-        # Anything else falls through to the checked path below, which
-        # raises the error.
-        if toks[-1] == "0" and (head.isdigit() or head == "h" and top is None):
-            try:
-                lits = list(map(packed.__getitem__, toks[1:-1]))
-                w = MAX_WEIGHT if head == "h" else int(head)  # h: any weight
-            except ValueError:
-                lits = [1]
-            if 1 not in lits and 0 < w <= MAX_WEIGHT:
-                if head == "h" or top is not None and w >= top:
-                    inst.hard.append(lits)
-                else:
-                    inst.soft.append((w, lits))
-                continue
+        # A clause line is checked in one order: its head ('h' or a weight),
+        # its terminating 0, then its literals, packed through `packed`; only
+        # a packing that fails or yields the literal 0 names its bad token.
         if head == "h":
             if top is not None:
                 raise ValueError("line %d: 'h' clause in legacy format" % lineno)
-            inst.hard.append(_parse_clause_lits(toks[1:], lineno))
-            continue
-        w = _parse_weight(head, lineno)
-        lits = _parse_clause_lits(toks[1:], lineno)
-        if top is not None and w >= top:
+            w = None
+        elif not head.isdigit():
+            raise ValueError("line %d: bad weight %r" % (lineno, head))
+        else:
+            w = int(head)
+            if w == 0:
+                raise ValueError("line %d: zero-weight soft clause" % lineno)
+            if w > MAX_WEIGHT:
+                raise ValueError("line %d: weight exceeds 2^63-1" % lineno)
+        if len(toks) < 2 or toks[-1] != "0":
+            raise ValueError("line %d: clause not terminated by 0" % lineno)
+        try:
+            lits = list(map(packed.__getitem__, toks[1:-1]))
+        except ValueError:
+            lits = [1]
+        if 1 in lits:
+            for tok in toks[1:-1]:
+                try:
+                    n = int(tok)
+                except ValueError:
+                    raise ValueError("line %d: bad literal %r" % (lineno, tok))
+                if n == 0:
+                    raise ValueError("line %d: literal 0 inside clause" % lineno)
+        if w is None or top is not None and w >= top:
             inst.hard.append(lits)
         else:
             inst.soft.append((w, lits))
@@ -179,18 +156,6 @@ def encode_to_pb(inst):
             constraints.append(pb.constraint_from_clause(lits + [lit], units))
             objective.add_literal_term(w, lit)
     return constraints, objective, soft_info
-
-
-def cost(inst, assign):
-    """Soft-weight cost of a total assignment, or None if a hard clause fails."""
-    for cl in inst.hard:
-        if not any(assign.get(l >> 1, 0) == (l & 1) ^ 1 for l in cl):
-            return None
-    total = 0
-    for w, cl in inst.soft:
-        if not any(assign.get(l >> 1, 0) == (l & 1) ^ 1 for l in cl):
-            total += w
-    return total
 
 
 def opt_cost_bruteforce(inst, var_limit=22):

@@ -96,6 +96,35 @@ def pb_opt_bruteforce(constraints, objective, var_limit=22):
     return best
 
 
+def cost(inst, assign):
+    """Soft-weight cost of a total assignment, or None if a hard clause fails."""
+    for cl in inst.hard:
+        if not any(assign.get(l >> 1, 0) == (l & 1) ^ 1 for l in cl):
+            return None
+    total = 0
+    for w, cl in inst.soft:
+        if not any(assign.get(l >> 1, 0) == (l & 1) ^ 1 for l in cl):
+            total += w
+    return total
+
+
+def record_checkpoints(p):
+    """After every technique application of the Preprocessor `p`, record
+    (technique, proof lines written, live clauses sorted, objective copy);
+    returns the list the records go to."""
+    checkpoints = []
+    counted = p._count
+
+    def count_and_record(name):
+        counted(name)
+        snap = tuple(sorted(p.clauses.values(),
+                            key=lambda c: (c.degree, c.terms)))
+        checkpoints.append((name, p.writer.lines_written, snap,
+                            p.objective.copy()))
+    p._count = count_and_record
+    return checkpoints
+
+
 def x(i):
     return pb.mklit(pb.mkvar(i))
 
@@ -233,9 +262,9 @@ def reference_propagates_at_root(c):
 # -- reference WCNF reading and translation -------------------------------------
 #
 # The token-by-token parser, the literal-by-literal max_var_index and the
-# list-based translation that the wcnf fast paths replaced.  The parser's
-# fast path falls back to the same checks for every line it does not accept,
-# so the two must agree on instances and on error texts.
+# list-based translation that the wcnf fast paths replaced.  The parser packs
+# a clause's tokens first and names a bad token only when that fails, so the
+# two must agree on instances and on error texts.
 
 
 def _reference_clause_lits(toks, lineno):
@@ -590,7 +619,7 @@ def reference_bve_once(p):
                 lits = set(a + b)
                 if not any(neg(l) in lits for l in lits):
                     count += 1
-        if count > len(pos) + len(negs) + p.cfg.bve_growth:
+        if count > len(pos) + len(negs):
             continue
         p.eliminate_variable_bve(v)
         p._count("bve")

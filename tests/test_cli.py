@@ -65,6 +65,17 @@ def test_preprocess_bad_technique_name(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_preprocess_rounds_flag(tmp_path, capsys):
+    code, out, proof = preprocess_golden(tmp_path, "--rounds", 1)
+    assert code == 0
+    capsys.readouterr()
+    assert run_cli("check", GOLDEN, proof, out) == 0
+    assert capsys.readouterr().out == "s VERIFIED OUTPUT EQUIOPTIMAL\n"
+    code, _, _ = preprocess_golden(tmp_path, "--rounds", 0)
+    assert code == 2
+    assert capsys.readouterr().err == "error: rounds must be >= 1\n"
+
+
 def test_preprocess_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.wcnf"
     bad.write_text("h 1 2\n")

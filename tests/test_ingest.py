@@ -128,6 +128,15 @@ MALFORMED = [
     "2 1 0\np wcnf 2 2 5",      # misplaced p-line
     "p wcnf 2 2 5\np wcnf 2 2 5",   # a second p-line
     "p wcnf 2 2 5\nh 1 0",      # 'h' inside legacy format
+    # two errors compete: the first in reading order is named
+    "w 1 2",                    # bad weight before a missing terminator
+    "0 1",                      # zero weight before a missing terminator
+    "h 1 x 0 0",                # bad literal before an inner 0
+    "h 1 0 x 0",                # inner 0 before a bad literal
+    "p wcnf 2 2 5\nh 1",        # 'h' in legacy format before a terminator
+    "9223372036854775808 1",    # weight overflow before a terminator
+    "5 1 x",                    # missing terminator before a bad literal
+    "h 0 x",                    # missing terminator before an inner 0
 ]
 
 

@@ -35,7 +35,7 @@ def test_literal_encoding_roundtrip():
     v = pb.mkvar(7, pb.NS_AUX)
     assert pb.var_index(v) == 7 and pb.var_ns(v) == pb.NS_AUX
     l = pb.mklit(v, True)
-    assert pb.lit_var(l) == v
+    assert l >> 1 == v
     assert pb.neg(l) == pb.mklit(v) and pb.neg(pb.neg(l)) == l
     assert pb.fmt_lit(l) == "~_b7"
     assert pb.parse_lit("~_b7") == l

@@ -13,7 +13,7 @@ from certprep.checker import ProofChecker, check_wcnf_proof
 from certprep.preprocess import Config, Infeasible, Preprocessor
 from certprep.wcnf import (MAX_WEIGHT, WcnfInstance, encode_to_pb,
                            opt_cost_bruteforce, parse_wcnf, write_wcnf)
-from conftest import nx, random_instance, x
+from conftest import nx, random_instance, record_checkpoints, x
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -294,15 +294,12 @@ def test_bve_pass():
 
 
 def test_bve_growth_bound():
-    # 3x2 resolvents exceed the 5 originals: skipped at growth 0
+    # 3x2 resolvents exceed the 5 originals: x1 is not eliminated
     hard = [[x(1), x(2)], [x(1), x(3)], [x(1), x(6)],
             [nx(1), x(4)], [nx(1), x(5)]]
     inst = WcnfInstance(hard, [])
     out, _, p = check_run(inst, techniques=("bve",))
     assert "bve" not in p.counts
-    out, _, p = check_run(inst, techniques=("bve",), bve_growth=1)
-    assert p.counts["bve"] == 1
-    assert len(out.hard) == 6
 
 
 def test_bve_counts_only_resolvents_without_clash():
@@ -382,9 +379,10 @@ def test_trim_drops_unreachable_penalty():
     assert out.soft == [] and out.hard == []
 
 
-def test_trim_oracle_budget_is_safe():
+def test_trim_oracle_budget_is_safe(monkeypatch):
+    monkeypatch.setattr(preprocess, "ORACLE_CONFLICTS", 0)
     inst = WcnfInstance([[nx(1), x(2)], [nx(1), nx(2)]], [(2, [nx(1)])])
-    out, _, p = check_run(inst, techniques=("trim",), oracle_conflicts=0)
+    out, _, p = check_run(inst, techniques=("trim",))
     assert "trim" not in p.counts
     assert out == inst
 
@@ -455,17 +453,6 @@ def test_infeasible_on_input_empty_clause():
     assert out == WcnfInstance([[]], [])
 
 
-def test_proof_line_cap_still_verifies(golden):
-    inst, _, _, _ = golden
-    capped = 0
-    for cap in (4, 8, 12, 16, 24):
-        out, proof, p = preprocess.run(inst, Config(max_proof_lines=cap))
-        verified(inst, out, proof)
-        same_optimum(inst, out)
-        capped += p.cap_hit
-    assert capped >= 1
-
-
 def test_round_cap_flag():
     inst = parse_wcnf((DATA / "golden.wcnf").read_text())
     out, proof, p = preprocess.run(inst, Config(rounds=1))
@@ -479,13 +466,16 @@ def test_round_cap_flag():
 
 def test_checkpoints_match_checker_state(golden):
     inst, _, _, _ = golden
-    out, proof, p = preprocess.run(inst, Config(checkpoints=True))
-    assert p.checkpoints
-    lines = proof.splitlines()
+    sink = io.StringIO()
+    p = Preprocessor(inst, Config(), sink)
+    checkpoints = record_checkpoints(p)
+    p.run()
+    assert checkpoints
+    lines = sink.getvalue().splitlines()
     cons, obj, _ = encode_to_pb(inst)
     chk = ProofChecker(cons, obj)
     fed = 0
-    for name, upto, snap, snap_obj in p.checkpoints:
+    for name, upto, snap, snap_obj in checkpoints:
         while fed < upto:
             chk.feed(lines[fed])
             fed += 1
@@ -504,8 +494,6 @@ def test_config_rejects_unknown_technique():
         Config(techniques=("up", "nosuch"))
     with pytest.raises(ValueError):
         Config(rounds=0)
-    with pytest.raises(ValueError):
-        Config(bve_growth=-1)
 
 
 def test_config_from_flag():

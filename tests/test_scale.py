@@ -19,6 +19,7 @@ Tests marked `slow` take the family further (nv = 800) and the planted
 duplicates to 64,000 clauses; the default run leaves them out, and
 `pytest -m slow` runs them."""
 
+import io
 import random
 
 import pytest
@@ -26,7 +27,7 @@ import pytest
 from certprep import cli, pb, preprocess
 from certprep.checker import ProofChecker, check_wcnf_proof
 from certprep.wcnf import encode_to_pb, parse_wcnf
-from conftest import Lockstep
+from conftest import Lockstep, record_checkpoints
 
 
 def random_family(nv):
@@ -141,14 +142,16 @@ def test_large_run_checkpoints_match_checker_state():
     """After every application the preprocessor's clauses equal the
     checker's core and its objective equals the checker's."""
     inst = random_family(200)
-    out, proof, p = preprocess.run(inst,
-                                   preprocess.Config(checkpoints=True))
-    assert len(p.checkpoints) == sum(p.counts.values()) == 100
-    lines = proof.splitlines()
+    sink = io.StringIO()
+    p = preprocess.Preprocessor(inst, preprocess.Config(), sink)
+    checkpoints = record_checkpoints(p)
+    p.run()
+    assert len(checkpoints) == sum(p.counts.values()) == 100
+    lines = sink.getvalue().splitlines()
     cons, obj, _ = encode_to_pb(inst)
     chk = ProofChecker(cons, obj)
     fed = 0
-    for name, upto, snap, snap_obj in p.checkpoints:
+    for name, upto, snap, snap_obj in checkpoints:
         while fed < upto:
             chk.feed(lines[fed])
             fed += 1

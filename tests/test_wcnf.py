@@ -5,7 +5,7 @@ import random
 import pytest
 
 from certprep import pb, wcnf
-from conftest import (C, all_assignments, b, nx, pb_opt_bruteforce,
+from conftest import (C, all_assignments, b, cost, nx, pb_opt_bruteforce,
                       random_instance, x)
 
 NEW_SAMPLE = """\
@@ -117,9 +117,9 @@ def test_encode_dedupes_clause_literals():
 def test_cost_frozen():
     inst = wcnf.parse_wcnf(NEW_SAMPLE)
     v1, v2, v3 = pb.mkvar(1), pb.mkvar(2), pb.mkvar(3)
-    assert wcnf.cost(inst, {v1: 0, v2: 1, v3: 0}) == 1
-    assert wcnf.cost(inst, {v1: 1, v2: 1, v3: 1}) == 2
-    assert wcnf.cost(inst, {v1: 0, v2: 0, v3: 0}) is None  # hard violated
+    assert cost(inst, {v1: 0, v2: 1, v3: 0}) == 1
+    assert cost(inst, {v1: 1, v2: 1, v3: 1}) == 2
+    assert cost(inst, {v1: 0, v2: 0, v3: 0}) is None  # hard violated
 
 
 def test_opt_frozen():
@@ -147,7 +147,7 @@ def test_opt_matches_naive_enumeration():
             vs.update(l >> 1 for l in cl)
         naive = None
         for assign in all_assignments(vs):
-            c = wcnf.cost(inst, assign)
+            c = cost(inst, assign)
             if c is not None and (naive is None or c < naive):
                 naive = c
         assert wcnf.opt_cost_bruteforce(inst) == naive
