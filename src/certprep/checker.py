@@ -12,6 +12,11 @@ instance, maintaining:
     its literal -> ids index both drives propagation and enumerates witness
     obligations.
 
+The ``output`` step compares the core with the claimed output instance as
+two sets of clause keys (``_key``): a clause's key is its terms tuple, which
+the core's constraints already hold.  ``check_wcnf_proof`` encodes the
+input, keys the output as it reads it, then replays the proof.
+
 Objective steps are checked from their delta alone (see ``pb``): an
 ``obju diff`` carries it, an ``obju new`` is taken as the change from the
 current objective, and a witness's objective obligation is built from
@@ -81,20 +86,25 @@ class Verdict:
         return "<Verdict rejected: %s>" % self.error
 
 
+def _key(c):
+    # a terms tuple never equals a constraint: keys equal iff constraints do
+    return c.terms if c.degree == 1 else c
+
+
 class ProofChecker:
 
     def __init__(self, input_constraints, input_objective,
                  output_constraints=None, output_objective=None):
         self.input_constraints = list(input_constraints)
-        self.input_objective = input_objective
-        self.output_constraints = output_constraints
+        self.objective = input_objective.copy()   # from the preamble on
+        self.output_keys = (None if output_constraints is None
+                            else set(map(_key, output_constraints)))
         self.output_objective = output_objective
         self.lineno = 0
         self.state = "header"
         self.engine = pb.Propagator()
         self.constraints = self.engine.constraints
         self.core_ids = set()
-        self.objective = None
         self.next_id = 1
         self.level = None
         self._block = None  # (constraint, witness, collected lines) during red..begin
@@ -282,20 +292,17 @@ class ProofChecker:
         if level not in LEVELS:
             self._err("unknown output level %r" % level)
         self.level = level
-        if self.output_constraints is None:
+        out = self.output_keys
+        if out is None:
             return  # no reformulated instance to compare against
-        out = set(self.output_constraints)
         if level == "DERIVABLE":
-            live = set(self.constraints.values())
-            if not out <= live:
+            if not out <= set(map(_key, self.constraints.values())):
                 self._err("output constraint not among derived constraints")
             return
-        core = {self.constraints[i] for i in self.core_ids}
-        if core != out:
+        if {_key(self.constraints[i]) for i in self.core_ids} != out:
             self._err("core does not match the output instance")
-        if level == "EQUIOPTIMAL":
-            if self.objective != self.output_objective:
-                self._err("objective does not match the output instance")
+        if level == "EQUIOPTIMAL" and self.objective != self.output_objective:
+            self._err("objective does not match the output instance")
 
     # -- step dispatch ------------------------------------------------------------
 
@@ -329,7 +336,6 @@ class ProofChecker:
                           % (n, len(self.input_constraints)))
             for c in self.input_constraints:
                 self._install(c, core=True)
-            self.objective = self.input_objective.copy()
             self.state = "body"
             return
         if self.state == "body":
@@ -463,27 +469,32 @@ class ProofChecker:
             self._err("truncated proof")
         return self.level
 
+    def run(self, proof_lines):
+        """Feed an iterable of lines, then finish; returns a Verdict."""
+        try:
+            for line in proof_lines:
+                self.feed(line)
+            level = self.finish()
+        except ProofRejected as exc:
+            return Verdict(False, error=str(exc), lineno=exc.lineno)
+        return Verdict(True, level=level)
+
 
 def check_proof(input_constraints, input_objective, proof_lines,
                 output_constraints=None, output_objective=None):
     """Run the checker over an iterable of lines; returns a Verdict."""
-    chk = ProofChecker(input_constraints, input_objective,
-                       output_constraints, output_objective)
-    try:
-        for line in proof_lines:
-            chk.feed(line)
-        level = chk.finish()
-    except ProofRejected as exc:
-        return Verdict(False, error=str(exc), lineno=exc.lineno)
-    return Verdict(True, level=level)
+    return ProofChecker(input_constraints, input_objective,
+                        output_constraints, output_objective).run(proof_lines)
 
 
-def check_wcnf_proof(input_instance, proof_lines, output_instance=None):
-    """Convenience wrapper: translate both instances, then check."""
-    from . import wcnf as _wcnf
+def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
+    """Encode the input, key the output, then replay the proof.  Each
+    instance is a WcnfInstance or a `wcnf.read_clauses` stream; the output
+    is kept only as its keys and objective while the proof replays."""
+    from .wcnf import encode_to_pb
 
-    cons, obj, _ = _wcnf.encode_to_pb(input_instance)
-    out_cons = out_obj = None
-    if output_instance is not None:
-        out_cons, out_obj, _ = _wcnf.encode_to_pb(output_instance)
-    return check_proof(cons, obj, proof_lines, out_cons, out_obj)
+    def encoded(clauses):
+        return (None, None) if clauses is None else encode_to_pb(clauses)[:2]
+
+    return ProofChecker(*encoded(input_clauses),
+                        *encoded(output_clauses)).run(proof_lines)

@@ -13,7 +13,7 @@ import argparse
 import gc
 import sys
 
-from .wcnf import opt_cost_bruteforce, parse_wcnf, write_wcnf
+from .wcnf import opt_cost_bruteforce, parse_wcnf, read_clauses, write_wcnf
 
 VERIFIED_LINE = "s VERIFIED OUTPUT EQUIOPTIMAL"
 GC_THRESHOLD = 50000    # generation-0 allocations between collections
@@ -28,18 +28,26 @@ def _parse_instance(path):
     return parse_wcnf(_read(path))
 
 
-def _proof_lines(fh):
-    # the lines of fh.read().splitlines(), read one file line at a time
-    for line in fh:
-        yield from line.splitlines()
+def _clauses(path):
+    # read_clauses over the file's text, read when the first clause is asked
+    # for, so that the file is read and dropped in the order it is checked
+    yield from read_clauses(_read(path))
 
 
-def check_wcnf_proof(input_instance, proof_lines, output_instance=None):
+def _proof_lines(path):
+    # the lines of the file's text.splitlines(), read one file line at a
+    # time from the first line asked for on
+    with open(path, "r") as fh:
+        for line in fh:
+            yield from line.splitlines()
+
+
+def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
     """``checker.check_wcnf_proof``, looked up when called: only ``check``
     loads the checker."""
     from .checker import check_wcnf_proof as check
 
-    return check(input_instance, proof_lines, output_instance)
+    return check(input_clauses, proof_lines, output_clauses)
 
 
 def cmd_preprocess(args):
@@ -78,11 +86,13 @@ def cmd_check(args):
     # transient then peaks while the process is still small
     from . import checker  # noqa: F401
 
+    # The checker encodes the input, keys the output, then replays the
+    # proof, each read as it is needed: an error in the input is reported
+    # before one in the output, and one in the output before the proof's.
     try:
-        inst = _parse_instance(args.input)
-        out = _parse_instance(args.output)
-        with open(args.proof, "r") as fh:
-            verdict = check_wcnf_proof(inst, _proof_lines(fh), out)
+        verdict = check_wcnf_proof(_clauses(args.input),
+                                   _proof_lines(args.proof),
+                                   _clauses(args.output))
     except (OSError, ValueError) as exc:  # also a read or decode error
         print("error: %s" % exc, file=sys.stderr)
         return 2

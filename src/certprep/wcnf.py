@@ -3,7 +3,10 @@
 Both WCNF dialects are accepted: the current one (``h <lits> 0`` for hard
 clauses, ``<weight> <lits> 0`` for soft ones) and the legacy header form
 (``p wcnf <nvars> <nclauses> <top>`` where a weight >= top marks a hard
-clause).  Output is always written in the current dialect.
+clause).  Output is always written in the current dialect.  Numbers are
+ASCII digits alone.  ``read_clauses`` is the one reader: it yields each
+clause as (weight, literals), weight None when hard, and both
+``parse_wcnf`` and ``encode_to_pb`` take that stream.
 
 The PB translation mirrors the cost semantics exactly: hard clauses become
 clausal constraints, a unit soft (u, w) contributes w * ~u to the objective,
@@ -16,9 +19,13 @@ distinct literal.  So an instance costs memory per distinct literal plus
 one reference per occurrence.  The tables live for their call alone.
 """
 
+import re
+from itertools import chain, repeat
+
 from . import pb
 
 MAX_WEIGHT = 2**63 - 1
+_INT = re.compile("[+-]?[0-9]+")    # int() would also take '1_0' and '١'
 
 
 class WcnfInstance:
@@ -27,12 +34,14 @@ class WcnfInstance:
         self.hard = hard if hard is not None else []
         self.soft = soft if soft is not None else []
 
+    def __iter__(self):
+        # the clauses as `read_clauses` yields them, hard clauses first
+        return chain(zip(repeat(None), self.hard), self.soft)
+
     def max_var_index(self):
         # a literal's variable index is the literal shifted right three
         # places, whatever its namespace, so the largest literal has it
-        tops = [max(cl) for cl in self.hard if cl]
-        tops += [max(cl) for _, cl in self.soft if cl]
-        return max(tops, default=0) >> 3
+        return max([max(cl) for _, cl in self if cl], default=0) >> 3
 
     def __eq__(self, other):
         return (isinstance(other, WcnfInstance)
@@ -40,27 +49,26 @@ class WcnfInstance:
 
 
 def _lit_to_dimacs(lit):
-    v = lit >> 1
-    if pb.var_ns(v) != pb.NS_USER:
+    if lit & 6:     # the namespace bits of the literal's variable
         raise ValueError("only problem variables may appear in WCNF output")
-    return -pb.var_index(v) if lit & 1 else pb.var_index(v)
+    return -(lit >> 3) if lit & 1 else lit >> 3
 
 
 class _PackedTokens(dict):
     """Clause token -> packed literal, filled by one parse as tokens come,
     so that each distinct token packs to one int object: DIMACS n packs as
-    mklit(mkvar(|n|), n < 0) would pack it.  The literal 0 packs to 1,
-    which no real literal is; a token that int() refuses raises its
-    ValueError."""
+    mklit(mkvar(|n|), n < 0) would pack it.  The literal 0 and a token that
+    is not ``[+-]?[0-9]+`` pack to 1, which no real literal is."""
 
     def __missing__(self, tok):
-        n = int(tok)
+        n = int(tok) if _INT.fullmatch(tok) else 0
         lit = self[tok] = n << 3 if n > 0 else -n << 3 | 1
         return lit
 
 
-def parse_wcnf(text):
-    inst = WcnfInstance()
+def read_clauses(text):
+    """Yield each clause of a WCNF text as (weight, literals) in file order,
+    weight None when hard; a malformed line raises ValueError naming it."""
     packed = _PackedTokens()
     top = None
     saw_clause = False
@@ -75,22 +83,20 @@ def parse_wcnf(text):
             if len(toks) != 5 or toks[1] != "wcnf":
                 raise ValueError("line %d: bad p-line (want 'p wcnf "
                                  "<nvars> <nclauses> <top>')" % lineno)
-            try:
-                top = int(toks[4])
-            except ValueError:
+            top = toks[4]
+            if not (top.isdigit() and top.isascii()) or int(top) < 1:
                 raise ValueError("line %d: bad top weight" % lineno)
-            if top < 1:
-                raise ValueError("line %d: bad top weight" % lineno)
+            top = int(top)
             continue
         saw_clause = True
         # A clause line is checked in one order: its head ('h' or a weight),
         # its terminating 0, then its literals, packed through `packed`; only
-        # a packing that fails or yields the literal 0 names its bad token.
+        # a packing that yields 1 has its first bad token named.
         if head == "h":
             if top is not None:
                 raise ValueError("line %d: 'h' clause in legacy format" % lineno)
             w = None
-        elif not head.isdigit():
+        elif not (head.isdigit() and head.isascii()):   # not '²' either
             raise ValueError("line %d: bad weight %r" % (lineno, head))
         else:
             w = int(head)
@@ -100,73 +106,70 @@ def parse_wcnf(text):
                 raise ValueError("line %d: weight exceeds 2^63-1" % lineno)
         if len(toks) < 2 or toks[-1] != "0":
             raise ValueError("line %d: clause not terminated by 0" % lineno)
-        try:
-            lits = list(map(packed.__getitem__, toks[1:-1]))
-        except ValueError:
-            lits = [1]
+        lits = list(map(packed.__getitem__, toks[1:-1]))
         if 1 in lits:
-            for tok in toks[1:-1]:
-                try:
-                    n = int(tok)
-                except ValueError:
-                    raise ValueError("line %d: bad literal %r" % (lineno, tok))
-                if n == 0:
-                    raise ValueError("line %d: literal 0 inside clause" % lineno)
-        if w is None or top is not None and w >= top:
-            inst.hard.append(lits)
+            tok = next(t for t in toks[1:-1] if packed[t] == 1)
+            if _INT.fullmatch(tok):
+                raise ValueError("line %d: literal 0 inside clause" % lineno)
+            raise ValueError("line %d: bad literal %r" % (lineno, tok))
+        yield (None if top and w >= top else w), lits   # top rules out 'h'
+
+
+def parse_wcnf(text):
+    inst = WcnfInstance()
+    for clause in read_clauses(text):
+        if clause[0] is None:
+            inst.hard.append(clause[1])
         else:
-            inst.soft.append((w, lits))
+            inst.soft.append(clause)
     return inst
 
 
 def write_wcnf(inst):
-    lines = []
-    for cl in inst.hard:
-        lines.append(" ".join(["h"] + [str(_lit_to_dimacs(l)) for l in cl] + ["0"]))
-    for w, cl in inst.soft:
-        lines.append(" ".join([str(w)] + [str(_lit_to_dimacs(l)) for l in cl] + ["0"]))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(" ".join(["h" if w is None else str(w)] + [
+        str(_lit_to_dimacs(lit)) for lit in cl] + ["0\n"]) for w, cl in inst)
 
 
-def encode_to_pb(inst):
-    """Translate to (constraints, objective, soft_info).
+def encode_to_pb(clauses):
+    """Translate (weight, literals) pairs, from `read_clauses` or a
+    WcnfInstance, to (constraints, objective, soft_info).
 
+    The hard clauses come first, then the relaxed (non-unit) softs labelled
+    _b1, _b2, ... in soft order, however the file interleaves the two.
     soft_info maps constraint position -> (label_var, weight) for relaxed
-    (non-unit) soft clauses; hard clauses and unit softs have no entry.
-    Duplicate unit softs merge additively into the objective.  Equal clause
-    terms are one tuple within the result.
+    softs.  Duplicate unit softs merge additively into the objective.
     """
-    # one term (1, literal) per distinct literal, for every clause holding it
-    units = {lit: (1, lit) for lit in set().union(
-        *inst.hard, *[cl for _, cl in inst.soft])}
-    constraints = [pb.constraint_from_clause(cl, units) for cl in inst.hard]
+    units = _Units()
+    hard, relaxed, labels = [], [], []
     objective = pb.Objective()
-    soft_info = {}
-    next_aux = 1
-    for w, cl in inst.soft:
+    for w, cl in clauses:
+        if w is None:
+            hard.append(pb.constraint_from_clause(cl, units))
+            continue
         lits = list(dict.fromkeys(cl))
         if len(lits) == 1:
             objective.add_literal_term(w, pb.neg(lits[0]))
-        else:
-            label = pb.mkvar(next_aux, pb.NS_AUX)
-            next_aux += 1
-            soft_info[len(constraints)] = (label, w)
-            lit = pb.mklit(label)
-            units[lit] = (1, lit)
-            constraints.append(pb.constraint_from_clause(lits + [lit], units))
-            objective.add_literal_term(w, lit)
-    return constraints, objective, soft_info
+            continue
+        labels.append((pb.mkvar(len(labels) + 1, pb.NS_AUX), w))
+        lit = pb.mklit(labels[-1][0])
+        relaxed.append(pb.constraint_from_clause(lits + [lit], units))
+        objective.add_literal_term(w, lit)
+    return hard + relaxed, objective, dict(enumerate(labels, len(hard)))
+
+
+class _Units(dict):
+    # literal -> the term (1, literal) that every clause holding it shares
+
+    def __missing__(self, lit):
+        term = self[lit] = (1, lit)
+        return term
 
 
 def opt_cost_bruteforce(inst, var_limit=22):
     """Exact optimum by enumeration over the variables that occur; None if
     no assignment satisfies the hard clauses."""
-    vs = set()
-    for cl in inst.hard:
-        vs.update(l >> 1 for l in cl)
-    for _, cl in inst.soft:
-        vs.update(l >> 1 for l in cl)
-    vs = sorted(vs, key=pb.var_sort_key)
+    vs = sorted({lit >> 1 for _, cl in inst for lit in cl},
+                key=pb.var_sort_key)
     if len(vs) > var_limit:
         raise ValueError("too many variables for brute force (%d)" % len(vs))
     bit = {v: i for i, v in enumerate(vs)}

@@ -6,8 +6,10 @@ implementations are checked against an independent reading of the semantics.
 """
 
 import itertools
+import re
 
 from certprep import pb
+from certprep.checker import LEVELS, ProofChecker
 from certprep.pb import constraint_from_clause, mklit, neg
 from certprep.preprocess import _unit
 from certprep.sat import OracleBudget, SatOracle
@@ -264,7 +266,9 @@ def reference_propagates_at_root(c):
 # The token-by-token parser, the literal-by-literal max_var_index and the
 # list-based translation that the wcnf fast paths replaced.  The parser packs
 # a clause's tokens first and names a bad token only when that fails, so the
-# two must agree on instances and on error texts.
+# two must agree on instances and on error texts.  Both read numbers in ASCII
+# alone: a literal is [+-]?[0-9]+, a weight or a top weight [0-9]+, so that
+# neither int()'s '_' separators nor non-ASCII digits get through.
 
 
 def _reference_clause_lits(toks, lineno):
@@ -272,10 +276,9 @@ def _reference_clause_lits(toks, lineno):
         raise ValueError("line %d: clause not terminated by 0" % lineno)
     lits = []
     for t in toks[:-1]:
-        try:
-            n = int(t)
-        except ValueError:
+        if not re.fullmatch("[+-]?[0-9]+", t):
             raise ValueError("line %d: bad literal %r" % (lineno, t))
+        n = int(t)
         if n == 0:
             raise ValueError("line %d: literal 0 inside clause" % lineno)
         lits.append(pb.mklit(pb.mkvar(abs(n)), n < 0))
@@ -283,7 +286,7 @@ def _reference_clause_lits(toks, lineno):
 
 
 def _reference_weight(tok, lineno):
-    if not tok.isdigit():
+    if not re.fullmatch("[0-9]+", tok):
         raise ValueError("line %d: bad weight %r" % (lineno, tok))
     w = int(tok)
     if w == 0:
@@ -309,10 +312,9 @@ def reference_parse_wcnf(text):
             if len(toks) != 5 or toks[1] != "wcnf":
                 raise ValueError("line %d: bad p-line (want 'p wcnf "
                                  "<nvars> <nclauses> <top>')" % lineno)
-            try:
-                top = int(toks[4])
-            except ValueError:
+            if not re.fullmatch("[0-9]+", toks[4]):
                 raise ValueError("line %d: bad top weight" % lineno)
+            top = int(toks[4])
             if top < 1:
                 raise ValueError("line %d: bad top weight" % lineno)
             continue
@@ -364,6 +366,53 @@ def reference_encode_to_pb(inst):
                 lits + [pb.mklit(label)]))
             objective.add_literal_term(w, pb.mklit(label))
     return constraints, objective, soft_info
+
+
+# -- reference output check ------------------------------------------------------
+#
+# The output check before clause keys: parse both instances whole, encode the
+# output too, and compare the core with it as a set of constraints.
+
+
+class ReferenceOutputChecker(ProofChecker):
+
+    def __init__(self, input_constraints, input_objective,
+                 output_constraints=None, output_objective=None):
+        super().__init__(input_constraints, input_objective, None,
+                         output_objective)
+        self.reference_output = output_constraints
+
+    def _check_output(self, level):
+        if level not in LEVELS:
+            self._err("unknown output level %r" % level)
+        self.level = level
+        if self.reference_output is None:
+            return
+        out = set(self.reference_output)
+        if level == "DERIVABLE":
+            live = set(self.constraints.values())
+            if not out <= live:
+                self._err("output constraint not among derived constraints")
+            return
+        core = {self.constraints[i] for i in self.core_ids}
+        if core != out:
+            self._err("core does not match the output instance")
+        if level == "EQUIOPTIMAL":
+            if self.objective != self.output_objective:
+                self._err("objective does not match the output instance")
+
+
+def reference_check_wcnf_proof(input_instance, proof_lines,
+                               output_instance=None,
+                               encode=reference_encode_to_pb):
+    """check_wcnf_proof through `encode` (by default the reference
+    translation) and the reference output check."""
+    cons, obj, _ = encode(input_instance)
+    out_cons = out_obj = None
+    if output_instance is not None:
+        out_cons, out_obj, _ = encode(output_instance)
+    return ReferenceOutputChecker(cons, obj, out_cons, out_obj).run(
+        proof_lines)
 
 
 # -- reference propagation ------------------------------------------------------

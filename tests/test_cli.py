@@ -3,6 +3,7 @@
 import gc
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -135,6 +136,47 @@ def test_check_undecodable_proof_is_an_io_error(tmp_path, capsys):
     assert run_cli("check", GOLDEN, bad, out) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and not captured.out
+
+
+def test_check_reports_a_malformed_output_before_the_proof(tmp_path,
+                                                          capsys):
+    """The output is read before the proof replays: a malformed output
+    line exits 2 with its line-numbered message, even with a bad or missing
+    proof, and a malformed input is reported before a malformed output."""
+    _, out, proof = preprocess_golden(tmp_path)
+    bad_out = tmp_path / "bad.out.wcnf"
+    bad_out.write_text(out.read_text() + "h 2 x 0\n")
+    bad_proof = tmp_path / "bad.pbp"
+    bad_proof.write_text("not a proof\n")
+    bad_in = tmp_path / "bad.wcnf"
+    bad_in.write_text("h 1 0\n3 1_0 0\n")
+    n = len(out.read_text().splitlines()) + 1
+    capsys.readouterr()
+    for pf in (proof, bad_proof, tmp_path / "absent.pbp"):
+        assert run_cli("check", GOLDEN, pf, bad_out) == 2
+        assert capsys.readouterr() == (
+            "", "error: line %d: bad literal 'x'\n" % n)
+    assert run_cli("check", bad_in, bad_proof, bad_out) == 2
+    assert capsys.readouterr() == ("", "error: line 2: bad literal '1_0'\n")
+
+
+def test_check_verifies_a_shuffled_output(tmp_path, capsys):
+    """The output is compared as a set of clauses: shuffling its lines, and
+    the literals within each line, keeps it verified."""
+    _, out, proof = preprocess_golden(tmp_path)
+    rng = random.Random(5)
+    lines = out.read_text().splitlines()
+    for _ in range(5):
+        rng.shuffle(lines)
+        shuffled = []
+        for line in lines:
+            head, *lits, end = line.split()
+            rng.shuffle(lits)
+            shuffled.append(" ".join([head] + lits + [end]))
+        out.write_text("\n".join(shuffled) + "\n")
+        capsys.readouterr()
+        assert run_cli("check", GOLDEN, proof, out) == 0
+        assert capsys.readouterr().out == "s VERIFIED OUTPUT EQUIOPTIMAL\n"
 
 
 def loaded_modules(argv, names):

@@ -137,7 +137,21 @@ MALFORMED = [
     "9223372036854775808 1",    # weight overflow before a terminator
     "5 1 x",                    # missing terminator before a bad literal
     "h 0 x",                    # missing terminator before an inner 0
+    # numbers are ASCII digits alone: int() would take these
+    "h 1_0 0",
+    "h \u0661 0",               # ARABIC-INDIC DIGIT ONE
+    "p wcnf 2 2 1_0\n2 1 0",
+    "p wcnf 2 2 +5\n2 1 0",
+    "1_0 1 0",
 ]
+
+# the exact messages of some of the lines above
+MALFORMED_MESSAGES = {
+    "h 1_0 0": "line 1: bad literal '1_0'",
+    "h \u0661 0": "line 1: bad literal '\u0661'",
+    "p wcnf 2 2 1_0\n2 1 0": "line 1: bad top weight",
+    "² 1 0": "line 1: bad weight '²'",
+}
 
 
 def test_parser_matches_reference_on_valid_files():
@@ -160,10 +174,12 @@ def test_parser_matches_reference_on_valid_files():
 def test_parser_matches_reference_on_malformed_files():
     rng = random.Random(4711)
     errors = set()
+    assert set(MALFORMED_MESSAGES) <= set(MALFORMED)
     for text in MALFORMED:
         got = outcome(wcnf.parse_wcnf, text)
         assert got == outcome(reference_parse_wcnf, text), text
         assert got[0] == "error", text
+        assert got[1] == MALFORMED_MESSAGES.get(text, got[1]), text
         errors.add(got[1].split(": ", 1)[1].split(" '")[0].split(" (")[0])
     for _ in range(3000):
         text = corrupt(rng, random_wcnf_text(rng))
