@@ -67,7 +67,7 @@ def cmd_preprocess(args):
         with open(args.proof, "w") as proof_sink:
             out, _, p = preprocess.run(inst, cfg, sink=proof_sink)
         with open(args.output, "w") as fh:
-            fh.write(write_wcnf(out))
+            write_wcnf(out, fh)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -29,7 +29,11 @@ the preprocessor's probing.  It owns the live constraints (id -> constraint),
 a literal -> ids occurrence index and the *root set*: the ids whose largest
 coefficient exceeds sum(coef) - degree, or with sum(coef) < degree, i.e. the
 only ones that conflict or propagate with nothing assigned.  ``add`` and
-``remove`` keep all three in step.  A propagation either starts from the root
+``remove`` keep the constraints and the root set in step.  The index is
+built in one pass over the constraints when it is first read (``occ``,
+``ids_with`` or ``propagate``), and kept in step from then on, so a run
+whose passes never read it, such as duplicate and tautology removal alone,
+never pays for it.  A propagation either starts from the root
 set or resumes from a base assignment that is already a fixpoint of the same
 constraints; it then makes assumption literals true, scans a few transient
 extra constraints (a negated target, subproof lines), and afterwards reaches
@@ -49,7 +53,7 @@ only when the counter falls below the largest coefficient still unassigned
 (for a clause: below 1), since only then can it conflict or propagate.  A
 call therefore costs the length of the constraints it touches plus one step
 per false occurrence.  The counters belong to the call; ``add`` and
-``remove`` keep nothing per constraint beyond the index.
+``remove`` keep nothing per constraint beyond the index and the root set.
 ``unit_propagate`` and ``rup_check`` are thin wrappers over a throwaway
 engine.
 """
@@ -354,6 +358,16 @@ _NO_IDS = frozenset()
 _SETTLED = (0, float("inf"), 0, None)   # no later literal is queued after it
 
 
+def _index(occ, cid, terms):
+    """Enter id `cid` under each literal of `terms` in the index `occ`."""
+    for _, lit in terms:
+        ids = occ.get(lit)
+        if ids is None:
+            occ[lit] = {cid}
+        else:
+            ids.add(cid)
+
+
 def _propagates_at_root(c):
     """True if c conflicts or forces a literal with nothing assigned."""
     slack = sum(coef for coef, _ in c.terms) - c.degree
@@ -364,32 +378,36 @@ class Propagator:
     """Queue-driven unit propagation with per-call slack counters (see
     above).
 
-    ``constraints`` (id -> constraint), ``occ`` (literal -> set of ids, empty
-    entries dropped) and ``roots`` are kept in step by ``add`` and
-    ``remove``; callers may read them but change them only through those.
-    Ids are non-negative ints: within a call, extras are keyed by negative
-    ones.
+    ``constraints`` (id -> constraint) and ``roots`` are kept in step by
+    ``add`` and ``remove``; so is ``occ`` (literal -> set of ids, empty
+    entries dropped) once its first read has built it.  Callers may read
+    them but change them only through those two.  Ids are non-negative
+    ints: within a call, extras are keyed by negative ones.
     """
 
-    __slots__ = ("constraints", "occ", "roots")
+    __slots__ = ("constraints", "_occ", "roots")
 
     def __init__(self, constraints=()):
         self.constraints = {}
-        self.occ = {}
+        self._occ = None        # the index, None until its first read
         self.roots = set()
         for cid, c in enumerate(constraints):
             self.add(cid, c)
 
+    @property
+    def occ(self):
+        occ = self._occ
+        if occ is None:
+            occ = self._occ = {}
+            for cid, c in self.constraints.items():
+                _index(occ, cid, c.terms)
+        return occ
+
     def add(self, cid, c):
         self.constraints[cid] = c
-        occ = self.occ
         terms = c.terms
-        for _, lit in terms:
-            ids = occ.get(lit)
-            if ids is None:
-                occ[lit] = {cid}
-            else:
-                ids.add(cid)
+        if self._occ is not None:
+            _index(self._occ, cid, terms)
         # degree <= 1 with two unit terms: the slack is at least 1, and no
         # term's coefficient exceeds it, since another term makes up for it
         if (c.degree <= 1 and len(terms) > 1 and terms[0][0] == 1
@@ -400,17 +418,19 @@ class Propagator:
 
     def remove(self, cid):
         c = self.constraints.pop(cid)
-        occ = self.occ
-        for _, lit in c.terms:
-            ids = occ[lit]
-            ids.discard(cid)
-            if not ids:
-                del occ[lit]
+        occ = self._occ
+        if occ is not None:
+            for _, lit in c.terms:
+                ids = occ[lit]
+                ids.discard(cid)
+                if not ids:
+                    del occ[lit]
         self.roots.discard(cid)
         return c
 
     def ids_with(self, lit):
-        return self.occ.get(lit, _NO_IDS)
+        occ = self._occ
+        return (self.occ if occ is None else occ).get(lit, _NO_IDS)
 
     def propagate(self, assumptions=(), extras=(), base=None, skip=None,
                   only=None):

@@ -231,7 +231,6 @@ class Preprocessor:
         self.objective = objective
         self.engine = pb.Propagator()
         self.clauses = self.engine.constraints  # cid -> clause, = proof core
-        self.occ = self.engine.occ              # literal -> set of cids
         self.lits = {}          # cid -> its literals, in term order
         self.real = {}          # soft cid -> its literals but its label
         self.worklists = {}     # pass name -> _Worklist, during a stage
@@ -250,6 +249,12 @@ class Preprocessor:
         self.cap_hit = False
         self.input_instance = instance
         self.dirty = False
+
+    @property
+    def occ(self):
+        """literal -> set of cids: the engine's index, built when a pass
+        first reads it."""
+        return self.engine.occ
 
     # ------------------------------------------------------------------
     # bookkeeping

@@ -125,9 +125,14 @@ def parse_wcnf(text):
     return inst
 
 
-def write_wcnf(inst):
-    return "".join(" ".join(["h" if w is None else str(w)] + [
+def write_wcnf(inst, fh=None):
+    """The instance as WCNF text, or, given a file, written to it line by
+    line, so that the whole text is never built."""
+    lines = (" ".join(["h" if w is None else str(w)] + [
         str(_lit_to_dimacs(lit)) for lit in cl] + ["0\n"]) for w, cl in inst)
+    if fh is None:
+        return "".join(lines)
+    fh.writelines(lines)
 
 
 def encode_to_pb(clauses):

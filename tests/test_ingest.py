@@ -6,10 +6,12 @@ same code as the preprocessor, so a wrong fast path would fool both sides of
 a certified run at once; only a differential test can see it."""
 
 import gc
+import io
 import random
 import tracemalloc
 
 from certprep import pb, wcnf
+from certprep.preprocess import Config, Preprocessor
 from conftest import (random_instance, reference_constraint_from_clause,
                       reference_encode_to_pb, reference_max_var_index,
                       reference_parse_wcnf, reference_propagates_at_root)
@@ -349,3 +351,40 @@ def test_parse_and_encode_keep_repeated_values_once():
     inst = wcnf.parse_wcnf(text)
     encoded = retained_bytes(wcnf.encode_to_pb, inst)
     assert encoded <= 0.6 * retained_bytes(reference_encode_to_pb, inst)
+
+
+def test_light_run_builds_no_occurrence_index():
+    """`dup` and `taut` never read the engine's literal index, so a run of
+    them alone leaves it unbuilt: its traced peak stays well below that of
+    the same run with the index forced at construction, and both runs give
+    the same output and proof."""
+    text = large_light_text(random.Random(23))
+    lines = text.splitlines()
+    text += "\n".join(lines[:40:4] + lines[-40::4]
+                      + ["h 40 -40 41 0", "3 -50 52 50 0"]) + "\n"
+    cfg = Config(techniques=("dup", "taut"))
+
+    def run(force):
+        sink = io.StringIO()
+        p = Preprocessor(wcnf.parse_wcnf(text), cfg, sink)
+        if force:
+            p.occ
+        out = p.run()
+        runs.append((wcnf.write_wcnf(out), sink.getvalue(), p.counts,
+                     p.engine._occ is None))
+
+    runs = []
+    peaks = []
+    for force in (False, True):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(force)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (out, proof, counts, unbuilt), (fout, fproof, fcounts, funbuilt) = runs
+    assert unbuilt and not funbuilt
+    assert counts == fcounts and counts["dup"] == 20 and counts["taut"] == 2
+    assert out == fout and proof == fproof
+    assert peaks[0] <= 0.85 * peaks[1], peaks

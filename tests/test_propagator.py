@@ -1,10 +1,10 @@
 """Differential tests: the queue-driven pb.Propagator against the round-based
 reference loops in conftest.
 
-The engine's occurrence index and root set are maintained incrementally, so
-the randomized test interleaves additions and removals and re-derives both
-from scratch after every step; a drifted index or root set would show as a
-missed propagation or conflict."""
+The engine's occurrence index and root set are maintained incrementally
+(the index from its first read on), so the randomized tests interleave
+additions and removals and re-derive both from scratch after every step; a
+drifted index or root set would show as a missed propagation or conflict."""
 
 import random
 
@@ -101,6 +101,57 @@ def test_engine_matches_reference_under_churn():
                                    assumptions_over(base, lits))
             queries += 1
     assert queries > 2000
+
+
+def test_lazy_index_matches_an_eager_rebuild():
+    """The index is built by its first read (``occ``, ``ids_with`` or
+    ``propagate``), drawn at a random step of add/remove churn; until then
+    the engine holds none.  After every later step the index, every
+    literal's ids and a propagation equal those rebuilt from the live
+    constraints."""
+    rng = random.Random(14)
+    reads = {"occ": 0, "ids_with": 0, "propagate": 0}
+    compared = 0
+    for _ in range(120):
+        nv = rng.randint(3, 9)
+        lits = [pb.mklit(pb.mkvar(v), s) for v in range(1, nv + 1)
+                for s in (False, True)]
+        engine = pb.Propagator()
+        live = {}
+        next_id = 1
+        first_read = rng.randint(0, 20)
+        for step in range(30):
+            if live and rng.random() < 0.35:
+                cid = rng.choice(sorted(live))
+                assert engine.remove(cid) == live.pop(cid)
+            else:
+                live[next_id] = random_constraint(rng, nv)
+                engine.add(next_id, live[next_id])
+                next_id += 1
+            if step < first_read:
+                assert engine._occ is None
+                continue
+            if step == first_read:
+                read = rng.choice(sorted(reads))
+                reads[read] += 1
+                if read == "ids_with":
+                    engine.ids_with(rng.choice(lits))
+                elif read == "propagate":
+                    engine.propagate([rng.choice(lits)])
+                else:
+                    engine.occ
+            occ = {}
+            for cid, c in live.items():
+                for _, lit in c.terms:
+                    occ.setdefault(lit, set()).add(cid)
+            assert engine.occ == occ
+            for lit in lits:
+                assert engine.ids_with(lit) == occ.get(lit, set())
+            assume = rng.sample(lits, rng.randint(0, 2))
+            assert engine.propagate(assume) == expected(
+                live, None, None, (), assumptions_over({}, assume))
+            compared += 1
+    assert min(reads.values()) > 20 and compared > 1000, (reads, compared)
 
 
 def planted_lits(planted):
@@ -230,6 +281,7 @@ def test_long_clauses_are_scanned_at_most_twice_per_call():
                                                rng.randint(19, nv - 1))]
             + [pb.mklit(pb.mkvar(nv + i))])) for i in range(1, 13)]
         engine = pb.Propagator(clauses + tree)
+        engine.occ     # build the index now: its build reads every clause
         for c in clauses:
             c.reads = 0
         got = engine.propagate([order[0]])
