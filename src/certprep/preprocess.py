@@ -1413,7 +1413,10 @@ class Preprocessor:
 
     def _finish_wcnf(self):
         """The output: the hard clauses, the softs without their labels, and
-        a unit soft per other objective term (all of them, in phase "oc")."""
+        a unit soft per other objective term (all of them, in phase "oc").
+        A term weighing more than MAX_WEIGHT goes out as several unit softs
+        on its literal, MAX_WEIGHT each but the last, which a reader adds
+        back up."""
         self._drop_trivial()
         hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
                 if cid not in self.soft_label]
@@ -1421,8 +1424,12 @@ class Preprocessor:
                 for cid, (label, w) in sorted(self.soft_label.items())]
         labels = {label for label, _ in self.soft_label.values()}
         terms, _ = self.objective.literal_form()
-        soft.extend((w, [neg(lit)]) for w, lit in terms
-                    if lit >> 1 not in labels)
+        for w, lit in terms:
+            if lit >> 1 not in labels:
+                while w > MAX_WEIGHT:
+                    soft.append((MAX_WEIGHT, [neg(lit)]))
+                    w -= MAX_WEIGHT
+                soft.append((w, [neg(lit)]))
         self.writer.conclude("EQUIOPTIMAL")
         return WcnfInstance(hard, soft)
 

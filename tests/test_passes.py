@@ -21,7 +21,8 @@ import pytest
 from certprep import pb, preprocess
 from certprep.checker import check_wcnf_proof
 from certprep.preprocess import Config, Preprocessor
-from certprep.wcnf import MAX_WEIGHT, WcnfInstance, parse_wcnf, write_wcnf
+from certprep.wcnf import (MAX_WEIGHT, WcnfInstance, parse_wcnf,
+                           read_clauses, write_wcnf)
 from conftest import REFERENCE_PASSES, random_instance, reference_groups
 
 STAGE2 = ("dup", "taut", "up", "empty", "sub", "bce")
@@ -421,7 +422,32 @@ def test_outputs_proofs_and_counts_match_pinned_digest():
             h.update(write_wcnf(out).encode())
             h.update(proof.encode())
             h.update(repr(sorted(p.counts.items())).encode())
-    assert h.hexdigest() == "b0bc616e617399d97bc7df2f34aabb27a4d42e26"
+    assert h.hexdigest() == "890453532f38c9bd215679c3dc10f73304c68249"
+
+
+def test_heavy_objective_terms_split_into_bounded_unit_softs():
+    """The default set over every instance: no output weight exceeds
+    MAX_WEIGHT, since a heavier objective term goes out as unit softs of
+    MAX_WEIGHT on its literal plus one for the rest, and every output,
+    written and read back as text, verifies.  The instances' weights near
+    MAX_WEIGHT / 2 make such terms common: before the split, 52 outputs
+    held a weight the reader refuses."""
+    split = 0
+    for inst in instances():
+        out, proof, _ = preprocess.run(inst)
+        units = {}
+        for w, cl in out.soft:
+            assert 1 <= w <= MAX_WEIGHT
+            if len(cl) == 1:
+                units.setdefault(cl[0], []).append(w)
+        for ws in units.values():
+            assert all(w == MAX_WEIGHT for w in ws[:-1]), ws
+        split += any(len(ws) > 1 for ws in units.values())
+        v = check_wcnf_proof(read_clauses(write_wcnf(inst)),
+                             proof.splitlines(),
+                             read_clauses(write_wcnf(out)))
+        assert v.accepted and v.level == "EQUIOPTIMAL", v
+    assert split >= 40, split
 
 
 def test_every_single_technique_is_certified():
