@@ -95,7 +95,7 @@ class ProofChecker:
 
     def __init__(self, input_constraints, input_objective,
                  output_constraints=None, output_objective=None):
-        self.input_constraints = list(input_constraints)
+        self.input_constraints = list(input_constraints)   # until `f <n>`
         self.objective = input_objective.copy()   # from the preamble on
         self.output_keys = (None if output_constraints is None
                             else set(map(_key, output_constraints)))
@@ -183,8 +183,8 @@ class ProofChecker:
     def _touched_ids(self, witness, skip=None):
         ids = set()
         for v in witness:
-            ids |= self.engine.ids_with(v << 1)
-            ids |= self.engine.ids_with((v << 1) | 1)
+            ids.update(self.engine.ids_with(v << 1))
+            ids.update(self.engine.ids_with((v << 1) | 1))
         ids.discard(skip)
         return ids
 
@@ -336,6 +336,7 @@ class ProofChecker:
                           % (n, len(self.input_constraints)))
             for c in self.input_constraints:
                 self._install(c, core=True)
+            self.input_constraints = None   # the engine holds them now
             self.state = "body"
             return
         if self.state == "body":
@@ -490,11 +491,17 @@ def check_proof(input_constraints, input_objective, proof_lines,
 def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
     """Encode the input, key the output, then replay the proof.  Each
     instance is a WcnfInstance or a `wcnf.read_clauses` stream; the output
-    is kept only as its keys and objective while the proof replays."""
-    from .wcnf import encode_to_pb
+    is kept only as its keys and objective while the proof replays.  Both
+    encodings fill one term table, so the output's keys hold the input's
+    (1, literal) terms."""
+    from .wcnf import _Units, encode_to_pb
+
+    units = _Units()
 
     def encoded(clauses):
-        return (None, None) if clauses is None else encode_to_pb(clauses)[:2]
+        return ((None, None) if clauses is None
+                else encode_to_pb(clauses, units)[:2])
 
-    return ProofChecker(*encoded(input_clauses),
-                        *encoded(output_clauses)).run(proof_lines)
+    checker = ProofChecker(*encoded(input_clauses), *encoded(output_clauses))
+    del units       # the replay needs no term table
+    return checker.run(proof_lines)

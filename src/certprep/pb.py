@@ -33,12 +33,17 @@ only ones that conflict or propagate with nothing assigned.  ``add`` and
 built in one pass over the constraints when it is first read (``occ``,
 ``ids_with`` or ``propagate``), and kept in step from then on, so a run
 whose passes never read it, such as duplicate and tautology removal alone,
-never pays for it.  A propagation either starts from the root
-set or resumes from a base assignment that is already a fixpoint of the same
-constraints; it then makes assumption literals true, scans a few transient
-extra constraints (a negated target, subproof lines), and afterwards reaches
-a constraint only through a newly false literal, so its cost follows the
-constraints actually touched rather than the database size.
+never pays for it.  An entry of the index is a list of ids while it holds
+at most ``_LIST_MAX`` of them and a set once it grows past that: most
+literals occur a few times, and a small list costs a fraction of a set,
+while the few hub literals keep removal constant-time.  A reader that needs
+set algebra wraps the entry in ``set``.  A propagation either starts from
+the root set or resumes from a base assignment that is already a fixpoint
+of the same constraints; it then makes assumption literals true, scans a
+few transient extra constraints (a negated target, subproof lines), and
+afterwards reaches a constraint only through a newly false literal, so its
+cost follows the constraints actually touched rather than the database
+size.
 
 Slack counters, as in RoundingSat (Elffers & Nordström, IJCAI 2018), keep
 long constraints from being rescanned per false literal; a clause is the
@@ -354,8 +359,9 @@ class Objective:
         return tuple(terms), const
 
 
-_NO_IDS = frozenset()
+_NO_IDS = ()
 _SETTLED = (0, float("inf"), 0, None)   # no later literal is queued after it
+_LIST_MAX = 8   # an index entry holds this many ids in a list, more in a set
 
 
 def _index(occ, cid, terms):
@@ -363,9 +369,13 @@ def _index(occ, cid, terms):
     for _, lit in terms:
         ids = occ.get(lit)
         if ids is None:
-            occ[lit] = {cid}
-        else:
+            occ[lit] = [cid]
+        elif type(ids) is set:
             ids.add(cid)
+        elif len(ids) < _LIST_MAX:
+            ids.append(cid)
+        else:
+            occ[lit] = {*ids, cid}
 
 
 def _propagates_at_root(c):
@@ -379,10 +389,12 @@ class Propagator:
     above).
 
     ``constraints`` (id -> constraint) and ``roots`` are kept in step by
-    ``add`` and ``remove``; so is ``occ`` (literal -> set of ids, empty
-    entries dropped) once its first read has built it.  Callers may read
-    them but change them only through those two.  Ids are non-negative
-    ints: within a call, extras are keyed by negative ones.
+    ``add`` and ``remove``; so is ``occ`` (literal -> its ids, a list of at
+    most ``_LIST_MAX`` or else a set, no id twice, empty entries dropped)
+    once its first read has built it.  Callers may read them but change
+    them only through those two, and must not iterate an entry while
+    calling either.  Ids are non-negative ints: within a call, extras are
+    keyed by negative ones.
     """
 
     __slots__ = ("constraints", "_occ", "roots")
@@ -422,7 +434,7 @@ class Propagator:
         if occ is not None:
             for _, lit in c.terms:
                 ids = occ[lit]
-                ids.discard(cid)
+                ids.remove(cid)
                 if not ids:
                     del occ[lit]
         self.roots.discard(cid)

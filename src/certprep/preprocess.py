@@ -252,8 +252,8 @@ class Preprocessor:
 
     @property
     def occ(self):
-        """literal -> set of cids: the engine's index, built when a pass
-        first reads it."""
+        """literal -> its cids (a list, or a set past ``pb._LIST_MAX``):
+        the engine's index, built when a pass first reads it."""
         return self.engine.occ
 
     # ------------------------------------------------------------------
@@ -833,7 +833,8 @@ class Preprocessor:
         """Replace variable v by the literal `image` in every clause and in
         the objective, then delete the equivalence e1, e2 between them with
         the witness {v: image}."""
-        for cid in sorted(self._occ_ids(mklit(v)) | self._occ_ids(mklit(v, True))):
+        for cid in sorted({*self._occ_ids(mklit(v)),
+                           *self._occ_ids(mklit(v, True))}):
             c = constraint_from_clause([image ^ (l & 1) if l >> 1 == v else l
                                         for l in self.lits[cid]])
             if not c.is_trivial():
@@ -869,9 +870,9 @@ class Preprocessor:
             negx = self._occ_ids(mklit(x, True))
             if not posy and not negx:
                 continue
-            if not posy <= self._occ_ids(mklit(x)):
+            if not set(posy) <= set(self._occ_ids(mklit(x))):
                 continue
-            if not negx <= self._occ_ids(mklit(y, True)):
+            if not set(negx) <= set(self._occ_ids(mklit(y, True))):
                 continue
             if cx == 0:
                 px = self._core_red(_unit(mklit(x)), {x: 1, y: 0})
@@ -1079,10 +1080,12 @@ class Preprocessor:
         return True
 
     def _bcr_eligible(self, bin_cid, bc, bd):
-        if (self._occ_ids(mklit(bc)) & self._occ_ids(mklit(bd))) != {bin_cid}:
+        occ_c = set(self._occ_ids(mklit(bc)))
+        occ_d = set(self._occ_ids(mklit(bd)))
+        if occ_c & occ_d != {bin_cid}:
             return False
-        sides_c = self._occ_ids(mklit(bc)) - {bin_cid}
-        sides_d = self._occ_ids(mklit(bd)) - {bin_cid}
+        sides_c = occ_c - {bin_cid}
+        sides_d = occ_d - {bin_cid}
         produced = _resolvents([self._real_lits(i, bc) for i in sides_c],
                                [self._real_lits(j, bd) for j in sides_d])
         return produced <= len(sides_c) + len(sides_d) + 1

@@ -16,7 +16,9 @@ asPB(C v b) and objective term w * b.
 Both steps keep a repeated value once per call: a parse packs each distinct
 literal token to one int, and an encoding builds one (1, literal) term per
 distinct literal.  So an instance costs memory per distinct literal plus
-one reference per occurrence.  The tables live for their call alone.
+one reference per occurrence.  A parse's table lives for its call alone;
+an encoding's too, unless the caller passes one for several encodings to
+share, as a check does for its input and output.
 """
 
 import re
@@ -135,16 +137,19 @@ def write_wcnf(inst, fh=None):
     fh.writelines(lines)
 
 
-def encode_to_pb(clauses):
+def encode_to_pb(clauses, units=None):
     """Translate (weight, literals) pairs, from `read_clauses` or a
-    WcnfInstance, to (constraints, objective, soft_info).
+    WcnfInstance, to (constraints, objective, soft_info).  The clause terms
+    come from `units`, a `_Units` table that the call fills, or else one of
+    its own.
 
     The hard clauses come first, then the relaxed (non-unit) softs labelled
     _b1, _b2, ... in soft order, however the file interleaves the two.
     soft_info maps constraint position -> (label_var, weight) for relaxed
     softs.  Duplicate unit softs merge additively into the objective.
     """
-    units = _Units()
+    if units is None:
+        units = _Units()
     hard, relaxed, labels = [], [], []
     objective = pb.Objective()
     for w, cl in clauses:

@@ -631,9 +631,9 @@ def reference_sle_once(p):
         negx = p._occ_ids(mklit(x, True))
         if not posy and not negx:
             continue
-        if not posy <= p._occ_ids(mklit(x)):
+        if not set(posy) <= set(p._occ_ids(mklit(x))):
             continue
-        if not negx <= p._occ_ids(mklit(y, True)):
+        if not set(negx) <= set(p._occ_ids(mklit(y, True))):
             continue
         if cx == 0:
             px = p._core_red(_unit(mklit(x)), {x: 1, y: 0})

@@ -429,6 +429,15 @@ def test_constant_removal_scenario():
     assert v.level == "EQUIOPTIMAL"
 
 
+def test_checker_drops_its_input_list_once_installed():
+    """Once `f <n>` has installed the input, the engine alone holds it."""
+    chk = ProofChecker(CLAUSES, NO_OBJ)
+    chk.feed(HEADER)
+    chk.feed("f 2")
+    assert chk.input_constraints is None
+    assert list(chk.constraints.values()) == CLAUSES
+
+
 def test_checker_streaming_interface():
     chk = ProofChecker(CLAUSES, NO_OBJ, CLAUSES, NO_OBJ)
     for line in wrap([], cons=CLAUSES):

@@ -8,7 +8,7 @@ import gc
 import random
 import tracemalloc
 
-from certprep import preprocess, wcnf
+from certprep import checker, preprocess, wcnf
 from certprep.checker import LEVELS, check_wcnf_proof
 from certprep.wcnf import read_clauses
 from conftest import (reference_check_wcnf_proof, reference_encode_to_pb,
@@ -204,3 +204,32 @@ def test_check_keeps_no_parsed_instance_while_replaying():
     assert [outcome(v) for v in verdicts] == [(True, "EQUIOPTIMAL", None,
                                                None)] * 2
     assert peak <= 0.85 * ref_peak, (peak, ref_peak)
+
+
+def test_output_keys_hold_the_input_terms(monkeypatch):
+    """A check encodes the input and the output through one term table, so
+    every (1, literal) term in the output's keys is the object that the
+    input's constraints hold for that literal."""
+    text = large_light_text(random.Random(9), nv=300, n_hard=600, n_soft=400)
+    out, proof, _ = preprocess.run(
+        wcnf.parse_wcnf(text), preprocess.Config(techniques=("dup", "taut")))
+    seen = []
+
+    class Recording(checker.ProofChecker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            terms = {}
+            for c in self.input_constraints:
+                for term in c.terms:
+                    assert terms.setdefault(term[1], term) is term
+            seen.append((terms, self.output_keys))
+
+    monkeypatch.setattr(checker, "ProofChecker", Recording)
+    v = check_wcnf_proof(read_clauses(text), proof.splitlines(),
+                         read_clauses(wcnf.write_wcnf(out)))
+    assert v.accepted and v.level == "EQUIOPTIMAL", v
+    [(terms, keys)] = seen
+    out_terms = [term for key in keys
+                 for term in (key if type(key) is tuple else key.terms)]
+    assert len(out_terms) > 2000
+    assert all(term is terms[term[1]] for term in out_terms)

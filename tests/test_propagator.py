@@ -7,6 +7,7 @@ additions and removals and re-derive both from scratch after every step; a
 drifted index or root set would show as a missed propagation or conflict."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,11 +21,14 @@ def random_lit(rng, nv):
     return pb.mklit(pb.mkvar(rng.randint(1, nv)), rng.random() < 0.5)
 
 
-def random_constraint(rng, nv):
+def random_constraint(rng, nv, hub=None):
     """Coefficients 1-4 on up to five literals, any degree from 0 to just past
-    the coefficient sum (so some constraints are conflicting on their own)."""
+    the coefficient sum (so some constraints are conflicting on their own);
+    with a `hub` literal given, most of them hold it."""
     raw = [(rng.randint(1, 4), random_lit(rng, nv))
            for _ in range(rng.randint(0, 5))]
+    if hub is not None and rng.random() < 0.8:
+        raw.append((rng.randint(1, 4), hub))
     c = pb.normalize(raw, 0)
     total = sum(coef for coef, _ in c.terms)
     return pb.LinearConstraint(c.terms, rng.randint(0, total + 1))
@@ -48,29 +52,57 @@ def expected(live, skip, only, extras, assign):
     return reference_unit_propagate(kept + list(extras), assign)
 
 
+def rebuilt_index(live):
+    occ = {}
+    for cid, c in live.items():
+        for _, lit in c.terms:
+            occ.setdefault(lit, set()).add(cid)
+    return occ
+
+
+def checked_index(engine, before, crossings):
+    """engine.occ as {literal: set of ids}, once each entry is seen to hold
+    no id twice and to be a set if it holds more than pb._LIST_MAX ids.
+    `crossings` counts the entries that went past that bound since
+    `before`, the index the last call returned: upwards, and back down to a
+    non-empty entry."""
+    occ = {}
+    for lit, ids in engine.occ.items():
+        assert len(set(ids)) == len(ids), (lit, ids)
+        assert len(ids) <= pb._LIST_MAX or type(ids) is set, (lit, ids)
+        was = len(before.get(lit, ()))
+        crossings["up"] += was <= pb._LIST_MAX < len(ids)
+        crossings["down"] += len(ids) <= pb._LIST_MAX < was
+        occ[lit] = set(ids)
+    return occ
+
+
 def test_engine_matches_reference_under_churn():
+    """Random additions and removals, first mostly additions, then mostly
+    removals, so that the entry of a hub literal that most constraints
+    hold grows past the index's list bound and shrinks back below it."""
     rng = random.Random(20240517)
     queries = 0
+    crossings = Counter()
     for _ in range(60):
         nv = rng.randint(3, 9)
+        hub = random_lit(rng, nv)
         engine = pb.Propagator()
         live = {}
         next_id = 1
-        for _ in range(30):
-            if live and rng.random() < 0.3:
+        occ = {}
+        for step in range(30):
+            if live and rng.random() < (0.2 if step < 18 else 0.7):
                 cid = rng.choice(sorted(live))
                 assert engine.remove(cid) == live.pop(cid)
             else:
-                live[next_id] = random_constraint(rng, nv)
+                live[next_id] = random_constraint(rng, nv, hub)
                 engine.add(next_id, live[next_id])
                 next_id += 1
 
             # the index and the root set match a rebuild from scratch
-            occ = {}
-            for cid, c in live.items():
-                for _, lit in c.terms:
-                    occ.setdefault(lit, set()).add(cid)
-            assert engine.occ == occ
+            occ = checked_index(engine, occ, crossings)
+            assert occ == rebuilt_index(live)
             assert engine.constraints == live
             assert engine.roots == {
                 cid for cid, c in live.items()
@@ -101,6 +133,7 @@ def test_engine_matches_reference_under_churn():
                                    assumptions_over(base, lits))
             queries += 1
     assert queries > 2000
+    assert crossings["up"] > 30 and crossings["down"] > 30, crossings
 
 
 def test_lazy_index_matches_an_eager_rebuild():
@@ -112,20 +145,23 @@ def test_lazy_index_matches_an_eager_rebuild():
     rng = random.Random(14)
     reads = {"occ": 0, "ids_with": 0, "propagate": 0}
     compared = 0
+    crossings = Counter()
     for _ in range(120):
         nv = rng.randint(3, 9)
         lits = [pb.mklit(pb.mkvar(v), s) for v in range(1, nv + 1)
                 for s in (False, True)]
+        hub = rng.choice(lits)
+        index = {}
         engine = pb.Propagator()
         live = {}
         next_id = 1
         first_read = rng.randint(0, 20)
         for step in range(30):
-            if live and rng.random() < 0.35:
+            if live and rng.random() < (0.25 if step < 18 else 0.7):
                 cid = rng.choice(sorted(live))
                 assert engine.remove(cid) == live.pop(cid)
             else:
-                live[next_id] = random_constraint(rng, nv)
+                live[next_id] = random_constraint(rng, nv, hub)
                 engine.add(next_id, live[next_id])
                 next_id += 1
             if step < first_read:
@@ -140,18 +176,17 @@ def test_lazy_index_matches_an_eager_rebuild():
                     engine.propagate([rng.choice(lits)])
                 else:
                     engine.occ
-            occ = {}
-            for cid, c in live.items():
-                for _, lit in c.terms:
-                    occ.setdefault(lit, set()).add(cid)
-            assert engine.occ == occ
+            occ = rebuilt_index(live)
+            index = checked_index(engine, index, crossings)
+            assert index == occ
             for lit in lits:
-                assert engine.ids_with(lit) == occ.get(lit, set())
+                assert set(engine.ids_with(lit)) == occ.get(lit, set())
             assume = rng.sample(lits, rng.randint(0, 2))
             assert engine.propagate(assume) == expected(
                 live, None, None, (), assumptions_over({}, assume))
             compared += 1
     assert min(reads.values()) > 20 and compared > 1000, (reads, compared)
+    assert crossings["up"] > 30 and crossings["down"] > 30, crossings
 
 
 def planted_lits(planted):

@@ -16,11 +16,13 @@ through the CLI, and the SAT oracle runs `trim`'s search pattern on the
 family's hard clauses in lockstep with the scanning reference oracle.
 
 Tests marked `slow` take the family further (nv = 800) and the planted
-duplicates to 64,000 clauses; the default run leaves them out, and
+duplicates to 64,000 clauses, and remove 20,000 constraints that share one
+literal from the propagation engine; the default run leaves them out, and
 `pytest -m slow` runs them."""
 
 import io
 import random
+import time
 
 import pytest
 
@@ -289,3 +291,25 @@ def test_oracle_matches_reference_on_selector_bisection():
         model = dict(model)
         alive = [l for l in alive if model.get(l >> 1, 0) != (l & 1) ^ 1]
     assert both.new.conflicts > 3 and both.learned[0]
+
+
+@pytest.mark.slow
+def test_removing_a_hub_literal_stays_linear():
+    """20,000 clauses share one literal; removing them from the engine in
+    descending id order, each from the far end of a list in id order,
+    stays linear, since the hub's index entry becomes a set past
+    pb._LIST_MAX ids.  An index of lists alone takes seconds here."""
+    hub = pb.mklit(pb.mkvar(1))
+    engine = pb.Propagator()
+    engine.occ      # built now, so each add goes through the entry's growth
+    n = 20000
+    for cid in range(1, n + 1):
+        engine.add(cid, pb.constraint_from_clause(
+            [hub, pb.mklit(pb.mkvar(cid + 1))]))
+    assert len(engine.ids_with(hub)) == n
+    start = time.perf_counter()
+    for cid in range(n, 0, -1):
+        engine.remove(cid)
+    elapsed = time.perf_counter() - start
+    assert not engine.occ and not engine.constraints
+    assert elapsed < 1.0, elapsed
