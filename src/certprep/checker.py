@@ -23,10 +23,10 @@ current objective, and a witness's objective obligation is built from
 ``Objective.delta`` over the witnessed variables; the objective is then
 updated in place, so a step costs the size of its change.
 
-Every propagation goes through that one engine: ``rup`` and plain core
-``delc`` start from its root set, ``obju`` does too restricted to the core,
-and a witnessed ``red``/``delc`` propagates its premises once and resumes
-each obligation from that fixpoint with only the negated target added.  The
+Every propagation goes through that one engine: ``rup`` starts from its
+root set, ``obju`` and a core ``delc`` do too restricted to the core, and a
+witnessed ``red``/``delc`` propagates its premises once and resumes each
+obligation from that fixpoint with only the negated target added.  The
 engine scans each constraint a propagation touches once and then keeps its
 slack as a counter, so a long constraint (such as the selector clauses over
 objective literals that ``trim`` logs) costs its length once per
@@ -41,10 +41,12 @@ Step forms (one per line; ``*`` starts a comment, blank lines are skipped)::
                            integers, and + * d s.  * and d take the integer
                            from the top of the stack.
     rup <constraint> ;     addition by reverse unit propagation
-    red <constraint> ; <witness> [; begin ... end]
+    red <constraint> ; <witness>
                            addition by redundance with a substitution witness
     delc <id> [; <witness>]
-                           checked deletion (unconditional for derived ids)
+                           deletion: unconditional for a derived id; a core
+                           id leaves first and is then justified, by RUP or
+                           by the witness, from the remaining core alone
     obju diff <terms> ;    objective update (relative / absolute form)
     obju new <terms> ;
     core id <id> ...       move derived constraints into the core
@@ -53,9 +55,14 @@ Step forms (one per line; ``*`` starts a comment, blank lines are skipped)::
     end pseudo-Boolean proof
 
 Additions get consecutive ids continuing after the input constraints; only
-pol/rup/red consume ids.  A ``red ... ; begin`` block may spell out stubborn
-obligations in sections ``goal <id|obj|self>`` containing pol/rup lines; the
-block is closed by a bare ``end``.
+pol/rup/red consume ids.  Every obligation must follow by unit propagation:
+there are no subproofs.  Numbers are ASCII digits (``pb.is_digits``).
+
+A core deletion is justified from the core alone, since a derived
+constraint may rest on the very constraint being deleted.  Then every
+solution of the smaller core extends to one of the old core at no higher
+cost, and, by the invariant that ``rup``, ``pol`` and ``red`` keep, again to
+one of core and derived together (the core/derived split of VeriPB).
 """
 
 from . import pb
@@ -107,7 +114,6 @@ class ProofChecker:
         self.core_ids = set()
         self.next_id = 1
         self.level = None
-        self._block = None  # (constraint, witness, collected lines) during red..begin
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -134,28 +140,28 @@ class ProofChecker:
 
     # -- cutting planes ------------------------------------------------------
 
-    def _eval_pol(self, toks, lookup):
+    def _eval_pol(self, toks):
         stack = []
         for t in toks:
             if t == "+":
-                second = self._pop_constraint(stack, lookup)
-                first = self._pop_constraint(stack, lookup)
+                second = self._pop_constraint(stack)
+                first = self._pop_constraint(stack)
                 stack.append(pb.add(first, second))
             elif t == "*":
                 k = self._pop_factor(stack)
-                stack.append(pb.multiply(self._pop_constraint(stack, lookup), k))
+                stack.append(pb.multiply(self._pop_constraint(stack), k))
             elif t == "d":
                 k = self._pop_factor(stack)
-                stack.append(pb.divide(self._pop_constraint(stack, lookup), k))
+                stack.append(pb.divide(self._pop_constraint(stack), k))
             elif t == "s":
-                stack.append(pb.saturate(self._pop_constraint(stack, lookup)))
-            elif t.isdigit():
+                stack.append(pb.saturate(self._pop_constraint(stack)))
+            elif pb.is_digits(t):
                 stack.append(int(t))
             else:
                 stack.append(pb.literal_axiom(pb.parse_lit(t)))
         if len(stack) != 1:
             self._err("pol leaves %d items on the stack" % len(stack))
-        return self._as_constraint(stack[0], lookup)
+        return self._as_constraint(stack[0])
 
     def _pop_factor(self, stack):
         if not stack or not isinstance(stack[-1], int):
@@ -165,14 +171,14 @@ class ProofChecker:
             self._err("pol: factor must be positive")
         return k
 
-    def _pop_constraint(self, stack, lookup):
+    def _pop_constraint(self, stack):
         if not stack:
             self._err("pol: stack underflow")
-        return self._as_constraint(stack.pop(), lookup)
+        return self._as_constraint(stack.pop())
 
-    def _as_constraint(self, item, lookup):
+    def _as_constraint(self, item):
         if isinstance(item, int):
-            c = lookup(item)
+            c = self.constraints.get(item)
             if c is None:
                 self._err("constraint %d is not live" % item)
             return c
@@ -180,76 +186,43 @@ class ProofChecker:
 
     # -- redundance obligations -----------------------------------------------
 
-    def _touched_ids(self, witness, skip=None):
+    def _touched_ids(self, witness, only):
         ids = set()
         for v in witness:
             ids.update(self.engine.ids_with(v << 1))
             ids.update(self.engine.ids_with((v << 1) | 1))
-        ids.discard(skip)
-        return ids
+        return ids if only is None else ids & only
 
-    def _conflicts(self, extras, base=None, skip=None, only=None):
-        return self.engine.propagate(extras=extras, base=base, skip=skip,
+    def _conflicts(self, extras, base=None, only=None):
+        return self.engine.propagate(extras=extras, base=base,
                                      only=only) is None
 
-    def _discharge(self, neg_c, base, skip, target, block, label):
-        """Vacuous, implicit-RUP, or spelled-out subproof for one obligation.
+    def _discharge(self, neg_c, base, target, only):
+        """Vacuous or implicit-RUP discharge of one obligation.
 
-        `base` is the fixpoint of the premises: the live constraints except
-        `skip`, plus `neg_c`.
+        `base` is the fixpoint of the premises: the live constraints (those
+        in `only`, when given) plus `neg_c`.
         """
-        if target.is_trivial():
+        if target.is_trivial() or base is None:  # None: premises conflict
             return True
-        if base is None:  # premises already propagate to conflict
-            return True
-        if self._conflicts([neg_c, pb.negate(target)], base, skip):
-            return True
-        steps = (block or {}).get(label)
-        if steps is None:
-            return False
-        return self._replay_goal(neg_c, base, skip, target, steps)
+        return self._conflicts([neg_c, pb.negate(target)], base, only)
 
-    def _replay_goal(self, neg_c, base, skip, target, steps):
-        scratch = []
-        locals_ = {}
-        next_local = self.next_id
-
-        def lookup(cid):
-            if cid in locals_:
-                return locals_[cid]
-            return self.constraints.get(cid)
-
-        for kind, payload in steps:
-            if kind == "pol":
-                c = self._eval_pol(payload, lookup)
-            else:  # rup
-                c = payload
-                if not self._conflicts([neg_c, *scratch, pb.negate(c)], base,
-                                       skip):
-                    self._err("subproof rup step failed")
-            scratch.append(c)
-            locals_[next_local] = c
-            next_local += 1
-        if any(c == target for c in scratch):
-            return True
-        return self._conflicts([neg_c, *scratch, pb.negate(target)], base, skip)
-
-    def _check_witnessed(self, c, witness, block, skip=None):
-        """Obligations for adding c by redundance (skip=None) or for deleting
-        core constraint `skip` (then c is the removed constraint)."""
+    def _check_witnessed(self, c, witness, only=None):
+        """Obligations for adding c by redundance, or, with `only` the core,
+        for deleting the core constraint c, which has already left it."""
         neg_c = pb.negate(c)
-        base = self.engine.propagate(extras=[neg_c], skip=skip)
-        for cid in sorted(self._touched_ids(witness, skip)):
+        base = self.engine.propagate(extras=[neg_c], only=only)
+        for cid in sorted(self._touched_ids(witness, only)):
             target = pb.restrict(self.constraints[cid], witness)
-            if not self._discharge(neg_c, base, skip, target, block, str(cid)):
+            if not self._discharge(neg_c, base, target, only):
                 self._err("witness obligation fails for constraint %d" % cid)
         self_target = pb.restrict(c, witness)
-        if not self._discharge(neg_c, base, skip, self_target, block, "self"):
+        if not self._discharge(neg_c, base, self_target, only):
             self._err("witness obligation fails for the introduced constraint")
         terms, const = self.objective.delta(witness)
         if terms:   # the objective must not grow: -delta >= 0
             target = pb.normalize([(-w, lit) for w, lit in terms], const)
-            if not self._discharge(neg_c, base, skip, target, block, "obj"):
+            if not self._discharge(neg_c, base, target, only):
                 self._err("witness obligation fails for the objective")
 
     # -- objective updates -----------------------------------------------------
@@ -319,16 +292,13 @@ class ProofChecker:
         toks = line.split()
         if not toks or toks[0] == "*":
             return
-        if self._block is not None:
-            self._collect_block_line(toks)
-            return
         if self.state == "header":
             if line.strip() != HEADER:
                 self._err("missing proof header")
             self.state = "preamble"
             return
         if self.state == "preamble":
-            if toks[0] != "f" or len(toks) != 2 or not toks[1].isdigit():
+            if toks[0] != "f" or len(toks) != 2 or not pb.is_digits(toks[1]):
                 self._err("expected 'f <n>' after the header")
             n = int(toks[1])
             if n != len(self.input_constraints):
@@ -357,7 +327,7 @@ class ProofChecker:
     def _body_step(self, toks):
         op = toks[0]
         if op == "pol":
-            c = self._eval_pol(toks[1:], self.constraints.get)
+            c = self._eval_pol(toks[1:])
             self._install(c)
         elif op == "rup":
             c, pos = pb.parse_constraint_tokens(toks, 1)
@@ -371,28 +341,30 @@ class ProofChecker:
                 self._err("red: missing witness")
             witness, pos = pb.parse_witness_tokens(toks, pos + 1)
             if pos < len(toks):
-                if toks[pos:] != [";", "begin"]:
-                    self._err("red: malformed trailer")
-                self._block = (c, witness, [])
-                return
-            self._check_witnessed(c, witness, None)
+                self._err("red: malformed trailer")
+            self._check_witnessed(c, witness)
             self._install(c)
         elif op == "delc":
-            if len(toks) < 2 or not toks[1].isdigit():
+            if len(toks) < 2 or not pb.is_digits(toks[1]):
                 self._err("delc needs a constraint id")
             cid = int(toks[1])
             c = self._live(cid)
-            if cid in self.core_ids:
-                if len(toks) > 2:
-                    if toks[2] != ";":
-                        self._err("delc: malformed witness")
-                    witness, pos = pb.parse_witness_tokens(toks, 3)
-                    if pos != len(toks):
-                        self._err("delc: trailing tokens")
-                    self._check_witnessed(c, witness, None, skip=cid)
-                elif not self._conflicts([pb.negate(c)], skip=cid):
-                    self._err("deleted core constraint is not rederivable")
+            witness = None
+            if len(toks) > 2:
+                if toks[2] != ";":
+                    self._err("delc: malformed witness")
+                witness, pos = pb.parse_witness_tokens(toks, 3)
+                if pos != len(toks):
+                    self._err("delc: trailing tokens")
+            core = cid in self.core_ids
             self._remove(cid)
+            if core:    # justified from the remaining core alone
+                only = (None if len(self.core_ids) == len(self.constraints)
+                        else self.core_ids)     # no filter if all is core
+                if witness is not None:
+                    self._check_witnessed(c, witness, only)
+                elif not self._conflicts([pb.negate(c)], only=only):
+                    self._err("deleted core constraint is not rederivable")
         elif op == "obju":
             if len(toks) < 2 or toks[1] not in ("diff", "new"):
                 self._err("obju needs 'diff' or 'new'")
@@ -409,7 +381,7 @@ class ProofChecker:
             if len(toks) < 3 or toks[1] != "id":
                 self._err("expected 'core id <id> ...'")
             for t in toks[2:]:
-                if not t.isdigit():
+                if not pb.is_digits(t):
                     self._err("bad constraint id %r" % t)
                 self._live(int(t))
                 self.core_ids.add(int(t))
@@ -425,47 +397,10 @@ class ProofChecker:
         if toks[pos:] != [";"]:
             self._err("expected ';' terminator")
 
-    # -- red subproof blocks -------------------------------------------------------
-
-    def _collect_block_line(self, toks):
-        if toks == ["end"]:
-            c, witness, lines = self._block
-            self._block = None
-            block = self._parse_block(lines)
-            self._check_witnessed(c, witness, block)
-            self._install(c)
-            return
-        if toks[0] not in ("goal", "pol", "rup"):
-            self._err("unexpected %r inside a subproof block" % toks[0])
-        self._block[2].append(toks)
-
-    def _parse_block(self, lines):
-        block = {}
-        current = None
-        for toks in lines:
-            if toks[0] == "goal":
-                if len(toks) != 2:
-                    self._err("goal needs one label")
-                label = toks[1]
-                if label not in ("obj", "self") and not label.isdigit():
-                    self._err("bad goal label %r" % label)
-                current = block.setdefault(label, [])
-            elif current is None:
-                self._err("subproof step before any goal")
-            elif toks[0] == "pol":
-                current.append(("pol", toks[1:]))
-            else:
-                c, pos = pb.parse_constraint_tokens(toks, 1)
-                self._expect_semi(toks, pos)
-                current.append(("rup", c))
-        return block
-
     # -- entry points -----------------------------------------------------------------
 
     def finish(self):
         self.lineno += 1
-        if self._block is not None:
-            self._err("unterminated subproof block")
         if self.state != "done":
             self._err("truncated proof")
         return self.level

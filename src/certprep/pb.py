@@ -40,7 +40,7 @@ while the few hub literals keep removal constant-time.  A reader that needs
 set algebra wraps the entry in ``set``.  A propagation either starts from
 the root set or resumes from a base assignment that is already a fixpoint
 of the same constraints; it then makes assumption literals true, scans a
-few transient extra constraints (a negated target, subproof lines), and
+few transient extra constraints (a negated premise and target), and
 afterwards reaches a constraint only through a newly false literal, so its
 cost follows the constraints actually touched rather than the database
 size.
@@ -113,6 +113,12 @@ def fmt_lit(lit):
     return ("~" if lit & 1 else "") + fmt_var(lit >> 1)
 
 
+def is_digits(tok):
+    """True if `tok` is a non-empty run of ASCII digits, the one number form
+    of the proof format; ``str.isdigit`` alone also takes '٣' and '²'."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_lit(text):
     """Parse ``x3``, ``~x3``, ``_b2``, ``_t1`` ... into a literal int."""
     s = text
@@ -127,7 +133,7 @@ def parse_lit(text):
         ns, body = NS_USER, s[1:]
     else:
         raise ValueError("bad literal %r" % text)
-    if not body.isdigit():
+    if not is_digits(body):
         raise ValueError("bad literal %r" % text)
     index = int(body)
     if index < 1:
@@ -444,16 +450,15 @@ class Propagator:
         occ = self._occ
         return (self.occ if occ is None else occ).get(lit, _NO_IDS)
 
-    def propagate(self, assumptions=(), extras=(), base=None, skip=None,
-                  only=None):
+    def propagate(self, assumptions=(), extras=(), base=None, only=None):
         """UP fixpoint as {var: value}, or None on conflict.
 
         `assumptions` are literals made true first; `extras` are transient
         constraints, scanned up front and then reached through a local
-        index.  Id `skip` is ignored, and with `only` given so is every id
-        outside it.  Without `base` the root set is scanned up front; a
-        `base` must already be a fixpoint of the constraints so filtered,
-        which is why the extras it was computed with must be passed again.
+        index.  With `only` given, every id outside it is ignored.  Without
+        `base` the root set is scanned up front; a `base` must already be a
+        fixpoint of the constraints so filtered, which is why the extras it
+        was computed with must be passed again.
 
         The slack counters live in a record per constraint touched, made by
         its scan and dropped with the call: [slack, queue length at the
@@ -485,7 +490,7 @@ class Propagator:
         scan = [~k for k in range(len(extras))]
         if base is None:
             scan.extend(cid for cid in self.roots
-                        if cid != skip and (only is None or cid in only))
+                        if only is None or cid in only)
         pos = 0
         while True:
             for key in scan:
@@ -524,9 +529,8 @@ class Propagator:
             lit = false[pos]
             pos += 1
             ids = occ.get(lit, ())
-            if skip is not None or only is not None:
-                ids = [cid for cid in ids
-                       if cid != skip and (only is None or cid in only)]
+            if only is not None:
+                ids = [cid for cid in ids if cid in only]
             if lit in xocc:
                 ids = [*ids, *xocc[lit]]
             scan = []
@@ -591,8 +595,7 @@ def fmt_witness(witness):
 
 
 def _parse_int(tok):
-    t = tok[1:] if tok[0] in "+-" else tok
-    if not t.isdigit():
+    if not is_digits(tok[1:] if tok[0] in "+-" else tok):
         raise ValueError("expected integer, got %r" % tok)
     return int(tok)
 

@@ -12,8 +12,9 @@ Invariant kept throughout: between technique applications the live clause
 map of this module equals, as PB constraints, the core set of the emitted
 proof, and ``self.objective`` equals the proof objective.  Every deletion
 recipe below was chosen so that the checker can discharge its obligations
-with unit propagation alone; the comments on the trickier ones record which
-live constraint closes each obligation.
+with unit propagation alone, a core deletion's from the remaining core
+alone; the comments on the trickier ones record which live constraint
+closes each obligation.
 
 A clause is hard exactly when it has no soft label: in the WCNF phase every
 live clause is one or the other, and from the objective-centric switch on
@@ -1113,14 +1114,17 @@ class Preprocessor:
         `cid_c` must contain neg(x_lit) and `cid_d` x_lit; each label may
         occur nowhere else.  The recipe derives the at-most-one over the two
         labels from the clash, reifies their disjunction into a fresh label,
-        transfers the weight, and rewrites both clauses.
+        transfers the weight, and rewrites both clauses.  The at-most-one
+        is core, since the deletion of the merged constraint leans on it,
+        and leaves with its own witness.
         """
         w = self.objective.coef(bc)
         if self.objective.coef(bd) != w:
             raise ValueError("label weights differ")
         bcd = self._fresh_label()
-        am1c = self.writer.red(constraint_from_clause(
-            [mklit(bc, True), mklit(bd, True)]), {bc: x_lit, bd: neg(x_lit)})
+        am1c_witness = {bc: x_lit, bd: neg(x_lit)}
+        am1c = self._core_red(constraint_from_clause(
+            [mklit(bc, True), mklit(bd, True)]), am1c_witness)
         r1 = self._core_red(constraint_from_clause(
             [mklit(bcd, True), mklit(bc), mklit(bd)]), {bcd: 0})
         r2 = self.writer.red(pb.normalize(
@@ -1136,7 +1140,7 @@ class Preprocessor:
         kd_id = self._core_rup(kd)
         self._install(kd_id, kd)
         self._delc(merged, {bc: 0, bd: 0})
-        self.writer.delc(am1c)
+        self._delc(am1c, am1c_witness)
         self._remove_clause(cid_c, {bc: 1})
         self._remove_clause(cid_d, {bd: 1})
         self.writer.delc(r2)

@@ -191,44 +191,17 @@ def test_red_objective_obligation():
     assert not v.accepted and "objective" in v.error
 
 
-def test_red_subproof_discharges_division_obligation():
+def test_red_subproof_is_a_malformed_trailer():
+    """Every obligation must follow by unit propagation: a ``; begin``
+    after the witness is rejected, and so is the division obligation it
+    would have spelled out."""
     cons = [C("+2 x1 +2 x2 +2 x3 >= 3"), C("+1 x1 +1 x2 +1 x3 +3 x4 >= 2")]
-    body = [
-        "red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
-        "goal 2",
-        "pol 1 2 d",
-        "end",
-    ]
-    v = run(cons, NO_OBJ, wrap(body, cons=cons))
-    assert v.accepted, v.error
-    # the same red without the subproof is not implicit-RUP dischargeable
+    body = ["red +1 ~x4 >= 1 ; x4 -> 0 ; begin", "goal 2", "pol 1 2 d", "end"]
+    v = rejected(cons, NO_OBJ, wrap(body, cons=cons))
+    assert v.error == "line 3: red: malformed trailer"
     v = run(cons, NO_OBJ,
             wrap(["red +1 ~x4 >= 1 ; x4 -> 0"], cons=cons))
     assert not v.accepted and "constraint 2" in v.error
-
-
-def test_red_subproof_rup_steps_and_errors():
-    cons = [C("+2 x1 +2 x2 +2 x3 >= 3"), C("+1 x1 +1 x2 +1 x3 +3 x4 >= 2")]
-    ok = ["red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
-          "goal 2",
-          "pol 1 2 d",
-          "rup +1 x1 +1 x2 +1 x3 >= 1 ;",
-          "end"]
-    assert run(cons, NO_OBJ, wrap(ok, cons=cons)).accepted
-    bad = ["red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
-           "goal 2",
-           "rup +1 x1 >= 1 ;",
-           "end"]
-    v = run(cons, NO_OBJ, wrap(bad, cons=cons))
-    assert not v.accepted and "subproof rup" in v.error
-    v = run(cons, NO_OBJ, wrap(["red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
-                                "pol 1 2 d", "end"], cons=cons))
-    assert "before any goal" in v.error
-    # a block left open swallows everything until EOF
-    v = run(cons, NO_OBJ,
-            [HEADER, "f 2", "red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
-             "goal 2", "pol 1 2 d"])
-    assert "unterminated" in v.error
 
 
 # -- delc -----------------------------------------------------------------------
@@ -269,6 +242,42 @@ def test_delc_witnessed_self_obligation_failure():
     cons = [C("+1 x1 +1 x2 >= 1"), C("+1 ~x1 +1 x2 >= 1")]
     v = rejected(cons, NO_OBJ, wrap(["delc 1 ; x1 -> 0"], cons=cons))
     assert "introduced constraint" in v.error
+
+
+@pytest.mark.parametrize("step, message", [
+    ("delc 3 junk", "delc: malformed witness"),
+    ("delc 3 ; this is not a witness", "bad witness near 'this'"),
+])
+def test_delc_of_a_derived_id_checks_its_trailer(step, message):
+    body = ["red +1 ~_b1 +1 x1 >= 1 ; _b1 -> 0", step]
+    v = rejected(CLAUSES, NO_OBJ, wrap(body, cons=CLAUSES))
+    assert v.error == "line 4: " + message
+
+
+# tests/data/golden.wcnf encoded: its hard clauses are constraints 1-2 and
+# its two relaxed softs 3-4 (the unit soft on ~x1 is an objective term).
+GOLDEN_CORE = [C("+1 x1 +1 x2 >= 1"), C("+1 ~x2 >= 1"),
+               C("+1 x3 +1 ~x4 +1 _b1 >= 1"), C("+1 x4 +1 ~x5 +1 _b2 >= 1")]
+
+
+@pytest.mark.parametrize("body, message", [
+    (["pol 1 1 *", "delc 1", "delc 5"],
+     "deleted core constraint is not rederivable"),
+    (["pol 1 1 *", "delc 1 ; x3 -> 0", "delc 5"],
+     "witness obligation fails for constraint 3"),
+    (["red +1 x1 +1 x2 >= 1 ; x3 -> 0", "delc 1"],
+     "deleted core constraint is not rederivable"),
+])
+def test_delc_of_a_core_id_is_justified_by_the_remaining_core(body, message):
+    """A derived copy of a core constraint, by pol or red, justifies
+    nothing when that constraint is deleted: the deletion would drop it."""
+    v = rejected(GOLDEN_CORE, NO_OBJ, wrap(body, cons=GOLDEN_CORE),
+                 out_cons=GOLDEN_CORE[1:], out_obj=NO_OBJ)
+    assert v.error == "line 4: " + message
+    # moved into the core, the copy justifies the deletion
+    body = body[:1] + ["core id 5"] + body[1:2]
+    accepted(GOLDEN_CORE, NO_OBJ, wrap(body, cons=GOLDEN_CORE),
+             out_cons=GOLDEN_CORE, out_obj=NO_OBJ)
 
 
 def test_delc_unknown_or_double():
@@ -353,6 +362,37 @@ def test_obju_new_with_contradictory_core():
 
 
 # -- core moves ---------------------------------------------------------------
+
+@pytest.mark.parametrize("step, message", [
+    ("core id ٣", "bad constraint id '٣'"),
+    ("delc ٣", "delc needs a constraint id"),
+    ("delc ³", "delc needs a constraint id"),
+    ("delc 3 ; x٣ -> 0", "bad literal 'x٣'"),
+    ("rup +1 x٢ >= 1 ;", "bad literal 'x٢'"),
+    ("rup +١ x2 >= ١ ;", "expected integer, got '+١'"),
+    ("pol 3 ٢ *", "bad literal '٢'"),
+])
+def test_proof_numbers_are_ascii_digits(step, message):
+    """Ids, coefficients, degrees, literal indices and pol factors are
+    ASCII digits: a digit of another script, which ``int`` would read, or a
+    superscript, which it would not, is named as a bad token.  The same
+    step in ASCII digits is accepted."""
+    body = ["rup +1 x2 >= 1 ;"]
+    ascii_step = step.translate(str.maketrans("١٢٣³", "1233"))
+    accepted(CLAUSES, NO_OBJ, wrap(body + [ascii_step], cons=CLAUSES))
+    v = rejected(CLAUSES, NO_OBJ, wrap(body + [step], cons=CLAUSES))
+    assert v.error == "line 4: " + message
+
+
+def test_f_count_is_ascii_digits():
+    v = rejected(CLAUSES, NO_OBJ, [HEADER, "f ٢"])
+    assert v.error == "line 2: expected 'f <n>' after the header"
+    for tok in ("x٣", "~x٣", "_b٣", "x²"):
+        with pytest.raises(ValueError, match="bad literal"):
+            pb.parse_lit(tok)
+    with pytest.raises(ValueError, match="expected integer"):
+        pb.parse_constraint_tokens(["+1", "x1", ">=", "١"])
+
 
 def test_core_requires_live_id():
     v = rejected(CLAUSES, NO_OBJ, wrap(["core id 9"], cons=CLAUSES))

@@ -104,6 +104,42 @@ def test_check_rejects_tampered_proof(tmp_path, capsys):
     assert stdout.startswith("s REJECTED ")
 
 
+@pytest.mark.parametrize("steps", [
+    ["pol 1 1 *", "delc 1", "delc 5"],
+    ["pol 1 1 *", "delc 1 ; x3 -> 0", "delc 5"],
+    ["red +1 x1 +1 x2 >= 1 ; x3 -> 0", "delc 1", "delc 5"],
+])
+def test_check_rejects_a_hard_clause_dropped_through_a_copy(tmp_path, capsys,
+                                                            steps):
+    """The golden input without h 1 2 0 has optimum 0, not 1: a derived copy
+    of that clause must not justify deleting it from the core."""
+    out = tmp_path / "out.wcnf"
+    out.write_text(GOLDEN.read_text().replace("h 1 2 0\n", ""))
+    proof = tmp_path / "proof.pbp"
+    proof.write_text("\n".join(
+        ["pseudo-Boolean proof version 2.0", "f 4", *steps,
+         "output EQUIOPTIMAL", "conclusion NONE",
+         "end pseudo-Boolean proof", ""]))
+    assert run_cli("opt", out) == 0 and capsys.readouterr().out == "o 0\n"
+    assert run_cli("check", GOLDEN, proof, out) == 1
+    assert capsys.readouterr().out.startswith("s REJECTED 4: line 4: ")
+
+
+def test_check_rejects_a_red_subproof(tmp_path, capsys):
+    """A ``; begin`` after a witness is a malformed trailer, not a block."""
+    lines = (DATA / "golden.pbp").read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("red "))
+    lines[first] = lines[first].rstrip("\n") + " ; begin\n"
+    proof = tmp_path / "begin.pbp"
+    proof.write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("check", GOLDEN, proof, DATA / "golden.out.wcnf") == 1
+    assert capsys.readouterr().out == (
+        "s REJECTED %d: line %d: red: malformed trailer\n"
+        % (first + 1, first + 1))
+    assert first + 1 == 15
+
+
 def test_check_rejects_wrong_output(tmp_path, capsys):
     # claiming the unpreprocessed input as the result must fail
     _, out, proof = preprocess_golden(tmp_path)

@@ -422,7 +422,7 @@ def test_outputs_proofs_and_counts_match_pinned_digest():
             h.update(write_wcnf(out).encode())
             h.update(proof.encode())
             h.update(repr(sorted(p.counts.items())).encode())
-    assert h.hexdigest() == "890453532f38c9bd215679c3dc10f73304c68249"
+    assert h.hexdigest() == "a4643d536b84a2ddd28632e5c68760eb6d88a842"
 
 
 def test_heavy_objective_terms_split_into_bounded_unit_softs():

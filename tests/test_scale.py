@@ -60,7 +60,7 @@ def large_run():
 
 def test_large_proof_verifies(large_run):
     inst, out, lines, p = large_run
-    assert p.writer.lines_written == len(lines) == 2848
+    assert p.writer.lines_written == len(lines) == 2852
     v = check_wcnf_proof(inst, lines, out)
     assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
 
@@ -70,7 +70,7 @@ def test_random_family_800_is_certified():
     inst = random_family(800)
     out, proof, p = preprocess.run(inst)
     lines = proof.splitlines()
-    assert p.writer.lines_written == len(lines) == 11428
+    assert p.writer.lines_written == len(lines) == 11456
     v = check_wcnf_proof(inst, lines, out)
     assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
 
@@ -178,7 +178,7 @@ def test_oracle_proof_verifies(oracle_run):
     propagation may touch; a check that rescans a constraint per false
     literal took 5-9 s on this proof."""
     inst, out, lines = oracle_run
-    assert len(lines) == 3538
+    assert len(lines) == 3542
     v = check_wcnf_proof(inst, lines, out)
     assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
 
