@@ -191,10 +191,10 @@ def test_red_objective_obligation():
     assert not v.accepted and "objective" in v.error
 
 
-def test_red_subproof_is_a_malformed_trailer():
+def test_red_subproof_discharges_division_obligation():
     """Every obligation must follow by unit propagation: a ``; begin``
-    after the witness is rejected, and so is the division obligation it
-    would have spelled out."""
+    subproof that would spell out the division obligation is a malformed
+    trailer, and without it the obligation for constraint 2 still fails."""
     cons = [C("+2 x1 +2 x2 +2 x3 >= 3"), C("+1 x1 +1 x2 +1 x3 +3 x4 >= 2")]
     body = ["red +1 ~x4 >= 1 ; x4 -> 0 ; begin", "goal 2", "pol 1 2 d", "end"]
     v = rejected(cons, NO_OBJ, wrap(body, cons=cons))
@@ -202,6 +202,31 @@ def test_red_subproof_is_a_malformed_trailer():
     v = run(cons, NO_OBJ,
             wrap(["red +1 ~x4 >= 1 ; x4 -> 0"], cons=cons))
     assert not v.accepted and "constraint 2" in v.error
+
+
+def test_red_subproof_rup_steps_and_errors():
+    """Nothing after a red line's witness is read: subproofs with rup
+    steps, a bad rup step, a step before any goal and a block left open
+    are all rejected at the red line itself."""
+    cons = [C("+2 x1 +2 x2 +2 x3 >= 3"), C("+1 x1 +1 x2 +1 x3 +3 x4 >= 2")]
+    ok = ["red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
+          "goal 2",
+          "pol 1 2 d",
+          "rup +1 x1 +1 x2 +1 x3 >= 1 ;",
+          "end"]
+    bad = ["red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
+           "goal 2",
+           "rup +1 x1 >= 1 ;",
+           "end"]
+    no_goal = ["red +1 ~x4 >= 1 ; x4 -> 0 ; begin", "pol 1 2 d", "end"]
+    for body in (ok, bad, no_goal):
+        v = rejected(cons, NO_OBJ, wrap(body, cons=cons))
+        assert v.error == "line 3: red: malformed trailer"
+    v = run(cons, NO_OBJ,
+            [HEADER, "f 2", "red +1 ~x4 >= 1 ; x4 -> 0 ; begin",
+             "goal 2", "pol 1 2 d"])
+    assert not v.accepted
+    assert v.error == "line 3: red: malformed trailer"
 
 
 # -- delc -----------------------------------------------------------------------
