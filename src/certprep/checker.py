@@ -1,7 +1,7 @@
 """Streaming checker for pseudo-Boolean reformulation proofs.
 
-A proof certifies that a reformulated instance relates to the original one at
-a claimed strength (equioptimal / equisatisfiable / derivable).  The checker
+A proof certifies that a reformulated instance has the same optimum as the
+original one (``output EQUIOPTIMAL``, the one output level).  The checker
 replays the proof line by line against the PB translation of the original
 instance, maintaining:
 
@@ -50,13 +50,14 @@ Step forms (one per line; ``*`` starts a comment, blank lines are skipped)::
     obju diff <terms> ;    objective update (relative / absolute form)
     obju new <terms> ;
     core id <id> ...       move derived constraints into the core
-    output <LEVEL>
+    output EQUIOPTIMAL
     conclusion NONE
     end pseudo-Boolean proof
 
 Additions get consecutive ids continuing after the input constraints; only
 pol/rup/red consume ids.  Every obligation must follow by unit propagation:
-there are no subproofs.  Numbers are ASCII digits (``pb.is_digits``).
+there are no subproofs.  Numbers are ASCII digits (``pb.is_digits``), of at
+most ``pb.MAX_DIGITS`` digits past their leading zeros (``pb.digits_int``).
 
 A core deletion is justified from the core alone, since a derived
 constraint may rest on the very constraint being deleted.  Then every
@@ -68,7 +69,7 @@ one of core and derived together (the core/derived split of VeriPB).
 from . import pb
 from .pb import HEADER, TRAILER
 
-LEVELS = ("EQUIOPTIMAL", "EQUISATISFIABLE", "DERIVABLE")
+LEVELS = ("EQUIOPTIMAL",)
 
 
 class ProofRejected(Exception):
@@ -156,7 +157,7 @@ class ProofChecker:
             elif t == "s":
                 stack.append(pb.saturate(self._pop_constraint(stack)))
             elif pb.is_digits(t):
-                stack.append(int(t))
+                stack.append(pb.digits_int(t))
             else:
                 stack.append(pb.literal_axiom(pb.parse_lit(t)))
         if len(stack) != 1:
@@ -268,13 +269,9 @@ class ProofChecker:
         out = self.output_keys
         if out is None:
             return  # no reformulated instance to compare against
-        if level == "DERIVABLE":
-            if not out <= set(map(_key, self.constraints.values())):
-                self._err("output constraint not among derived constraints")
-            return
         if {_key(self.constraints[i]) for i in self.core_ids} != out:
             self._err("core does not match the output instance")
-        if level == "EQUIOPTIMAL" and self.objective != self.output_objective:
+        if self.objective != self.output_objective:
             self._err("objective does not match the output instance")
 
     # -- step dispatch ------------------------------------------------------------
@@ -300,7 +297,7 @@ class ProofChecker:
         if self.state == "preamble":
             if toks[0] != "f" or len(toks) != 2 or not pb.is_digits(toks[1]):
                 self._err("expected 'f <n>' after the header")
-            n = int(toks[1])
+            n = pb.digits_int(toks[1])
             if n != len(self.input_constraints):
                 self._err("f %d does not match the %d input constraints"
                           % (n, len(self.input_constraints)))
@@ -347,7 +344,7 @@ class ProofChecker:
         elif op == "delc":
             if len(toks) < 2 or not pb.is_digits(toks[1]):
                 self._err("delc needs a constraint id")
-            cid = int(toks[1])
+            cid = pb.digits_int(toks[1])
             c = self._live(cid)
             witness = None
             if len(toks) > 2:
@@ -383,8 +380,9 @@ class ProofChecker:
             for t in toks[2:]:
                 if not pb.is_digits(t):
                     self._err("bad constraint id %r" % t)
-                self._live(int(t))
-                self.core_ids.add(int(t))
+                cid = pb.digits_int(t)
+                self._live(cid)
+                self.core_ids.add(cid)
         elif op == "output":
             if len(toks) != 2:
                 self._err("expected 'output <level>'")

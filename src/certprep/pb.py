@@ -119,6 +119,24 @@ def is_digits(tok):
     return tok.isascii() and tok.isdigit()
 
 
+MAX_DIGITS = 4300   # CPython's default limit on the digits int() reads
+
+
+def digits_int(tok):
+    """int(tok) for a number token already checked to be ASCII digits, with
+    at most a sign in front.  Leading zeros do not count: only a value of
+    more than MAX_DIGITS digits is refused, by a ValueError of its own where
+    int() would raise Python's."""
+    if len(tok) <= MAX_DIGITS:
+        return int(tok)
+    sign = tok[0] if tok[0] in "+-" else ""
+    body = tok[len(sign):].lstrip("0") or "0"
+    if len(body) > MAX_DIGITS:
+        raise ValueError("number of %d digits (at most %d)"
+                         % (len(body), MAX_DIGITS))
+    return int(sign + body)
+
+
 def parse_lit(text):
     """Parse ``x3``, ``~x3``, ``_b2``, ``_t1`` ... into a literal int."""
     s = text
@@ -135,7 +153,7 @@ def parse_lit(text):
         raise ValueError("bad literal %r" % text)
     if not is_digits(body):
         raise ValueError("bad literal %r" % text)
-    index = int(body)
+    index = digits_int(body)
     if index < 1:
         raise ValueError("bad literal %r" % text)
     return mklit(mkvar(index, ns), negated)
@@ -597,7 +615,7 @@ def fmt_witness(witness):
 def _parse_int(tok):
     if not is_digits(tok[1:] if tok[0] in "+-" else tok):
         raise ValueError("expected integer, got %r" % tok)
-    return int(tok)
+    return digits_int(tok)
 
 
 def parse_constraint_tokens(toks, pos=0):

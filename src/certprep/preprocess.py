@@ -237,11 +237,13 @@ class Preprocessor:
         self.worklists = {}     # pass name -> _Worklist, during a stage
         self.groups = None      # dup's groups, while dup has a worklist
         self.closures = {}      # start literals -> _up_closure result
-        self.soft_label = {}    # cid -> (label var, weight), WCNF phase only
+        # soft cid -> its label var, in the WCNF phase only; the soft's
+        # weight is the label's objective coefficient
+        self.soft_label = {}
         self.core_live = set(range(1, len(cons) + 1))
         for pos, c in enumerate(cons):
             if pos in soft_info:
-                self.soft_label[pos + 1] = soft_info[pos]
+                self.soft_label[pos + 1] = soft_info[pos][0]
             self._install(pos + 1, c)
         self.next_aux = len(soft_info) + 1
         self.next_tmp = 1
@@ -266,7 +268,7 @@ class Preprocessor:
         self.engine.add(cid, c)
         self.lits[cid] = lits = tuple([lit for _, lit in c.terms])
         if cid in self.soft_label:
-            label = self.soft_label[cid][0]
+            label = self.soft_label[cid]
             self.real[cid] = tuple([l for l in lits if l >> 1 != label])
         self.closures.clear()
         for wl in self.worklists.values():
@@ -287,7 +289,7 @@ class Preprocessor:
         self._uninstall(cid)
         self._delc(cid, witness)
         if cid in self.soft_label:
-            self._retire_soft_label(self.soft_label.pop(cid)[0])
+            self._retire_soft_label(self.soft_label.pop(cid))
 
     def _real_lits(self, cid, label=None):
         """The literals of clause `cid` other than those on `label`, by
@@ -504,9 +506,9 @@ class Preprocessor:
         return coef > 0 if u & 1 else coef < 0
 
     def _merge_soft_pair(self, keep, dup):
-        bc, wc = self.soft_label[keep]
-        bd, wd = self.soft_label[dup]
-        if wc + wd > MAX_WEIGHT:
+        bc, bd = self.soft_label[keep], self.soft_label[dup]
+        wd = self.objective.coef(bd)
+        if self.objective.coef(bc) + wd > MAX_WEIGHT:
             return False
         # transfer the duplicate's weight onto the kept label, then drop it
         e1 = self._core_red(constraint_from_clause(
@@ -518,7 +520,6 @@ class Preprocessor:
         self._remove_clause(dup)   # RUP through the kept clause and e1
         self._delc(e1, {bd: 1})
         self._delc(e2, {bd: 0})
-        self.soft_label[keep] = (bc, wc + wd)
         return True
 
     def _is_trivial(self, cid):
@@ -543,7 +544,7 @@ class Preprocessor:
         weight forever; move the weight into the objective constant."""
         if not self._is_empty_soft(cid):
             return False
-        label = self.soft_label[cid][0]
+        label = self.soft_label[cid]
         self._update_objective(*self.objective.delta({label: 1}))
         del self.soft_label[cid]
         self._remove_clause(cid, {label: 1})
@@ -624,8 +625,6 @@ class Preprocessor:
             return False
         mine = set(self.lits[cid]) - {lit}
         for kid in self._occ_ids(neg(lit)):
-            if kid == cid:
-                return False
             other = set(self.lits[kid]) - {neg(lit)}
             if b is not None:
                 if mklit(b) in other:
@@ -655,7 +654,8 @@ class Preprocessor:
 
     def _sync_unit_soft(self, cid):
         """Replace a relaxed unit soft (u v b) by the objective term w*~u."""
-        label, w = self.soft_label.pop(cid)
+        label = self.soft_label.pop(cid)
+        w = self.objective.coef(label)
         u = self._real_lits(cid, label)[0]
         helper = self._core_red(constraint_from_clause(
             [neg(u), mklit(label, True)]), {label: 0})
@@ -703,8 +703,6 @@ class Preprocessor:
                 continue
             rest = set(dlits) - {m}
             for cid in sorted(self._occ_ids(neg(m))):
-                if cid == did:
-                    continue
                 if set(self.lits[cid]) - {neg(m)} <= rest:
                     c = constraint_from_clause(sorted(rest))
                     nid = self._core_rup(c)
@@ -986,14 +984,9 @@ class Preprocessor:
         if not self.objective.coef(v):
             wl.push(v)
 
-    def add_variables_bva(self, m_lits, suffixes):
-        """Factor the clauses {l v D : l in m_lits, D in suffixes} through a
-        fresh variable."""
-        originals = []
-        for l in m_lits:
-            for d in suffixes:
-                originals.append(self._find_clause(tuple(sorted(set(d) | {l},
-                                                  key=pb.lit_sort_key))))
+    def add_variables_bva(self, m_lits, suffixes, originals):
+        """Factor the clauses {l v D : l in m_lits, D in suffixes}, whose ids
+        are `originals`, through a fresh variable."""
         x = self._fresh_label()
         for d in sorted(suffixes):
             c = constraint_from_clause(list(d) + [mklit(x, True)])
@@ -1006,32 +999,30 @@ class Preprocessor:
         for cid in sorted(originals):
             self._remove_clause(cid)
 
-    def _find_clause(self, lits):
-        want = set(lits)
-        for cid in sorted(self._occ_ids(next(iter(want)))):
-            if set(self.lits[cid]) == want:
-                return cid
-        raise KeyError("no live clause %r" % (sorted(want),))
-
     def _bva_at(self, l1):
         """bva: for the first l2 after l1 in literal order whose clauses
         share with l1's enough suffixes D, factor every (l1 v D), (l2 v D)
-        through a fresh variable."""
+        through a fresh variable.  Of clauses with the same literals, the
+        one with the smallest id is factored."""
         lits = sorted(self.occ, key=pb.lit_sort_key)
         for l2 in lits[lits.index(l1) + 1:]:
             if l2 >> 1 == l1 >> 1:
                 continue
-            with_l2 = {frozenset(self.lits[cid]) for cid in self._occ_ids(l2)}
-            suffixes = {}   # each once, even if two clauses share it
+            with_l2 = {}    # literal set -> its smallest clause id
+            for cid in sorted(self._occ_ids(l2)):
+                with_l2.setdefault(frozenset(self.lits[cid]), cid)
+            pairs = {}      # suffix D -> the ids of (l1 v D) and (l2 v D)
             for cid in sorted(self._occ_ids(l1)):
                 d = frozenset(self.lits[cid]) - {l1}
-                if d and l2 not in d and neg(l2) not in d \
+                if d and d not in pairs and l2 not in d and neg(l2) not in d \
                         and (d | {l2}) in with_l2:
-                    suffixes[d] = tuple(sorted(d, key=pb.lit_sort_key))
-            suffixes = list(suffixes.values())
+                    pairs[d] = (cid, with_l2[d | {l2}])
             # replacing 2|S| clauses by |S|+2 must be a strict win
-            if len(suffixes) + 2 < 2 * len(suffixes):
-                self.add_variables_bva([l1, l2], suffixes)
+            if len(pairs) + 2 < 2 * len(pairs):
+                self.add_variables_bva(
+                    [l1, l2], [tuple(sorted(d, key=pb.lit_sort_key))
+                               for d in pairs],
+                    [cid for ids in pairs.values() for cid in ids])
                 self._count("bva")
                 return True
         return False
@@ -1370,7 +1361,7 @@ class Preprocessor:
         """Close out a feasible run: sync, fold the constant, rename, emit."""
         if self.phase == "wcnf":
             if not self.dirty:
-                self.writer.conclude("EQUIOPTIMAL")
+                self.writer.conclude()
                 inst = self.input_instance
                 return WcnfInstance([list(c) for c in inst.hard],
                                     [(w, list(c)) for w, c in inst.soft])
@@ -1389,25 +1380,19 @@ class Preprocessor:
         labels are exactly the positional ones re-encoding the output would
         assign, and no other internal variable survives anywhere."""
         pairs = sorted(self.soft_label.items())
-        coeffs = self.objective.coeffs
-        labels = set()
-        for k, (cid, (label, w)) in enumerate(pairs):
-            if label != mkvar(k + 1, pb.NS_AUX) or coeffs.get(label) != w:
+        for k, (cid, label) in enumerate(pairs):
+            if label != mkvar(k + 1, pb.NS_AUX):
                 return False
             if not self.clauses[cid].degree:
                 return False
             if len(self.real[cid]) == 1:
                 return False   # re-encoding would treat it as a unit soft
-            labels.add(label)
+        labels = set(self.soft_label.values())
         terms, const = self.objective.literal_form()
         if const:
             return False
-        for w, lit in terms:
-            v = lit >> 1
-            if v in labels:
-                if lit & 1:
-                    return False
-            elif pb.var_ns(v) != pb.NS_USER:
+        for _, lit in terms:
+            if lit >> 1 not in labels and pb.var_ns(lit >> 1) != pb.NS_USER:
                 return False
         for cid, lits in self.lits.items():
             real = self.real.get(cid, lits)
@@ -1419,17 +1404,19 @@ class Preprocessor:
         return True
 
     def _finish_wcnf(self):
-        """The output: the hard clauses, the softs without their labels, and
-        a unit soft per other objective term (all of them, in phase "oc").
+        """The output: the hard clauses, the softs without their labels (each
+        weighing its label's coefficient), and a unit soft per other
+        objective term (all of them, in phase "oc").
         A term weighing more than MAX_WEIGHT goes out as several unit softs
         on its literal, MAX_WEIGHT each but the last, which a reader adds
         back up."""
         self._drop_trivial()
         hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
                 if cid not in self.soft_label]
-        soft = [(w, list(self.real[cid]))
-                for cid, (label, w) in sorted(self.soft_label.items())]
-        labels = {label for label, _ in self.soft_label.values()}
+        coef = self.objective.coef
+        soft = [(coef(label), list(self.real[cid]))
+                for cid, label in sorted(self.soft_label.items())]
+        labels = set(self.soft_label.values())
         terms, _ = self.objective.literal_form()
         for w, lit in terms:
             if lit >> 1 not in labels:
@@ -1437,7 +1424,7 @@ class Preprocessor:
                     soft.append((MAX_WEIGHT, [neg(lit)]))
                     w -= MAX_WEIGHT
                 soft.append((w, [neg(lit)]))
-        self.writer.conclude("EQUIOPTIMAL")
+        self.writer.conclude()
         return WcnfInstance(hard, soft)
 
     def finalize_infeasible(self, conflict_cid):
@@ -1448,9 +1435,9 @@ class Preprocessor:
             self._uninstall(cid)
         self.soft_label = {}
         if self.objective.coeffs or self.objective.constant:
-            self.writer.obju_new([], 0)
+            self.writer.obju_new()
             self.objective = Objective()
-        self.writer.conclude("EQUIOPTIMAL")
+        self.writer.conclude()
         return WcnfInstance([[]], [])
 
     # ------------------------------------------------------------------

@@ -6,7 +6,9 @@ clauses, ``<weight> <lits> 0`` for soft ones) and the legacy header form
 clause).  Output is always written in the current dialect.  Numbers are
 ASCII digits alone.  ``read_clauses`` is the one reader: it yields each
 clause as (weight, literals), weight None when hard, and both
-``parse_wcnf`` and ``encode_to_pb`` take that stream.
+``parse_wcnf`` and ``encode_to_pb`` take that stream.  A number reads past
+its leading zeros, and one of more than ``pb.MAX_DIGITS`` digits is refused
+at its line.
 
 The PB translation mirrors the cost semantics exactly: hard clauses become
 clausal constraints, a unit soft (u, w) contributes w * ~u to the objective,
@@ -59,13 +61,25 @@ def _lit_to_dimacs(lit):
 class _PackedTokens(dict):
     """Clause token -> packed literal, filled by one parse as tokens come,
     so that each distinct token packs to one int object: DIMACS n packs as
-    mklit(mkvar(|n|), n < 0) would pack it.  The literal 0 and a token that
-    is not ``[+-]?[0-9]+`` pack to 1, which no real literal is."""
+    mklit(mkvar(|n|), n < 0) would pack it.  The literal 0, a token that
+    is not ``[+-]?[0-9]+`` and one that ``pb.digits_int`` refuses pack to 1,
+    which no real literal is."""
 
     def __missing__(self, tok):
-        n = int(tok) if _INT.fullmatch(tok) else 0
+        try:
+            n = pb.digits_int(tok) if _INT.fullmatch(tok) else 0
+        except ValueError:
+            n = 0
         lit = self[tok] = n << 3 if n > 0 else -n << 3 | 1
         return lit
+
+
+def _number(tok, lineno):
+    """pb.digits_int(tok), its error naming the line."""
+    try:
+        return pb.digits_int(tok)
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
 
 
 def read_clauses(text):
@@ -86,9 +100,10 @@ def read_clauses(text):
                 raise ValueError("line %d: bad p-line (want 'p wcnf "
                                  "<nvars> <nclauses> <top>')" % lineno)
             top = toks[4]
-            if not (top.isdigit() and top.isascii()) or int(top) < 1:
+            if not (top.isdigit() and top.isascii()) or \
+                    _number(top, lineno) < 1:
                 raise ValueError("line %d: bad top weight" % lineno)
-            top = int(top)
+            top = _number(top, lineno)
             continue
         saw_clause = True
         # A clause line is checked in one order: its head ('h' or a weight),
@@ -101,7 +116,7 @@ def read_clauses(text):
         elif not (head.isdigit() and head.isascii()):   # not '²' either
             raise ValueError("line %d: bad weight %r" % (lineno, head))
         else:
-            w = int(head)
+            w = _number(head, lineno)
             if w == 0:
                 raise ValueError("line %d: zero-weight soft clause" % lineno)
             if w > MAX_WEIGHT:
@@ -112,6 +127,7 @@ def read_clauses(text):
         if 1 in lits:
             tok = next(t for t in toks[1:-1] if packed[t] == 1)
             if _INT.fullmatch(tok):
+                _number(tok, lineno)    # raises unless the literal is 0
                 raise ValueError("line %d: literal 0 inside clause" % lineno)
             raise ValueError("line %d: bad literal %r" % (lineno, tok))
         yield (None if top and w >= top else w), lits   # top rules out 'h'

@@ -63,27 +63,23 @@ class ProofWriter:
             else:
                 self._write("delc %d ; %s" % (cid, pb.fmt_witness(witness)))
 
-    def _signed(self, terms, const):
-        parts = ["%+d %s" % (w, pb.fmt_lit(lit)) for w, lit in terms]
-        if const:
-            parts.append("%+d" % const)
-        return " ".join(parts)
-
     def obju_diff(self, terms, const=0):
         if self.sink is not None:
-            self._write(("obju diff %s ;" % self._signed(terms, const)).replace("  ", " "))
+            parts = ["%+d %s" % (w, pb.fmt_lit(lit)) for w, lit in terms]
+            if const:
+                parts.append("%+d" % const)
+            self._write("obju diff %s ;" % " ".join(parts))
 
-    def obju_new(self, terms, const=0):
+    def obju_new(self):
         if self.sink is not None:
-            body = self._signed(terms, const)
-            self._write("obju new %s;" % (body + " " if body else ""))
+            self._write("obju new ;")
 
     def core_ids(self, ids):
         if self.sink is not None:
             self._write("core id " + " ".join(str(i) for i in ids))
 
-    def conclude(self, level):
+    def conclude(self):
         if self.sink is not None:
-            self._write("output %s" % level)
+            self._write("output EQUIOPTIMAL")
             self._write("conclusion NONE")
             self._write(TRAILER)

@@ -388,18 +388,11 @@ class ReferenceOutputChecker(ProofChecker):
         self.level = level
         if self.reference_output is None:
             return
-        out = set(self.reference_output)
-        if level == "DERIVABLE":
-            live = set(self.constraints.values())
-            if not out <= live:
-                self._err("output constraint not among derived constraints")
-            return
         core = {self.constraints[i] for i in self.core_ids}
-        if core != out:
+        if core != set(self.reference_output):
             self._err("core does not match the output instance")
-        if level == "EQUIOPTIMAL":
-            if self.objective != self.output_objective:
-                self._err("objective does not match the output instance")
+        if self.objective != self.output_objective:
+            self._err("objective does not match the output instance")
 
 
 def reference_check_wcnf_proof(input_instance, proof_lines,
@@ -523,7 +516,7 @@ def _reference_duplicates_once(p):
             return True
         if hards and softs:
             for cid in softs:
-                label, _ = p.soft_label.pop(cid)
+                label = p.soft_label.pop(cid)
                 p._uninstall(cid)
                 p._delc(cid)
                 p._retire_soft_label(label)
@@ -560,7 +553,7 @@ def reference_lits(p, cid):
 
 def reference_real_lits(p, cid):
     """A clause's literals but its soft label, read from its constraint."""
-    label = p.soft_label[cid][0] if cid in p.soft_label else None
+    label = p.soft_label.get(cid)
     return tuple(lit for _, lit in p.clauses[cid].terms if lit >> 1 != label)
 
 
@@ -815,7 +808,7 @@ def reference_gsle_once(p):
 
 
 def reference_bva_once(p):
-    by_clause = {}
+    by_clause = {}      # literal set -> its smallest clause id
     for cid in sorted(p.clauses):
         by_clause.setdefault(frozenset(p.lits[cid]), cid)
     lits = sorted((l for l in p.occ if p.occ[l]), key=pb.lit_sort_key)
@@ -832,7 +825,9 @@ def reference_bva_once(p):
             suffixes = list(suffixes.values())
             # replacing 2|S| clauses by |S|+2 must be a strict win
             if len(suffixes) + 2 < 2 * len(suffixes):
-                p.add_variables_bva([l1, l2], suffixes)
+                p.add_variables_bva([l1, l2], suffixes, [
+                    by_clause[frozenset(d) | {l}]
+                    for l in (l1, l2) for d in suffixes])
                 p._count("bva")
                 return True
     return False
@@ -916,7 +911,7 @@ def reference_remove_empty_softs(p):
         if cid not in p.soft_label:
             continue
         c = p.clauses[cid]
-        label, w = p.soft_label[cid]
+        label = p.soft_label[cid]
         if c.degree != 1 or reference_real_lits(p, cid):
             continue
         # nothing left but the relaxer: the weight is paid forever

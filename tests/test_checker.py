@@ -9,7 +9,9 @@ from conftest import C, b, nb, nx, x
 
 
 def run(cons, obj, lines, out_cons=None, out_obj=None):
-    return check_proof(cons, obj, lines, out_cons, out_obj)
+    # a claimed output given without an objective claims the empty one
+    return check_proof(cons, obj, lines, out_cons,
+                       pb.Objective() if out_obj is None else out_obj)
 
 
 def accepted(*args, **kwargs):
@@ -24,7 +26,7 @@ def rejected(*args, **kwargs):
     return v
 
 
-def wrap(body, level="EQUISATISFIABLE", n=None, cons=None):
+def wrap(body, level="EQUIOPTIMAL", n=None, cons=None):
     n = len(cons) if n is None else n
     return ([HEADER, "f %d" % n] + body
             + ["output %s" % level, "conclusion NONE", TRAILER])
@@ -39,7 +41,7 @@ NO_OBJ = pb.Objective()
 def test_minimal_identity_proof():
     v = accepted(CLAUSES, NO_OBJ, wrap([], cons=CLAUSES),
                  out_cons=CLAUSES, out_obj=NO_OBJ)
-    assert v.level == "EQUISATISFIABLE"
+    assert v.level == "EQUIOPTIMAL"
 
 
 def test_equioptimal_identity_with_objective():
@@ -59,10 +61,10 @@ def test_f_count_must_match():
 
 
 def test_truncated_proof_rejected():
-    v = rejected(CLAUSES, NO_OBJ, [HEADER, "f 2", "output EQUISATISFIABLE"])
+    v = rejected(CLAUSES, NO_OBJ, [HEADER, "f 2", "output EQUIOPTIMAL"])
     assert "truncated" in v.error or "conclusion" in v.error
     v = rejected(CLAUSES, NO_OBJ,
-                 [HEADER, "f 2", "output EQUISATISFIABLE", "conclusion NONE"])
+                 [HEADER, "f 2", "output EQUIOPTIMAL", "conclusion NONE"])
     assert "truncated" in v.error
 
 
@@ -409,6 +411,50 @@ def test_proof_numbers_are_ascii_digits(step, message):
     assert v.error == "line 4: " + message
 
 
+@pytest.mark.parametrize("lines, message", [
+    (wrap([], cons=CLAUSES)[:-1] + ["end proof"],
+     "line 5: expected 'end pseudo-Boolean proof'"),
+    (wrap(["red +1 x1 +1 x2 >= 1"], cons=CLAUSES),
+     "line 3: red: missing witness"),
+    (wrap(["delc 1 ; x1 -> 1 ;"], cons=CLAUSES),
+     "line 3: delc: trailing tokens"),
+    (wrap(["obju set +1 x1 ;"], cons=CLAUSES),
+     "line 3: obju needs 'diff' or 'new'"),
+    (wrap(["obju diff +1 x1 ; +1"], cons=CLAUSES),
+     "line 3: obju: trailing tokens"),
+    ([HEADER, "f 2", "output EQUIOPTIMAL NOW"],
+     "line 3: expected 'output <level>'"),
+    (wrap(["rup +1 x1 +1"], cons=CLAUSES),
+     "line 3: truncated constraint"),
+    # ~x1 >= 1 does not follow from the core, and the core constraint 2
+    # holds ~x1 but is longer, so no scaled copy justifies it either
+    (wrap(["obju diff +1 x1 ;"], cons=CLAUSES),
+     "line 3: objective update is not justified by the core"),
+])
+def test_malformed_line_is_rejected_at_its_line(lines, message):
+    """Each malformed line is rejected at its line number with its own
+    message, the last through the length test of the scaled-copy match."""
+    v = rejected(CLAUSES, NO_OBJ, lines)
+    assert v.error == message
+
+
+@pytest.mark.parametrize("step", [
+    "pol 1 %s *", "rup +%s x1 +1 x2 >= 1 ;", "rup +1 x1 +1 x2 >= %s ;",
+    "rup +1 x%s >= 1 ;", "delc %s", "core id %s",
+])
+def test_numbers_past_the_int_limit_are_named(step):
+    """A number of more than pb.MAX_DIGITS digits is rejected at its line by
+    name, not with int()'s own message; leading zeros do not count."""
+    v = rejected(CLAUSES, NO_OBJ, wrap([step % ("9" * 5000)], cons=CLAUSES))
+    assert v.error == "line 3: number of 5000 digits (at most 4300)"
+    zeros = "0" * 5000
+    if step.startswith("pol"):
+        accepted(CLAUSES, NO_OBJ, wrap([step % (zeros + "2"), "core id 3"],
+                                       cons=CLAUSES))
+    elif step.startswith("rup +1 x1"):
+        accepted(CLAUSES, NO_OBJ, wrap([step % (zeros + "1")], cons=CLAUSES))
+
+
 def test_f_count_is_ascii_digits():
     v = rejected(CLAUSES, NO_OBJ, [HEADER, "f ٢"])
     assert v.error == "line 2: expected 'f <n>' after the header"
@@ -433,9 +479,14 @@ def test_output_unknown_level():
 
 
 def test_output_equisat_ignores_objective():
+    """EQUISATISFIABLE, which once let the objectives differ, is no level:
+    it is rejected at its line, with the objectives equal or not."""
     obj = pb.Objective({pb.mkvar(1): 4})
-    accepted(CLAUSES, obj, wrap([], cons=CLAUSES),
-             out_cons=CLAUSES, out_obj=pb.Objective())
+    for out_obj in (pb.Objective(), obj):
+        v = rejected(CLAUSES, obj, wrap([], level="EQUISATISFIABLE",
+                                        cons=CLAUSES),
+                     out_cons=CLAUSES, out_obj=out_obj)
+        assert v.error == "line 3: unknown output level 'EQUISATISFIABLE'"
 
 
 def test_output_equioptimal_checks_objective():
@@ -456,13 +507,14 @@ def test_output_core_mismatch():
 
 
 def test_output_derivable_uses_derived_too():
+    """DERIVABLE, which once took an output made of derived constraints
+    too, is no level: it is rejected at its line, whatever the output."""
     body = ["rup +1 x2 >= 1 ;"]
-    v = run(CLAUSES, NO_OBJ, wrap(body, level="DERIVABLE", cons=CLAUSES),
-            out_cons=[C("+1 x2 >= 1"), CLAUSES[0]])
-    assert v.accepted, v.error
-    v = run(CLAUSES, NO_OBJ, wrap(body, level="DERIVABLE", cons=CLAUSES),
-            out_cons=[C("+1 x3 >= 1")])
-    assert not v.accepted
+    for out_cons in ([C("+1 x2 >= 1"), CLAUSES[0]], [C("+1 x3 >= 1")]):
+        v = rejected(CLAUSES, NO_OBJ,
+                     wrap(body, level="DERIVABLE", cons=CLAUSES),
+                     out_cons=out_cons)
+        assert v.error == "line 4: unknown output level 'DERIVABLE'"
 
 
 def test_output_comparison_is_multiset_insensitive():
@@ -507,6 +559,6 @@ def test_checker_streaming_interface():
     chk = ProofChecker(CLAUSES, NO_OBJ, CLAUSES, NO_OBJ)
     for line in wrap([], cons=CLAUSES):
         chk.feed(line)
-    assert chk.finish() == "EQUISATISFIABLE"
+    assert chk.finish() == "EQUIOPTIMAL"
     with pytest.raises(ProofRejected):
         chk.feed("rup >= 0 ;")

@@ -140,6 +140,43 @@ def test_check_rejects_a_red_subproof(tmp_path, capsys):
     assert first + 1 == 15
 
 
+@pytest.mark.parametrize("level", ["DERIVABLE", "EQUISATISFIABLE"])
+def test_check_rejects_every_other_output_level(tmp_path, capsys, level):
+    """EQUIOPTIMAL is the one output level: any other is rejected at its
+    line, like an unknown word."""
+    proof = tmp_path / "level.pbp"
+    proof.write_text((DATA / "golden.pbp").read_text().replace(
+        "output EQUIOPTIMAL", "output " + level))
+    capsys.readouterr()
+    assert run_cli("check", GOLDEN, proof, DATA / "golden.out.wcnf") == 1
+    assert capsys.readouterr().out == (
+        "s REJECTED 66: line 66: unknown output level %r\n" % level)
+
+
+@pytest.mark.parametrize("line", [
+    "%s 1 2 0" % ("9" * 5000), "3 -%s 2 0" % ("1" * 5000)],
+    ids=["weight", "literal"])
+def test_preprocess_names_a_number_past_the_int_limit(tmp_path, capsys, line):
+    bad = tmp_path / "bad.wcnf"
+    bad.write_text("h 1 2 0\n%s\n" % line)
+    code = run_cli("preprocess", bad, "-o", tmp_path / "o",
+                   "-p", tmp_path / "p")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: number of 5000 digits (at most 4300)\n")
+
+
+def test_weight_with_leading_zeros_reads_as_its_value(tmp_path, capsys):
+    src = tmp_path / "zeros.wcnf"
+    src.write_text("h 1 2 0\n%s7 -1 -2 0\n" % ("0" * 5000))
+    out, proof = tmp_path / "out.wcnf", tmp_path / "proof.pbp"
+    assert run_cli("preprocess", src, "-o", out, "-p", proof) == 0
+    assert out.read_text() == "7 -1 0\n"
+    capsys.readouterr()
+    assert run_cli("check", src, proof, out) == 0
+    assert capsys.readouterr().out == "s VERIFIED OUTPUT EQUIOPTIMAL\n"
+
+
 def test_check_rejects_wrong_output(tmp_path, capsys):
     # claiming the unpreprocessed input as the result must fail
     _, out, proof = preprocess_golden(tmp_path)

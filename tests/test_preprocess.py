@@ -423,6 +423,31 @@ def test_stage2_only_keeps_soft_clauses():
     assert out.soft == [(4, [x(3), x(4)])]
 
 
+def written_and_verified(inst, out, proof):
+    """The output as written and read back verifies against the proof."""
+    verified(inst, parse_wcnf(write_wcnf(out)), proof)
+    same_optimum(inst, out)
+
+
+def test_relaxed_unit_soft_is_not_written_back_verbatim():
+    # fixing ~x1 shrinks the soft (x1 v x2) to the relaxed unit (x2 v _b2),
+    # which re-encoding the written soft "3 2 0" would treat as a unit soft
+    inst = parse_wcnf("h -1 0\n2 3 4 0\n3 1 2 0\n")
+    out, proof, _ = run_ops(inst, lambda p: p.fix_literal(p.lits[1][0], 1))
+    written_and_verified(inst, out, proof)
+    assert (3, [x(2)]) in out.soft
+
+
+def test_clause_with_an_internal_variable_is_not_written_back_verbatim():
+    # bva's fresh variable is an internal one that no soft has as its label
+    hard = [[x(l), x(s)] for l in (1, 2) for s in (3, 4, 5)]
+    inst = WcnfInstance(hard, [(2, [x(6), x(7)])])
+    out, proof, _ = run_ops(inst, lambda p: p.add_variables_bva(
+        [x(1), x(2)], [(x(s),) for s in (3, 4, 5)], range(1, 7)))
+    written_and_verified(inst, out, proof)
+    assert len(out.hard) == 6   # bva's five and the soft, relaxed and renamed
+
+
 def test_internal_variables_renamed_after_user_indices():
     inst = WcnfInstance([], [(2, [x(5), x(9)])])
     out, _, _ = check_run(inst, techniques=("sle",))

@@ -64,6 +64,31 @@ def test_parse_errors():
             wcnf.parse_wcnf(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("h 1 2 0\n%s 1 2 0\n" % ("9" * 5000), 2),
+    ("h 1 2 0\n3 -%s 2 0\n" % ("1" * 5000), 2),
+    ("p wcnf 2 1 %s\n5 1 2 0\n" % ("9" * 5000), 1),
+], ids=["weight", "literal", "top"])
+def test_numbers_past_the_int_limit_are_named(text, line):
+    """A weight, literal or top of more than pb.MAX_DIGITS digits is refused
+    at its line by name, not with int()'s own message."""
+    with pytest.raises(ValueError) as exc:
+        wcnf.parse_wcnf(text)
+    assert str(exc.value) == (
+        "line %d: number of 5000 digits (at most 4300)" % line)
+
+
+def test_leading_zeros_do_not_count():
+    zeros = "0" * 5000
+    inst = wcnf.parse_wcnf("h %s1 2 0\n%s7 -1 -%s3 0\n" % (zeros, zeros,
+                                                           zeros))
+    assert inst.hard == [[x(1), x(2)]]
+    assert inst.soft == [(7, [nx(1), nx(3)])]
+    long_index = "9" * 4300     # the longest a number may be
+    [[lit]] = wcnf.parse_wcnf("h %s 0\n" % long_index).hard
+    assert lit >> 3 == int(long_index)
+
+
 def test_write_roundtrip_and_exact_bytes():
     inst = wcnf.parse_wcnf(NEW_SAMPLE)
     out = wcnf.write_wcnf(inst)

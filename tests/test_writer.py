@@ -21,9 +21,9 @@ def test_emitted_text_is_frozen():
     w.delc(5, {pb.mkvar(1): 1})
     w.obju_diff([(-1, pb.mklit(pb.mkvar(1)))], 1)
     w.obju_diff([(-3, pb.mklit(pb.mkvar(2, pb.NS_AUX)))])
-    w.obju_new([], 0)
+    w.obju_new()
     w.comment("hello")
-    w.conclude("EQUIOPTIMAL")
+    w.conclude()
     assert buf.getvalue() == """\
 pseudo-Boolean proof version 2.0
 f 4
@@ -53,7 +53,7 @@ def test_disabled_writer_only_allocates_ids():
     w.delc(1)
     w.obju_diff([(1, pb.mklit(pb.mkvar(1)))])
     w.core_ids([3])
-    w.conclude("EQUISATISFIABLE")
+    w.conclude()
     assert w.lines_written == 0
 
 
@@ -72,7 +72,7 @@ def test_writer_output_replays_through_checker():
     rid = w.red(C("+1 _b1 >= 1"), {bw: 1})
     w.core_ids([rid])
     w.obju_diff([(2, pb.mklit(bw))], -2)
-    w.conclude("EQUIOPTIMAL")
+    w.conclude()
     verdict = check_wcnf_proof(inst, buf.getvalue().splitlines(), out)
     assert verdict.accepted, verdict.error
     assert verdict.level == "EQUIOPTIMAL"
