@@ -19,27 +19,71 @@ VERIFIED_LINE = "s VERIFIED OUTPUT EQUIOPTIMAL"
 GC_THRESHOLD = 50000    # generation-0 allocations between collections
 
 
-def _read(path):
-    with open(path, "r") as fh:
-        return fh.read()
-
-
-def _parse_instance(path):
-    return parse_wcnf(_read(path))
-
-
-def _clauses(path):
-    # read_clauses over the file's text, read when the first clause is asked
-    # for, so that the file is read and dropped in the order it is checked
-    yield from read_clauses(_read(path))
-
-
-def _proof_lines(path):
+def _lines(path):
     # the lines of the file's text.splitlines(), read one file line at a
     # time from the first line asked for on
     with open(path, "r") as fh:
         for line in fh:
             yield from line.splitlines()
+
+
+def _clauses(path):
+    # read_clauses over the file, read one line at a time as the clauses are
+    # asked for, so that the file is read in the order it is checked
+    return read_clauses(_lines(path))
+
+
+def _parse_instance(path):
+    return parse_wcnf(_lines(path))
+
+
+class _InputFile:
+    """The clauses of a WCNF file, read from the file anew on each pass.
+    The first pass, the one the preprocessor encodes, counts them and finds
+    their largest literal for the summary lines."""
+
+    def __init__(self, path):
+        self.path = path
+        self.count = None
+        self.top = 0
+
+    def __iter__(self):
+        clauses = _clauses(self.path)
+        if self.count is not None:
+            return clauses
+        self.count = 0
+        return self._counted(clauses)
+
+    def _counted(self, clauses):
+        for clause in clauses:
+            self.count += 1
+            if clause[1]:
+                self.top = max(self.top, max(clause[1]))
+            yield clause
+
+    def max_var_index(self):
+        return self.top >> 3    # as WcnfInstance.max_var_index finds it
+
+
+class _LateFile:
+    """A file for writing that is created at its first write, so that an
+    input that fails to read leaves no proof file behind."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = None
+
+    def write(self, text):
+        if self.fh is None:
+            self.fh = open(self.path, "w")
+        self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.fh is not None:
+            self.fh.close()
 
 
 def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
@@ -54,18 +98,22 @@ def cmd_preprocess(args):
     from . import preprocess
 
     try:
-        inst = _parse_instance(args.input)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         cfg = preprocess.Config.from_flag(args.techniques, rounds=args.rounds)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    # The input streams from the file into the preprocessor, which keeps the
+    # one copy of each clause.  The output is collected by `preprocess.run`,
+    # the call through which perfbench/traced.py counts applied techniques.
+    source = _InputFile(args.input)
     try:
-        with open(args.proof, "w") as proof_sink:
-            out, _, p = preprocess.run(inst, cfg, sink=proof_sink)
+        with _LateFile(args.proof) as proof_sink:
+            try:
+                # reads the input whole before the proof's first line
+                out, _, p = preprocess.run(source, cfg, sink=proof_sink)
+            except ValueError as exc:
+                print("error: %s" % exc, file=sys.stderr)
+                return 2
         with open(args.output, "w") as fh:
             write_wcnf(out, fh)
     except OSError as exc:
@@ -74,9 +122,8 @@ def cmd_preprocess(args):
     if p.cap_hit:
         print("warning: iteration cap reached before fixpoint",
               file=sys.stderr)
-    print("clauses: %d -> %d" % (len(inst.hard) + len(inst.soft),
-                                 len(out.hard) + len(out.soft)))
-    print("vars: %d -> %d" % (inst.max_var_index(), out.max_var_index()))
+    print("clauses: %d -> %d" % (source.count, len(out.hard) + len(out.soft)))
+    print("vars: %d -> %d" % (source.max_var_index(), out.max_var_index()))
     print("proof lines: %d" % p.writer.lines_written)
     return 0
 
@@ -91,7 +138,7 @@ def cmd_check(args):
     # before one in the output, and one in the output before the proof's.
     try:
         verdict = check_wcnf_proof(_clauses(args.input),
-                                   _proof_lines(args.proof),
+                                   _lines(args.proof),
                                    _clauses(args.output))
     except (OSError, ValueError) as exc:  # also a read or decode error
         print("error: %s" % exc, file=sys.stderr)

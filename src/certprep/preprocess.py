@@ -52,6 +52,7 @@ label at once) and dropped when it ends.
 
 import heapq
 import io
+from itertools import chain
 
 from . import pb
 from .pb import (LinearConstraint, Objective, constraint_from_clause,
@@ -220,6 +221,9 @@ class Infeasible(Exception):
 class Preprocessor:
     """One pipeline run over a single instance.
 
+    The instance is a WcnfInstance or any other iterable that yields its
+    (weight, literals) clauses afresh on each pass: the constructor encodes
+    one pass, and the output of a run that changed nothing is two more.
     With ``sink=None`` no proof text is produced (id bookkeeping only);
     pass a file-like sink to stream the proof.
     """
@@ -240,7 +244,9 @@ class Preprocessor:
         # soft cid -> its label var, in the WCNF phase only; the soft's
         # weight is the label's objective coefficient
         self.soft_label = {}
-        self.core_live = set(range(1, len(cons) + 1))
+        # ids deleted from the proof; between steps, every other id below
+        # writer.next_id is a live core constraint
+        self.deleted = set()
         for pos, c in enumerate(cons):
             if pos in soft_info:
                 self.soft_label[pos + 1] = soft_info[pos][0]
@@ -250,7 +256,7 @@ class Preprocessor:
         self.phase = "wcnf"
         self.counts = {}
         self.cap_hit = False
-        self.input_instance = instance
+        self.source = instance
         self.dirty = False
 
     @property
@@ -316,11 +322,10 @@ class Preprocessor:
         self.counts[name] = self.counts.get(name, 0) + 1
 
     # ------------------------------------------------------------------
-    # proof emission, keeping core_live in sync with the checker
+    # proof emission, keeping `deleted` in sync with the checker
 
     def _core(self, cid):
         self.writer.core_ids([cid])
-        self.core_live.add(cid)
         return cid
 
     def _core_rup(self, c):
@@ -334,8 +339,14 @@ class Preprocessor:
 
     def _delc(self, cid, witness=None):
         self.writer.delc(cid, witness)
-        self.core_live.discard(cid)
+        self.deleted.add(cid)
         self.dirty = True
+
+    def _drop_derived(self, cid):
+        # a derived constraint that never entered the core leaves the proof
+        # and changes nothing in the instance
+        self.writer.delc(cid)
+        self.deleted.add(cid)
 
     def _update_objective(self, terms, const=0):
         """Add sum(w * lit) + const to the objective in place and log the
@@ -1041,7 +1052,7 @@ class Preprocessor:
         self._core(d2)
         self._update_objective(
             [(-w, mklit(bc)), (-w, mklit(bd)), (w, mklit(bcd))], w)
-        self.writer.delc(d1)
+        self._drop_derived(d1)
         self._delc(elim, {bcd: 0})
         self._install(d2, clause)
         return bcd, d2
@@ -1134,7 +1145,7 @@ class Preprocessor:
         self._delc(am1c, am1c_witness)
         self._remove_clause(cid_c, {bc: 1})
         self._remove_clause(cid_d, {bd: 1})
-        self.writer.delc(r2)
+        self._drop_derived(r2)
         self._delc(r1, {bc: 1})
         return bcd
 
@@ -1259,12 +1270,12 @@ class Preprocessor:
                     raise AssertionError("oracle model despite entailment")
         except OracleBudget:
             for cid in derived:
-                self.writer.delc(cid)
+                self._drop_derived(cid)
             return False
         pids = [(lit, self._core_rup(_unit(neg(lit))))
                 for lit in entailed]
         for cid in derived:
-            self.writer.delc(cid)
+            self._drop_derived(cid)
         for lit, pid in pids:
             self.fix_literal(neg(lit), pid)
             self._count("trim")
@@ -1358,13 +1369,15 @@ class Preprocessor:
             self._remove_clause(cid)
 
     def finish(self):
-        """Close out a feasible run: sync, fold the constant, rename, emit."""
+        """Close out a feasible run: sync, fold the constant, rename, emit.
+        The output is a (weight, literals) stream, read as it is consumed:
+        that of a run that changed nothing is the instance read again, its
+        hard clauses first, each clause as the instance gives it."""
         if self.phase == "wcnf":
             if not self.dirty:
                 self.writer.conclude()
-                inst = self.input_instance
-                return WcnfInstance([list(c) for c in inst.hard],
-                                    [(w, list(c)) for w, c in inst.soft])
+                return chain((c for c in self.source if c[0] is None),
+                             (c for c in self.source if c[0] is not None))
             if self._pristine_softs():
                 return self._finish_wcnf()
             self.convert_to_objective_centric()
@@ -1404,33 +1417,38 @@ class Preprocessor:
         return True
 
     def _finish_wcnf(self):
-        """The output: the hard clauses, the softs without their labels (each
-        weighing its label's coefficient), and a unit soft per other
-        objective term (all of them, in phase "oc").
+        self._drop_trivial()
+        self.writer.conclude()
+        return self._output()
+
+    def _output(self):
+        """Yield the output: the hard clauses, the softs without their labels
+        (each weighing its label's coefficient), and a unit soft per other
+        objective term (all of them, in phase "oc"), each clause the tuple
+        the store holds.
         A term weighing more than MAX_WEIGHT goes out as several unit softs
         on its literal, MAX_WEIGHT each but the last, which a reader adds
         back up."""
-        self._drop_trivial()
-        hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
-                if cid not in self.soft_label]
+        for cid in sorted(self.clauses):
+            if cid not in self.soft_label:
+                yield None, self.lits[cid]
         coef = self.objective.coef
-        soft = [(coef(label), list(self.real[cid]))
-                for cid, label in sorted(self.soft_label.items())]
+        for cid, label in sorted(self.soft_label.items()):
+            yield coef(label), self.real[cid]
         labels = set(self.soft_label.values())
         terms, _ = self.objective.literal_form()
         for w, lit in terms:
             if lit >> 1 not in labels:
                 while w > MAX_WEIGHT:
-                    soft.append((MAX_WEIGHT, [neg(lit)]))
+                    yield MAX_WEIGHT, (neg(lit),)
                     w -= MAX_WEIGHT
-                soft.append((w, [neg(lit)]))
-        self.writer.conclude()
-        return WcnfInstance(hard, soft)
+                yield w, (neg(lit),)
 
     def finalize_infeasible(self, conflict_cid):
         """The core holds 0 >= 1: reduce everything to the empty clause."""
-        for cid in sorted(self.core_live - {conflict_cid}):
-            self._delc(cid)
+        for cid in range(1, self.writer.next_id):
+            if cid != conflict_cid and cid not in self.deleted:
+                self._delc(cid)
         for cid in list(self.clauses):
             self._uninstall(cid)
         self.soft_label = {}
@@ -1438,7 +1456,7 @@ class Preprocessor:
             self.writer.obju_new()
             self.objective = Objective()
         self.writer.conclude()
-        return WcnfInstance([[]], [])
+        return iter([(None, ())])
 
     # ------------------------------------------------------------------
     # the full pipeline
@@ -1522,7 +1540,8 @@ class Preprocessor:
 
 
 def run(instance, config=None, sink=None):
-    """Run the pipeline; returns (output instance, proof text, Preprocessor).
+    """Run the pipeline; returns (output instance, proof text, Preprocessor),
+    the output collected from the stream that ``Preprocessor.run`` returns.
 
     With an explicit sink the proof is streamed there and the returned text
     is None.
@@ -1531,5 +1550,5 @@ def run(instance, config=None, sink=None):
     if own:
         sink = io.StringIO()
     p = Preprocessor(instance, config, sink)
-    out = p.run()
+    out = WcnfInstance.from_clauses(p.run())
     return out, (sink.getvalue() if own else None), p

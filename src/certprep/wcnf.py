@@ -5,8 +5,9 @@ clauses, ``<weight> <lits> 0`` for soft ones) and the legacy header form
 (``p wcnf <nvars> <nclauses> <top>`` where a weight >= top marks a hard
 clause).  Output is always written in the current dialect.  Numbers are
 ASCII digits alone.  ``read_clauses`` is the one reader: it yields each
-clause as (weight, literals), weight None when hard, and both
-``parse_wcnf`` and ``encode_to_pb`` take that stream.  A number reads past
+clause as (weight, literals), weight None when hard, from a text or from
+its lines as a file gives them, and ``parse_wcnf``, ``encode_to_pb`` and
+``write_wcnf`` all take that stream.  A number reads past
 its leading zeros, and one of more than ``pb.MAX_DIGITS`` digits is refused
 at its line.
 
@@ -37,6 +38,18 @@ class WcnfInstance:
     def __init__(self, hard=None, soft=None):
         self.hard = hard if hard is not None else []
         self.soft = soft if soft is not None else []
+
+    @classmethod
+    def from_clauses(cls, clauses):
+        """The instance of a (weight, literals) stream, each clause's
+        literals copied into a list of their own."""
+        inst = cls()
+        for w, cl in clauses:
+            if w is None:
+                inst.hard.append(list(cl))
+            else:
+                inst.soft.append((w, list(cl)))
+        return inst
 
     def __iter__(self):
         # the clauses as `read_clauses` yields them, hard clauses first
@@ -84,11 +97,14 @@ def _number(tok, lineno):
 
 def read_clauses(text):
     """Yield each clause of a WCNF text as (weight, literals) in file order,
-    weight None when hard; a malformed line raises ValueError naming it."""
+    weight None when hard; a malformed line raises ValueError naming it.
+    The text is a str or an iterable of its lines, as str.splitlines()
+    would give them, so that a file can be read one line at a time."""
     packed = _PackedTokens()
     top = None
     saw_clause = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines() if isinstance(text, str) else text
+    for lineno, line in enumerate(lines, start=1):
         toks = line.split()
         if not toks or toks[0] == "c":
             continue
@@ -134,18 +150,13 @@ def read_clauses(text):
 
 
 def parse_wcnf(text):
-    inst = WcnfInstance()
-    for clause in read_clauses(text):
-        if clause[0] is None:
-            inst.hard.append(clause[1])
-        else:
-            inst.soft.append(clause)
-    return inst
+    return WcnfInstance.from_clauses(read_clauses(text))
 
 
 def write_wcnf(inst, fh=None):
-    """The instance as WCNF text, or, given a file, written to it line by
-    line, so that the whole text is never built."""
+    """The instance or (weight, literals) stream as WCNF text, or, given a
+    file, written to it line by line, so that the whole text is never
+    built."""
     lines = (" ".join(["h" if w is None else str(w)] + [
         str(_lit_to_dimacs(lit)) for lit in cl] + ["0\n"]) for w, cl in inst)
     if fh is None:

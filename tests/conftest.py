@@ -268,7 +268,19 @@ def reference_propagates_at_root(c):
 # a clause's tokens first and names a bad token only when that fails, so the
 # two must agree on instances and on error texts.  Both read numbers in ASCII
 # alone: a literal is [+-]?[0-9]+, a weight or a top weight [0-9]+, so that
-# neither int()'s '_' separators nor non-ASCII digits get through.
+# neither int()'s '_' separators nor non-ASCII digits get through.  Both
+# read a number past its leading zeros and refuse one of more than
+# pb.MAX_DIGITS digits at its line, where int() would raise Python's error.
+
+
+def _reference_number(tok, lineno):
+    # tok is [+-]?[0-9]+ already
+    sign, digits = ("", tok) if tok[0].isdigit() else (tok[0], tok[1:])
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > pb.MAX_DIGITS:
+        raise ValueError("line %d: number of %d digits (at most %d)"
+                         % (lineno, len(digits), pb.MAX_DIGITS))
+    return int(sign + digits)
 
 
 def _reference_clause_lits(toks, lineno):
@@ -278,7 +290,7 @@ def _reference_clause_lits(toks, lineno):
     for t in toks[:-1]:
         if not re.fullmatch("[+-]?[0-9]+", t):
             raise ValueError("line %d: bad literal %r" % (lineno, t))
-        n = int(t)
+        n = _reference_number(t, lineno)
         if n == 0:
             raise ValueError("line %d: literal 0 inside clause" % lineno)
         lits.append(pb.mklit(pb.mkvar(abs(n)), n < 0))
@@ -288,7 +300,7 @@ def _reference_clause_lits(toks, lineno):
 def _reference_weight(tok, lineno):
     if not re.fullmatch("[0-9]+", tok):
         raise ValueError("line %d: bad weight %r" % (lineno, tok))
-    w = int(tok)
+    w = _reference_number(tok, lineno)
     if w == 0:
         raise ValueError("line %d: zero-weight soft clause" % lineno)
     if w > 2**63 - 1:
@@ -314,7 +326,7 @@ def reference_parse_wcnf(text):
                                  "<nvars> <nclauses> <top>')" % lineno)
             if not re.fullmatch("[0-9]+", toks[4]):
                 raise ValueError("line %d: bad top weight" % lineno)
-            top = int(toks[4])
+            top = _reference_number(toks[4], lineno)
             if top < 1:
                 raise ValueError("line %d: bad top weight" % lineno)
             continue

@@ -53,6 +53,30 @@ def test_preprocess_no_techniques_round_trips(tmp_path, capsys):
     assert run_cli("check", GOLDEN, proof, out) == 0
 
 
+# A run that changes nothing writes the input's clauses back, hard clauses
+# first, each with its literals in input order, repeats kept, and each
+# weight as its value: not the input's bytes.
+UNCHANGED_CURRENT = ("c a comment\n3 -2 1 0\nh 2  1 1 0\n007 4 0\n"
+                     "h -3 1 -3 0\n5 2 -4 2 0\n")
+UNCHANGED_LEGACY = ("c a comment\np wcnf 4 5 10\n3 -2 1 0\n10 2  1 1 0\n"
+                    "007 4 0\n12 -3 1 -3 0\n5 2 -4 2 0\n")
+UNCHANGED_OUTPUT = "h 2 1 1 0\nh -3 1 -3 0\n3 -2 1 0\n7 4 0\n5 2 -4 2 0\n"
+
+
+@pytest.mark.parametrize("text", [UNCHANGED_CURRENT, UNCHANGED_LEGACY],
+                         ids=["current", "legacy"])
+def test_unchanged_run_writes_the_input_clauses_back(tmp_path, capsys, text):
+    src = tmp_path / "in.wcnf"
+    src.write_text(text)
+    out, proof = tmp_path / "out.wcnf", tmp_path / "proof.pbp"
+    assert run_cli("preprocess", src, "-o", out, "-p", proof,
+                   "--techniques=") == 0
+    assert out.read_text() == UNCHANGED_OUTPUT
+    assert capsys.readouterr().out == (
+        "clauses: 5 -> 5\nvars: 4 -> 4\nproof lines: 7\n")
+    assert run_cli("check", src, proof, out) == 0
+
+
 def test_preprocess_missing_input(tmp_path, capsys):
     code = run_cli("preprocess", tmp_path / "absent.wcnf",
                    "-o", tmp_path / "o", "-p", tmp_path / "p")
@@ -83,6 +107,21 @@ def test_preprocess_parse_error(tmp_path, capsys):
     code = run_cli("preprocess", bad, "-o", tmp_path / "o",
                    "-p", tmp_path / "p")
     assert code == 2
+
+
+def test_malformed_input_writes_neither_file(tmp_path, capsys):
+    """The input is read whole before the proof file is created, so a
+    malformed line leaves no output or proof, and a proof file that was
+    already there stays as it was."""
+    bad = tmp_path / "bad.wcnf"
+    bad.write_text("h 1 2 0\nh 1 x 0\n3 1 0\n")
+    out, proof = tmp_path / "out.wcnf", tmp_path / "proof.pbp"
+    assert run_cli("preprocess", bad, "-o", out, "-p", proof) == 2
+    assert capsys.readouterr().err == "error: line 2: bad literal 'x'\n"
+    assert not out.exists() and not proof.exists()
+    proof.write_text("kept\n")
+    assert run_cli("preprocess", bad, "-o", out, "-p", proof) == 2
+    assert proof.read_text() == "kept\n" and not out.exists()
 
 
 def test_check_verified(tmp_path, capsys):
