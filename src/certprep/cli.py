@@ -11,6 +11,8 @@ oracle only for ``trim`` or ``harden``), ``check`` the checker.
 
 import argparse
 import gc
+import os
+import stat
 import sys
 
 from .wcnf import opt_cost_bruteforce, parse_wcnf, read_clauses, write_wcnf
@@ -20,16 +22,17 @@ GC_THRESHOLD = 50000    # generation-0 allocations between collections
 
 
 def _lines(path):
-    # the lines of the file's text.splitlines(), read one file line at a
-    # time from the first line asked for on
+    # the lines of the file's text.splitlines(), read some 8 KiB of whole
+    # file lines at a time from the first line asked for on
     with open(path, "r") as fh:
-        for line in fh:
-            yield from line.splitlines()
+        for block in iter(lambda: fh.readlines(1 << 13), []):
+            yield from "".join(block).splitlines()
 
 
 def _clauses(path):
-    # read_clauses over the file, read one line at a time as the clauses are
-    # asked for, so that the file is read in the order it is checked
+    # read_clauses over the file, read a block of lines at a time as the
+    # clauses are asked for, so that the file is read in the order it is
+    # checked
     return read_clauses(_lines(path))
 
 
@@ -37,29 +40,46 @@ def _parse_instance(path):
     return parse_wcnf(_lines(path))
 
 
+class _BadInput(Exception):
+    """An input file that does not read as WCNF, or that changed while it
+    was read."""
+
+
 class _InputFile:
-    """The clauses of a WCNF file, read from the file anew on each pass.
-    The first pass, the one the preprocessor encodes, counts them and finds
-    their largest literal for the summary lines."""
+    """The clauses of a WCNF file as the preprocessor reads them.  A regular
+    file is read anew on each pass; anything else (a pipe) is read once, and
+    its clauses are kept for the later passes.  The first pass, the one the
+    preprocessor encodes, counts the clauses and finds their largest literal
+    for the summary lines; a later pass that finds another count or largest
+    literal fails, as the file changed in between."""
 
     def __init__(self, path):
         self.path = path
+        self.kept = None if stat.S_ISREG(os.stat(path).st_mode) else []
         self.count = None
         self.top = 0
 
     def __iter__(self):
-        clauses = _clauses(self.path)
-        if self.count is not None:
-            return clauses
-        self.count = 0
-        return self._counted(clauses)
+        if self.count is not None and self.kept is not None:
+            return iter(self.kept)
+        return self._read()
 
-    def _counted(self, clauses):
-        for clause in clauses:
-            self.count += 1
-            if clause[1]:
-                self.top = max(self.top, max(clause[1]))
-            yield clause
+    def _read(self):
+        count, top, kept = 0, 0, self.kept
+        try:
+            for count, clause in enumerate(_clauses(self.path), 1):
+                lits = clause[1]
+                if lits and max(lits) > top:
+                    top = max(lits)
+                if kept is not None:
+                    kept.append(clause)
+                yield clause
+        except ValueError as exc:   # also a decode error
+            raise _BadInput(str(exc)) from None
+        if self.count is None:
+            self.count, self.top = count, top
+        elif (count, top) != (self.count, self.top):
+            raise _BadInput("%s changed while it was read" % self.path)
 
     def max_var_index(self):
         return self.top >> 3    # as WcnfInstance.max_var_index finds it
@@ -67,7 +87,8 @@ class _InputFile:
 
 class _LateFile:
     """A file for writing that is created at its first write, so that an
-    input that fails to read leaves no proof file behind."""
+    input that fails to read leaves no proof file behind; `discard` removes
+    it again if it was created."""
 
     def __init__(self, path):
         self.path = path
@@ -77,6 +98,12 @@ class _LateFile:
         if self.fh is None:
             self.fh = open(self.path, "w")
         self.fh.write(text)
+
+    def discard(self):
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None
+            os.remove(self.path)
 
     def __enter__(self):
         return self
@@ -98,6 +125,11 @@ def cmd_preprocess(args):
     from . import preprocess
 
     try:
+        source = _InputFile(args.input)
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    try:
         cfg = preprocess.Config.from_flag(args.techniques, rounds=args.rounds)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -105,13 +137,13 @@ def cmd_preprocess(args):
     # The input streams from the file into the preprocessor, which keeps the
     # one copy of each clause.  The output is collected by `preprocess.run`,
     # the call through which perfbench/traced.py counts applied techniques.
-    source = _InputFile(args.input)
     try:
         with _LateFile(args.proof) as proof_sink:
             try:
                 # reads the input whole before the proof's first line
                 out, _, p = preprocess.run(source, cfg, sink=proof_sink)
-            except ValueError as exc:
+            except _BadInput as exc:
+                proof_sink.discard()    # made only if the input changed
                 print("error: %s" % exc, file=sys.stderr)
                 return 2
         with open(args.output, "w") as fh:

@@ -1370,14 +1370,14 @@ class Preprocessor:
 
     def finish(self):
         """Close out a feasible run: sync, fold the constant, rename, emit.
-        The output is a (weight, literals) stream, read as it is consumed:
-        that of a run that changed nothing is the instance read again, its
-        hard clauses first, each clause as the instance gives it."""
+        The output of a run that changed nothing is the instance read again,
+        its hard clauses first, each clause as the instance gives it."""
         if self.phase == "wcnf":
             if not self.dirty:
                 self.writer.conclude()
-                return chain((c for c in self.source if c[0] is None),
-                             (c for c in self.source if c[0] is not None))
+                return WcnfInstance.from_clauses(chain(
+                    (c for c in self.source if c[0] is None),
+                    (c for c in self.source if c[0] is not None)))
             if self._pristine_softs():
                 return self._finish_wcnf()
             self.convert_to_objective_centric()
@@ -1417,32 +1417,28 @@ class Preprocessor:
         return True
 
     def _finish_wcnf(self):
-        self._drop_trivial()
-        self.writer.conclude()
-        return self._output()
-
-    def _output(self):
-        """Yield the output: the hard clauses, the softs without their labels
-        (each weighing its label's coefficient), and a unit soft per other
-        objective term (all of them, in phase "oc"), each clause the tuple
-        the store holds.
+        """The output: the hard clauses, the softs without their labels (each
+        weighing its label's coefficient), and a unit soft per other
+        objective term (all of them, in phase "oc").
         A term weighing more than MAX_WEIGHT goes out as several unit softs
         on its literal, MAX_WEIGHT each but the last, which a reader adds
         back up."""
-        for cid in sorted(self.clauses):
-            if cid not in self.soft_label:
-                yield None, self.lits[cid]
+        self._drop_trivial()
+        hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
+                if cid not in self.soft_label]
         coef = self.objective.coef
-        for cid, label in sorted(self.soft_label.items()):
-            yield coef(label), self.real[cid]
+        soft = [(coef(label), list(self.real[cid]))
+                for cid, label in sorted(self.soft_label.items())]
         labels = set(self.soft_label.values())
         terms, _ = self.objective.literal_form()
         for w, lit in terms:
             if lit >> 1 not in labels:
                 while w > MAX_WEIGHT:
-                    yield MAX_WEIGHT, (neg(lit),)
+                    soft.append((MAX_WEIGHT, [neg(lit)]))
                     w -= MAX_WEIGHT
-                yield w, (neg(lit),)
+                soft.append((w, [neg(lit)]))
+        self.writer.conclude()
+        return WcnfInstance(hard, soft)
 
     def finalize_infeasible(self, conflict_cid):
         """The core holds 0 >= 1: reduce everything to the empty clause."""
@@ -1456,7 +1452,7 @@ class Preprocessor:
             self.writer.obju_new()
             self.objective = Objective()
         self.writer.conclude()
-        return iter([(None, ())])
+        return WcnfInstance([[]], [])
 
     # ------------------------------------------------------------------
     # the full pipeline
@@ -1540,8 +1536,7 @@ class Preprocessor:
 
 
 def run(instance, config=None, sink=None):
-    """Run the pipeline; returns (output instance, proof text, Preprocessor),
-    the output collected from the stream that ``Preprocessor.run`` returns.
+    """Run the pipeline; returns (output instance, proof text, Preprocessor).
 
     With an explicit sink the proof is streamed there and the returned text
     is None.
@@ -1550,5 +1545,5 @@ def run(instance, config=None, sink=None):
     if own:
         sink = io.StringIO()
     p = Preprocessor(instance, config, sink)
-    out = WcnfInstance.from_clauses(p.run())
+    out = p.run()
     return out, (sink.getvalue() if own else None), p

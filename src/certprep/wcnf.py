@@ -6,8 +6,8 @@ clauses, ``<weight> <lits> 0`` for soft ones) and the legacy header form
 clause).  Output is always written in the current dialect.  Numbers are
 ASCII digits alone.  ``read_clauses`` is the one reader: it yields each
 clause as (weight, literals), weight None when hard, from a text or from
-its lines as a file gives them, and ``parse_wcnf``, ``encode_to_pb`` and
-``write_wcnf`` all take that stream.  A number reads past
+its lines as a file gives them, and both ``parse_wcnf`` and
+``encode_to_pb`` take that stream.  A number reads past
 its leading zeros, and one of more than ``pb.MAX_DIGITS`` digits is refused
 at its line.
 
@@ -99,7 +99,7 @@ def read_clauses(text):
     """Yield each clause of a WCNF text as (weight, literals) in file order,
     weight None when hard; a malformed line raises ValueError naming it.
     The text is a str or an iterable of its lines, as str.splitlines()
-    would give them, so that a file can be read one line at a time."""
+    would give them, so that a file can be read a few lines at a time."""
     packed = _PackedTokens()
     top = None
     saw_clause = False
@@ -150,13 +150,18 @@ def read_clauses(text):
 
 
 def parse_wcnf(text):
-    return WcnfInstance.from_clauses(read_clauses(text))
+    inst = WcnfInstance()
+    for clause in read_clauses(text):
+        if clause[0] is None:
+            inst.hard.append(clause[1])
+        else:
+            inst.soft.append(clause)
+    return inst
 
 
 def write_wcnf(inst, fh=None):
-    """The instance or (weight, literals) stream as WCNF text, or, given a
-    file, written to it line by line, so that the whole text is never
-    built."""
+    """The instance as WCNF text, or, given a file, written to it line by
+    line, so that the whole text is never built."""
     lines = (" ".join(["h" if w is None else str(w)] + [
         str(_lit_to_dimacs(lit)) for lit in cl] + ["0\n"]) for w, cl in inst)
     if fh is None:

@@ -77,6 +77,48 @@ def test_unchanged_run_writes_the_input_clauses_back(tmp_path, capsys, text):
     assert run_cli("check", src, proof, out) == 0
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_unchanged_run_reads_a_pipe_once(tmp_path, capsys):
+    """A pipe, such as a shell's `<(zcat in.wcnf.gz)`, reads once: its
+    clauses are kept for the output of a run that changes nothing."""
+    r, w = os.pipe()
+    os.write(w, UNCHANGED_CURRENT.encode())
+    os.close(w)
+    out, proof = tmp_path / "out.wcnf", tmp_path / "proof.pbp"
+    try:
+        assert run_cli("preprocess", "/dev/fd/%d" % r, "-o", out,
+                       "-p", proof, "--techniques=") == 0
+    finally:
+        os.close(r)
+    assert out.read_text() == UNCHANGED_OUTPUT
+    assert capsys.readouterr().out == (
+        "clauses: 5 -> 5\nvars: 4 -> 4\nproof lines: 7\n")
+
+
+def test_input_rewritten_during_the_run_is_an_error(tmp_path, capsys,
+                                                    monkeypatch):
+    """A run that changes nothing reads its input file again for the
+    output; a file that then reads otherwise fails the run, which leaves no
+    output or proof file."""
+    from certprep import preprocess
+
+    src = tmp_path / "in.wcnf"
+    src.write_text(UNCHANGED_CURRENT)
+    finish = preprocess.Preprocessor.finish
+
+    def rewritten_first(self):
+        src.write_text(UNCHANGED_CURRENT.replace("007 4 0\n", ""))
+        return finish(self)
+    monkeypatch.setattr(preprocess.Preprocessor, "finish", rewritten_first)
+    out, proof = tmp_path / "out.wcnf", tmp_path / "proof.pbp"
+    assert run_cli("preprocess", src, "-o", out, "-p", proof,
+                   "--techniques=") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s changed while it was read\n" % src
+    assert captured.out == ""
+    assert not out.exists() and not proof.exists()
+
+
 def test_preprocess_missing_input(tmp_path, capsys):
     code = run_cli("preprocess", tmp_path / "absent.wcnf",
                    "-o", tmp_path / "o", "-p", tmp_path / "p")

@@ -411,7 +411,7 @@ def test_light_run_builds_no_occurrence_index():
     assert unbuilt and not funbuilt
     assert counts == fcounts and counts["dup"] == 20 and counts["taut"] == 2
     assert out == fout and proof == fproof
-    assert peaks[0] <= 0.9 * peaks[1], peaks
+    assert peaks[0] <= 0.85 * peaks[1], peaks
 
 
 def traced_peak(fn):
@@ -462,4 +462,4 @@ def test_cli_run_keeps_no_parsed_input(tmp_path, capsys):
         "clauses: 4022 -> 4000\nvars: 1032 -> 1032\nproof lines: 103\n" * 2)
     for a, b in zip(*paths.values()):
         assert a.read_text() == b.read_text()
-    assert peaks[0] <= 0.9 * peaks[1], peaks
+    assert peaks[0] <= 0.85 * peaks[1], peaks

@@ -49,7 +49,7 @@ def run_ops(inst, fn):
         out = p.finish()
     except Infeasible as exc:
         out = p.finalize_infeasible(exc.cid)
-    return WcnfInstance.from_clauses(out), buf.getvalue(), p
+    return out, buf.getvalue(), p
 
 
 # ---------------------------------------------------------------------------
