@@ -36,10 +36,6 @@ def _clauses(path):
     return read_clauses(_lines(path))
 
 
-def _parse_instance(path):
-    return parse_wcnf(_lines(path))
-
-
 class _BadInput(Exception):
     """An input file that does not read as WCNF, or that changed while it
     was read."""
@@ -113,6 +109,23 @@ class _LateFile:
             self.fh.close()
 
 
+def _distinct_files(**paths):
+    """Raise ValueError if two of the named paths are one file: the same
+    regular file, or the same path to no file yet.  Another kind of file,
+    such as /dev/null, may be named twice."""
+    seen = {}
+    for role, path in paths.items():
+        try:
+            st = os.stat(path)
+        except OSError:     # no file yet: its path is its name
+            key = os.path.realpath(path)
+        else:               # not a regular file: keyed apart by its role
+            key = (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else role
+        if seen.setdefault(key, role) != role:
+            raise ValueError("the %s and the %s are the same file: %s"
+                             % (seen[key], role, path))
+
+
 def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
     """``checker.check_wcnf_proof``, looked up when called: only ``check``
     loads the checker."""
@@ -130,6 +143,9 @@ def cmd_preprocess(args):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
+        # nothing is written over the input, or twice to one file
+        _distinct_files(input=args.input, output=args.output,
+                        proof=args.proof)
         cfg = preprocess.Config.from_flag(args.techniques, rounds=args.rounds)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -184,7 +200,7 @@ def cmd_check(args):
 
 def cmd_opt(args):
     try:
-        inst = _parse_instance(args.input)
+        inst = parse_wcnf(_lines(args.input))
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -18,9 +18,11 @@ closes each obligation.
 
 A clause is hard exactly when it has no soft label: in the WCNF phase every
 live clause is one or the other, and from the objective-centric switch on
-there are no labels, so every clause is hard.  Clauses enter the store
-through ``_install`` and every technique takes them out through
-``_remove_clause``, which also logs the ``delc`` and retires a soft label.
+there are no labels, so every clause is hard.  The store is the engine's
+constraints, the one copy of each clause: a pass reads a clause's literals
+from its terms.  Clauses enter the store through ``_install`` and every
+technique takes them out through ``_remove_clause``, which also logs the
+``delc`` and retires a soft label.
 
 Every pass but the one-shot oracle passes ``trim`` and ``harden`` has one
 shape, a row of ``_WORKLISTS`` drained by ``_drain``: its candidates
@@ -167,8 +169,8 @@ def _restart(self, wl, *change):
 def _on_each_var(on_coef):
     """A clause hook for a pass whose candidates are variables: a changed
     clause counts as a change on each of its variables."""
-    def on_clause(self, wl, cid, lits, added):
-        for lit in lits:
+    def on_clause(self, wl, cid, c, added):
+        for _, lit in c.terms:
             on_coef(self, wl, lit >> 1)
     return on_clause
 
@@ -184,10 +186,18 @@ def _clauses_where(accepts):
 def _on_new(accepts):
     """The clause hook of such a pass: a new clause it can accept is
     pushed, and a removal makes no other clause acceptable."""
-    def on_clause(self, wl, cid, lits, added):
+    def on_clause(self, wl, cid, c, added):
         if added and accepts(self, cid):
             wl.push(cid)
     return on_clause
+
+
+def _dup_key(c):
+    """dup's group key: the clause's terms but its soft label, in the WCNF
+    phase its one internal literal and so its last (read from the clause, as
+    a soft may leave `soft_label` before the store)."""
+    terms = c.terms
+    return terms[:-1] if terms and terms[-1][1] & 6 else terms
 
 
 def _drain(name):
@@ -236,8 +246,6 @@ class Preprocessor:
         self.objective = objective
         self.engine = pb.Propagator()
         self.clauses = self.engine.constraints  # cid -> clause, = proof core
-        self.lits = {}          # cid -> its literals, in term order
-        self.real = {}          # soft cid -> its literals but its label
         self.worklists = {}     # pass name -> _Worklist, during a stage
         self.groups = None      # dup's groups, while dup has a worklist
         self.closures = {}      # start literals -> _up_closure result
@@ -269,24 +277,18 @@ class Preprocessor:
     # bookkeeping
 
     def _install(self, cid, c):
-        """Add clause `cid`.  A soft clause's label is in `soft_label`
-        already: its literals without the label are cached here."""
+        """Add clause `cid`; a soft clause's label is in `soft_label`
+        already.  The engine's constraint is the one copy of the clause."""
         self.engine.add(cid, c)
-        self.lits[cid] = lits = tuple([lit for _, lit in c.terms])
-        if cid in self.soft_label:
-            label = self.soft_label[cid]
-            self.real[cid] = tuple([l for l in lits if l >> 1 != label])
         self.closures.clear()
         for wl in self.worklists.values():
-            wl.on_clause(self, wl, cid, lits, True)
+            wl.on_clause(self, wl, cid, c, True)
 
     def _uninstall(self, cid):
         self.closures.clear()
-        self.engine.remove(cid)
-        lits = self.lits.pop(cid)
+        c = self.engine.remove(cid)
         for wl in self.worklists.values():
-            wl.on_clause(self, wl, cid, lits, False)
-        self.real.pop(cid, None)
+            wl.on_clause(self, wl, cid, c, False)
 
     def _remove_clause(self, cid, witness=None):
         """Take a live clause out of the store and the core (with the delc
@@ -298,12 +300,11 @@ class Preprocessor:
             self._retire_soft_label(self.soft_label.pop(cid))
 
     def _real_lits(self, cid, label=None):
-        """The literals of clause `cid` other than those on `label`, by
-        default its soft label, as cached when it was installed."""
+        """A new list of the literals of clause `cid` other than those on
+        `label`, by default its soft label: all of a hard clause's."""
         if label is None:
-            real = self.real.get(cid)
-            return self.lits[cid] if real is None else real
-        return tuple(l for l in self.lits[cid] if l >> 1 != label)
+            label = self.soft_label.get(cid)
+        return [l for _, l in self.clauses[cid].terms if l >> 1 != label]
 
     def _occ_ids(self, lit):
         return self.engine.ids_with(lit)
@@ -420,7 +421,7 @@ class Preprocessor:
         if not self._is_hard_unit(pid):
             return False
         self._count("up")
-        self.fix_literal(self.lits[pid][0], pid)
+        self.fix_literal(self.clauses[pid].terms[0][1], pid)
         return True
 
     def _dup_heads(self, keys):
@@ -432,15 +433,15 @@ class Preprocessor:
                 if k in groups and (len(groups[k]) > 1 or len(k) == 1)]
 
     def _dup_candidates(self):
-        """The heads of dup's groups: real literals -> the live non-trivial
-        clauses with them, ids ascending.  The groups are built once, with
+        """The heads of dup's groups: `_dup_key` -> the live non-trivial
+        clauses with it, ids ascending.  The groups are built once, with
         dup's worklist; from then on dup's hooks keep them."""
         if self.groups is None:
             self.groups = {}
             for cid in sorted(self.clauses):
-                if self.clauses[cid].degree:
-                    self.groups.setdefault(self._real_lits(cid),
-                                           []).append(cid)
+                c = self.clauses[cid]
+                if c.degree:
+                    self.groups.setdefault(_dup_key(c), []).append(cid)
         return self._dup_heads(self.groups)
 
     def _dup_at(self, cid):
@@ -454,16 +455,16 @@ class Preprocessor:
         c = self.clauses.get(cid)
         if c is None or not c.degree:
             return False
-        key = self._real_lits(cid)
+        key = _dup_key(c)
         return self.groups[key][0] == cid and self._settle_duplicates(key)
 
-    def _dup_on_clause(self, wl, cid, lits, added):
-        """dup: a clause joins or leaves the group of its real literals,
-        and the group's head is pushed."""
-        key = self.real.get(cid, lits)
+    def _dup_on_clause(self, wl, cid, c, added):
+        """dup: a clause joins or leaves its group, and the group's head is
+        pushed."""
+        key = _dup_key(c)
         groups = self.groups
         if added:
-            if not self.clauses[cid].degree:
+            if not c.degree:
                 return
             groups.setdefault(key, []).append(cid)
         else:
@@ -479,11 +480,11 @@ class Preprocessor:
     def _dup_on_coef(self, wl, v):
         """dup: the group of a unit (u) reads the coefficient on u's
         variable."""
-        wl.extend(self._dup_heads(((mklit(v),), (mklit(v, True),))))
+        wl.extend(self._dup_heads((((1, mklit(v)),), ((1, mklit(v, True)),))))
 
     def _settle_duplicates(self, key):
         """Apply the first applicable action to the live clauses (ascending)
-        whose real literals are `key`; True if one applied."""
+        of the group `key`; True if one applied."""
         cids = self.groups.get(key, ())
         hards = [c for c in cids if c not in self.soft_label]
         softs = [c for c in cids if c in self.soft_label]
@@ -499,7 +500,7 @@ class Preprocessor:
             # a soft shrunk to a single literal duplicates another soft
             # (relaxed or already objective-level): merge through the
             # objective by converting it early
-            if len(softs) > 1 or self._unit_penalized(key[0]):
+            if len(softs) > 1 or self._unit_penalized(key[0][1]):
                 self._sync_unit_soft(softs[0])
                 self._count("dup")
                 return True
@@ -548,7 +549,7 @@ class Preprocessor:
     def _is_empty_soft(self, cid):
         c = self.clauses.get(cid)
         return (c is not None and c.degree == 1 and cid in self.soft_label
-                and not self.real[cid])
+                and len(c.terms) == 1)     # its label alone
 
     def _empty_at(self, cid):
         """empty: a soft clause with nothing left but its label pays its
@@ -570,32 +571,33 @@ class Preprocessor:
         subsumes.  Which clause that is does not depend on the occurrence
         list the scan walks: every clause with all of `cid`'s literals is in
         each of their lists."""
-        lits = self.lits.get(cid)
-        if (not lits or cid in self.soft_label
-                or self.clauses[cid].is_trivial()):
+        c = self.clauses.get(cid)
+        if c is None or not (c.terms and c.degree) or cid in self.soft_label:
             return False
+        lits = {l for _, l in c.terms}
         rare = min(lits, key=lambda l: (len(self._occ_ids(l)), l))
         for did in sorted(self._occ_ids(rare)):
             if did == cid or did not in self.clauses:
                 continue
-            if not set(lits) <= set(self._real_lits(did)):
+            if not lits <= set(self._real_lits(did)):
                 continue
-            if len(self.lits[did]) <= len(lits) and did < cid:
+            if len(self.clauses[did].terms) <= len(lits) and did < cid:
                 continue   # identical clause: keep the earlier copy
             self._remove_clause(did)
             self._count("sub")
             return True
         return False
 
-    def _sub_on_clause(self, wl, cid, lits, added):
+    def _sub_on_clause(self, wl, cid, c, added):
         """sub: a new clause may subsume, and may be subsumed by a clause
         whose literals it all has (itself among them); a removal enables no
         subsumption."""
         if added:
-            mine = set(lits)
-            for l in lits:
+            mine = {l for _, l in c.terms}
+            for l in mine:
                 for sid in self._occ_ids(l):
-                    if sid not in wl.queued and mine.issuperset(self.lits[sid]):
+                    if sid not in wl.queued and mine.issuperset(
+                            [m for _, m in self.clauses[sid].terms]):
                         wl.push(sid)
 
     def _bce_at(self, cid):
@@ -604,21 +606,21 @@ class Preprocessor:
         if (cid not in self.clauses or cid in self.soft_label
                 or self.clauses[cid].is_trivial()):
             return False
-        for lit in self.lits[cid]:
+        for _, lit in self.clauses[cid].terms:
             if self._blocked_under(cid, lit):
                 self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
                 self._count("bce")
                 return True
         return False
 
-    def _bce_on_clause(self, wl, cid, lits, added):
+    def _bce_on_clause(self, wl, cid, c, added):
         """bce: a new clause is a candidate (it blocks nothing new, it only
         adds a resolution partner); a removed one may leave blocked every
         clause it resolved with, the clauses with a complementary literal."""
         if added:
             wl.push(cid)
         else:
-            for l in lits:
+            for _, l in c.terms:
                 wl.extend(self._occ_ids(neg(l)))
 
     def _on_freed_var(self, wl, v):
@@ -634,9 +636,9 @@ class Preprocessor:
         b is given, is satisfied or clashes with `cid` on another literal."""
         if self.objective.coef(lit >> 1):
             return False
-        mine = set(self.lits[cid]) - {lit}
+        mine = {l for _, l in self.clauses[cid].terms if l != lit}
         for kid in self._occ_ids(neg(lit)):
-            other = set(self.lits[kid]) - {neg(lit)}
+            other = {l for _, l in self.clauses[kid].terms} - {neg(lit)}
             if b is not None:
                 if mklit(b) in other:
                     continue        # satisfied once b=1
@@ -660,7 +662,6 @@ class Preprocessor:
             if c is not None and c.degree == 1 and len(c.terms) == 2:
                 self._sync_unit_soft(cid)
         self.soft_label = {}
-        self.real = {}
         self.phase = "oc"
 
     def _sync_unit_soft(self, cid):
@@ -706,15 +707,15 @@ class Preprocessor:
         """ssr: drop from clause `did` the first literal m, in term order,
         with no objective coefficient whose negation sits in a clause whose
         other literals `did` all has."""
-        dlits = self.lits.get(did)
-        if dlits is None or len(dlits) < 2:
+        d = self.clauses.get(did)
+        if d is None or len(d.terms) < 2:
             return False
-        for m in dlits:
+        for _, m in d.terms:
             if self.objective.coef(m >> 1):
                 continue
-            rest = set(dlits) - {m}
+            rest = {l for _, l in d.terms} - {m}
             for cid in sorted(self._occ_ids(neg(m))):
-                if set(self.lits[cid]) - {neg(m)} <= rest:
+                if {l for _, l in self.clauses[cid].terms} - {neg(m)} <= rest:
                     c = constraint_from_clause(sorted(rest))
                     nid = self._core_rup(c)
                     self._install(nid, c)
@@ -723,13 +724,13 @@ class Preprocessor:
                     return True
         return False
 
-    def _ssr_on_clause(self, wl, cid, lits, added):
+    def _ssr_on_clause(self, wl, cid, c, added):
         """ssr: a new clause is a candidate and may strengthen every clause
         with a literal complementary to one of its own; a removal only takes
         partners away."""
         if added:
             wl.push(cid)
-            for l in lits:
+            for _, l in c.terms:
                 wl.extend(self._occ_ids(neg(l)))
 
     def _live_lits(self):
@@ -758,7 +759,8 @@ class Preprocessor:
     def _satisfied_elsewhere(self, lit, closure):
         """True if every clause with `lit` has another literal in
         `closure`."""
-        return all(any(l != lit and l in closure for l in self.lits[cid])
+        clauses = self.clauses
+        return all(any(l != lit and l in closure for _, l in clauses[cid].terms)
                    for cid in self._occ_ids(lit))
 
     def _probe(self, l1):
@@ -846,7 +848,7 @@ class Preprocessor:
         for cid in sorted({*self._occ_ids(mklit(v)),
                            *self._occ_ids(mklit(v, True))}):
             c = constraint_from_clause([image ^ (l & 1) if l >> 1 == v else l
-                                        for l in self.lits[cid]])
+                                        for _, l in self.clauses[cid].terms])
             if not c.is_trivial():
                 nid = self._core_rup(c)
                 self._install(nid, c)
@@ -863,7 +865,7 @@ class Preprocessor:
         near = set()
         for lit in (mklit(x), mklit(x, True)):
             for cid in self._occ_ids(lit):
-                near.update(l >> 1 for l in self.lits[cid])
+                near.update([l >> 1 for _, l in self.clauses[cid].terms])
         near.discard(x)
         return near
 
@@ -908,10 +910,11 @@ class Preprocessor:
         coef = self.objective.coef
         pos = self._occ_ids(mklit(v))
         if pos:
-            doms = [l >> 1 for l in self.lits[min(pos)] if not l & 1]
+            doms = [l >> 1 for _, l in self.clauses[min(pos)].terms
+                    if not l & 1]
         else:
             doms = [l >> 1 for cid in self._occ_ids(mklit(v, True))
-                    for l in self.lits[cid] if l & 1]
+                    for _, l in self.clauses[cid].terms if l & 1]
         for x in doms:
             if coef(x) >= 0:
                 wl.push(x)
@@ -1021,10 +1024,10 @@ class Preprocessor:
                 continue
             with_l2 = {}    # literal set -> its smallest clause id
             for cid in sorted(self._occ_ids(l2)):
-                with_l2.setdefault(frozenset(self.lits[cid]), cid)
+                with_l2.setdefault(frozenset(self._real_lits(cid)), cid)
             pairs = {}      # suffix D -> the ids of (l1 v D) and (l2 v D)
             for cid in sorted(self._occ_ids(l1)):
-                d = frozenset(self.lits[cid]) - {l1}
+                d = frozenset(self._real_lits(cid)) - {l1}
                 if d and d not in pairs and l2 not in d and neg(l2) not in d \
                         and (d | {l2}) in with_l2:
                     pairs[d] = (cid, with_l2[d | {l2}])
@@ -1058,10 +1061,10 @@ class Preprocessor:
         return bcd, d2
 
     def _am1_eligible(self, bin_cid):
-        lits = self.lits[bin_cid]
-        if len(lits) != 2 or any(l & 1 for l in lits):
+        terms = self.clauses[bin_cid].terms
+        if len(terms) != 2 or any(l & 1 for _, l in terms):
             return None
-        bc, bd = lits[0] >> 1, lits[1] >> 1
+        bc, bd = terms[0][1] >> 1, terms[1][1] >> 1
         w = self.objective.coef(bc)
         if w <= 0 or self.objective.coef(bd) != w:
             return None
@@ -1135,8 +1138,8 @@ class Preprocessor:
         merged = self._core_pol([r2, am1c, "+", 2, "d"])
         self._update_objective(
             [(-w, mklit(bc)), (-w, mklit(bd)), (w, mklit(bcd))])
-        kc = constraint_from_clause(self._real_lits(cid_c, bc) + (mklit(bcd),))
-        kd = constraint_from_clause(self._real_lits(cid_d, bd) + (mklit(bcd),))
+        kc = constraint_from_clause(self._real_lits(cid_c, bc) + [mklit(bcd)])
+        kd = constraint_from_clause(self._real_lits(cid_d, bd) + [mklit(bcd)])
         kc_id = self._core_rup(kc)
         self._install(kc_id, kc)
         kd_id = self._core_rup(kd)
@@ -1172,7 +1175,7 @@ class Preprocessor:
         partners = set()
         for u in c_lits:
             for cid_d in self._occ_ids(neg(u)):
-                for l in self.lits[cid_d]:
+                for _, l in self.clauses[cid_d].terms:
                     bd = l >> 1
                     if (bd != bc and cid_d != cid_c
                             and self.objective.coef(bd) == w
@@ -1200,15 +1203,15 @@ class Preprocessor:
         e = self._lm_single(v)
         if e is None:
             return
-        for l in self.lits[e]:
+        for _, l in self.clauses[e].terms:
             for cid in self._occ_ids(neg(l)):
-                for u in self.lits[cid]:
+                for _, u in self.clauses[cid].terms:
                     if coef(u >> 1) > 0:
                         wl.push(u >> 1)
 
     def structure_based_labelling(self, cid, b, lit):
         """Weaken a clause blocked under b=1 into clause-or-b."""
-        c = constraint_from_clause(list(self.lits[cid]) + [mklit(b)])
+        c = constraint_from_clause(self._real_lits(cid) + [mklit(b)])
         nid = self._core_rup(c)
         self._install(nid, c)
         self._remove_clause(cid, {lit >> 1: 0 if lit & 1 else 1})
@@ -1217,7 +1220,7 @@ class Preprocessor:
         """sbl: weaken clause `cid` into clause-or-b for the first paid b,
         in variable order, that is not in it and under which it is blocked
         on one of its literals."""
-        lits = self.lits[cid]
+        lits = self._real_lits(cid)
         for b in sorted(self._paid_vars(), key=pb.var_sort_key):
             if b in {l >> 1 for l in lits}:
                 continue
@@ -1235,7 +1238,7 @@ class Preprocessor:
         oracle = SatOracle(on_learn=on_learn, conflict_budget=ORACLE_CONFLICTS)
         for cid in sorted(self.clauses):
             if not self.clauses[cid].is_trivial():
-                oracle.add_clause(self.lits[cid])
+                oracle.add_clause(self._real_lits(cid))
         return oracle
 
     def trim_maxsat(self):
@@ -1298,11 +1301,7 @@ class Preprocessor:
         changed = False
         while True:
             terms, _ = self.objective.literal_form()
-            picked = None
-            for w, lit in terms:
-                if w > bound:
-                    picked = lit
-                    break
+            picked = next((lit for w, lit in terms if w > bound), None)
             if picked is None:
                 return changed
             witness = {v: 1 if b else 0 for v, b in model.items()}
@@ -1333,17 +1332,10 @@ class Preprocessor:
         indices in order of first occurrence (clauses first, objective last),
         each moved through a throwaway middle name so chains cannot clash.
         """
-        order = []
-        seen = set()
-        for cid in sorted(self.clauses):
-            for lit in self.lits[cid]:
-                if lit >> 1 not in seen:
-                    seen.add(lit >> 1)
-                    order.append(lit >> 1)
-        for _, lit in self.objective.literal_form()[0]:
-            if lit >> 1 not in seen:
-                seen.add(lit >> 1)
-                order.append(lit >> 1)
+        clauses = self.clauses
+        terms = chain(*[clauses[cid].terms for cid in sorted(clauses)],
+                      self.objective.literal_form()[0])
+        order = list(dict.fromkeys([lit >> 1 for _, lit in terms]))
         internal = [v for v in order if pb.var_ns(v) != pb.NS_USER]
         if not internal:
             return
@@ -1398,7 +1390,7 @@ class Preprocessor:
                 return False
             if not self.clauses[cid].degree:
                 return False
-            if len(self.real[cid]) == 1:
+            if len(self.clauses[cid].terms) == 2:
                 return False   # re-encoding would treat it as a unit soft
         labels = set(self.soft_label.values())
         terms, const = self.objective.literal_form()
@@ -1407,13 +1399,14 @@ class Preprocessor:
         for _, lit in terms:
             if lit >> 1 not in labels and pb.var_ns(lit >> 1) != pb.NS_USER:
                 return False
-        for cid, lits in self.lits.items():
-            real = self.real.get(cid, lits)
-            # terms sort by namespace first: the last literal of a clause
-            # with an internal variable is on one
-            if real and real[-1] & 6 and any(
-                    l & 6 and l >> 1 not in labels for l in real):
-                return False
+        for c in self.clauses.values():
+            # terms sort by namespace first: a clause's internal literals
+            # are its last ones
+            for _, l in reversed(c.terms):
+                if not l & 6:
+                    break
+                if l >> 1 not in labels:
+                    return False
         return True
 
     def _finish_wcnf(self):
@@ -1424,10 +1417,10 @@ class Preprocessor:
         on its literal, MAX_WEIGHT each but the last, which a reader adds
         back up."""
         self._drop_trivial()
-        hard = [list(self.lits[cid]) for cid in sorted(self.clauses)
+        hard = [self._real_lits(cid) for cid in sorted(self.clauses)
                 if cid not in self.soft_label]
         coef = self.objective.coef
-        soft = [(coef(label), list(self.real[cid]))
+        soft = [(coef(label), self._real_lits(cid, label))
                 for cid, label in sorted(self.soft_label.items())]
         labels = set(self.soft_label.values())
         terms, _ = self.objective.literal_form()
@@ -1511,11 +1504,8 @@ class Preprocessor:
             self.groups = None
 
     def _initial_conflict(self):
-        for cid in sorted(self.clauses):
-            c = self.clauses[cid]
-            if not c.terms and c.degree:
-                return cid
-        return None
+        return min((cid for cid, c in self.clauses.items()
+                    if not c.terms and c.degree), default=None)
 
     def run(self):
         conflict = self._initial_conflict()

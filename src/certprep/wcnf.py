@@ -150,13 +150,7 @@ def read_clauses(text):
 
 
 def parse_wcnf(text):
-    inst = WcnfInstance()
-    for clause in read_clauses(text):
-        if clause[0] is None:
-            inst.hard.append(clause[1])
-        else:
-            inst.soft.append(clause)
-    return inst
+    return WcnfInstance.from_clauses(read_clauses(text))
 
 
 def write_wcnf(inst, fh=None):

@@ -559,7 +559,7 @@ def reference_sle_pairs(p):
 
 
 def reference_lits(p, cid):
-    """A clause's literals read from its constraint, not from the cache."""
+    """A clause's literals, read from its constraint."""
     return tuple(lit for _, lit in p.clauses[cid].terms)
 
 
@@ -724,7 +724,8 @@ def reference_fle_once(p):
             p.fix_literal(neg(lit), pid)
             p._count("fle")
             return True
-        if all(any(l2 != lit and l2 in closure for l2 in p.lits[cid])
+        if all(any(l2 != lit and l2 in closure
+                   for l2 in reference_lits(p, cid))
                for cid in p._occ_ids(lit)):
             pid = p._core_red(_unit(neg(lit)),
                               {lit >> 1: 1 if lit & 1 else 0})
@@ -759,7 +760,8 @@ def reference_impl_once(p):
         for l2 in implied:
             if p.objective.coef(l2 >> 1) or not p._occ_ids(neg(l2)):
                 continue
-            if all(any(l3 != neg(l2) and l3 in neg_cl for l3 in p.lits[cid])
+            if all(any(l3 != neg(l2) and l3 in neg_cl
+                       for l3 in reference_lits(p, cid))
                    for cid in p._occ_ids(neg(l2))):
                 p._fix_implied(l1, l2, witnessed=True)
                 return True
@@ -774,7 +776,8 @@ def reference_eql_once(p):
                 return True
             if p.objective.coef(l1 >> 1) or p.objective.coef(l2 >> 1):
                 continue
-            if all(any(l3 != l2 and l3 in neg_cl for l3 in p.lits[cid])
+            if all(any(l3 != l2 and l3 in neg_cl
+                       for l3 in reference_lits(p, cid))
                    for cid in p._occ_ids(l2)):
                 p._substitute_equivalent(l1, l2, witnessed=True)
                 return True
@@ -822,7 +825,7 @@ def reference_gsle_once(p):
 def reference_bva_once(p):
     by_clause = {}      # literal set -> its smallest clause id
     for cid in sorted(p.clauses):
-        by_clause.setdefault(frozenset(p.lits[cid]), cid)
+        by_clause.setdefault(frozenset(reference_lits(p, cid)), cid)
     lits = sorted((l for l in p.occ if p.occ[l]), key=pb.lit_sort_key)
     for i, l1 in enumerate(lits):
         for l2 in lits[i + 1:]:
@@ -830,7 +833,7 @@ def reference_bva_once(p):
                 continue
             suffixes = {}   # each once, even if two clauses share it
             for cid in sorted(p._occ_ids(l1)):
-                d = frozenset(p.lits[cid]) - {l1}
+                d = frozenset(reference_lits(p, cid)) - {l1}
                 if d and l2 not in d and neg(l2) not in d \
                         and (d | {l2}) in by_clause:
                     suffixes[d] = tuple(sorted(d, key=pb.lit_sort_key))
@@ -874,7 +877,7 @@ def reference_sbl_once(p):
     obj_vars = [v for v in sorted(p.objective.coeffs, key=pb.var_sort_key)
                 if p.objective.coef(v) > 0]
     for cid in sorted(p.clauses):
-        lits = p.lits[cid]
+        lits = reference_lits(p, cid)
         for b in obj_vars:
             if b in {l >> 1 for l in lits}:
                 continue
@@ -900,7 +903,7 @@ def reference_propagate_hard_units(p):
         changed = True
         p._count("up")
         top = max(p.clauses)
-        p.fix_literal(p.lits[pid][0], pid)
+        p.fix_literal(reference_lits(p, pid)[0], pid)
         queue.extend(cid for cid in sorted(p.clauses)
                      if cid > top and p._is_hard_unit(cid))
     return changed

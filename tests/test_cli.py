@@ -119,6 +119,54 @@ def test_input_rewritten_during_the_run_is_an_error(tmp_path, capsys,
     assert not out.exists() and not proof.exists()
 
 
+# Paths that name one file twice, as (arguments after the input "in.wcnf",
+# the roles of the two, the path named second).  "link.wcnf" is a hard link
+# to the input and "old.pbp" a file from an earlier run.
+ONE_FILE_TWICE = [
+    (("-o", "out.wcnf", "-p", "in.wcnf", "--techniques="),
+     "input", "proof", "in.wcnf"),
+    (("-o", "out.wcnf", "-p", "in.wcnf"), "input", "proof", "in.wcnf"),
+    (("-o", "x", "-p", "x"), "output", "proof", "x"),
+    (("-o", "old.pbp", "-p", "old.pbp"), "output", "proof", "old.pbp"),
+    (("-o", "in.wcnf", "-p", "proof.pbp"), "input", "output", "in.wcnf"),
+    (("-o", "out.wcnf", "-p", "link.wcnf"), "input", "proof", "link.wcnf"),
+]
+
+
+@pytest.mark.parametrize("args, first, second, named", ONE_FILE_TWICE,
+                         ids=["proof-on-input-unchanged", "proof-on-input",
+                              "new-file", "old-file", "output-on-input",
+                              "hard-link"])
+def test_preprocess_refuses_one_file_named_twice(tmp_path, capsys,
+                                                 monkeypatch, args, first,
+                                                 second, named):
+    """The input, the output and the proof must be three files: otherwise
+    the run exits 2 before it writes anything, and every file stays as it
+    was."""
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "in.wcnf"
+    src.write_bytes(GOLDEN.read_bytes())
+    os.link(src, tmp_path / "link.wcnf")
+    (tmp_path / "old.pbp").write_text("kept\n")
+    assert run_cli("preprocess", "in.wcnf", *args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the %s and the %s are the same file: "
+                            "%s\n" % (first, second, named))
+    assert captured.out == ""
+    assert src.read_bytes() == GOLDEN.read_bytes()
+    assert (tmp_path / "old.pbp").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in.wcnf", "link.wcnf", "old.pbp"]
+
+
+def test_preprocess_may_discard_output_and_proof_alike(capsys):
+    """A file that is not a regular one, such as the null device, may take
+    both the output and the proof."""
+    assert run_cli("preprocess", GOLDEN, "-o", os.devnull,
+                   "-p", os.devnull) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "clauses: 5 -> 4"
+
+
 def test_preprocess_missing_input(tmp_path, capsys):
     code = run_cli("preprocess", tmp_path / "absent.wcnf",
                    "-o", tmp_path / "o", "-p", tmp_path / "p")

@@ -293,9 +293,10 @@ def assert_worklists_complete(p, running=None):
     tests as not applicable, and a stale list counts as holding every
     candidate.  `running` names a pass whose candidate under test is
     popped, so its heap is left out.  dup's maintained groups equal a fresh
-    regrouping of the live clauses."""
+    regrouping of the live clauses by their real literals."""
     if "dup" in p.worklists:
-        assert p.groups == reference_groups(p)
+        assert {tuple(lit for _, lit in key): cids
+                for key, cids in p.groups.items()} == reference_groups(p)
     for name, wl in p.worklists.items():
         if name == running or wl.stale:
             continue
