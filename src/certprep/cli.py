@@ -110,9 +110,8 @@ class _LateFile:
 
 
 def _distinct_files(**paths):
-    """Raise ValueError if two of the named paths are one file: the same
-    regular file, or the same path to no file yet.  Another kind of file,
-    such as /dev/null, may be named twice."""
+    """Raise ValueError if two of the named paths are one regular file or
+    one path to no file yet; a device such as /dev/null may take two."""
     seen = {}
     for role, path in paths.items():
         try:
@@ -143,7 +142,6 @@ def cmd_preprocess(args):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        # nothing is written over the input, or twice to one file
         _distinct_files(input=args.input, output=args.output,
                         proof=args.proof)
         cfg = preprocess.Config.from_flag(args.techniques, rounds=args.rounds)

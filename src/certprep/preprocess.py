@@ -1019,15 +1019,18 @@ class Preprocessor:
         through a fresh variable.  Of clauses with the same literals, the
         one with the smallest id is factored."""
         lits = sorted(self.occ, key=pb.lit_sort_key)
+        clauses = self.clauses
+        with_l1 = [(cid, frozenset([l for _, l in clauses[cid].terms]) - {l1})
+                   for cid in sorted(self._occ_ids(l1))]    # (l1 v D) -> D
         for l2 in lits[lits.index(l1) + 1:]:
             if l2 >> 1 == l1 >> 1:
                 continue
             with_l2 = {}    # literal set -> its smallest clause id
             for cid in sorted(self._occ_ids(l2)):
-                with_l2.setdefault(frozenset(self._real_lits(cid)), cid)
+                with_l2.setdefault(
+                    frozenset([l for _, l in clauses[cid].terms]), cid)
             pairs = {}      # suffix D -> the ids of (l1 v D) and (l2 v D)
-            for cid in sorted(self._occ_ids(l1)):
-                d = frozenset(self._real_lits(cid)) - {l1}
+            for cid, d in with_l1:
                 if d and d not in pairs and l2 not in d and neg(l2) not in d \
                         and (d | {l2}) in with_l2:
                     pairs[d] = (cid, with_l2[d | {l2}])
@@ -1400,8 +1403,7 @@ class Preprocessor:
             if lit >> 1 not in labels and pb.var_ns(lit >> 1) != pb.NS_USER:
                 return False
         for c in self.clauses.values():
-            # terms sort by namespace first: a clause's internal literals
-            # are its last ones
+            # terms sort by namespace: a clause's internal literals come last
             for _, l in reversed(c.terms):
                 if not l & 6:
                     break

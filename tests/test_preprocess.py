@@ -433,7 +433,8 @@ def test_relaxed_unit_soft_is_not_written_back_verbatim():
     # fixing ~x1 shrinks the soft (x1 v x2) to the relaxed unit (x2 v _b2),
     # which re-encoding the written soft "3 2 0" would treat as a unit soft
     inst = parse_wcnf("h -1 0\n2 3 4 0\n3 1 2 0\n")
-    out, proof, _ = run_ops(inst, lambda p: p.fix_literal(p.clauses[1].terms[0][1], 1))
+    out, proof, _ = run_ops(
+        inst, lambda p: p.fix_literal(p.clauses[1].terms[0][1], 1))
     written_and_verified(inst, out, proof)
     assert (3, [x(2)]) in out.soft
 
