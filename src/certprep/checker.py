@@ -178,12 +178,7 @@ class ProofChecker:
         return self._as_constraint(stack.pop())
 
     def _as_constraint(self, item):
-        if isinstance(item, int):
-            c = self.constraints.get(item)
-            if c is None:
-                self._err("constraint %d is not live" % item)
-            return c
-        return item
+        return self._live(item) if isinstance(item, int) else item
 
     # -- redundance obligations -----------------------------------------------
 

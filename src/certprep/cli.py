@@ -42,12 +42,13 @@ class _BadInput(Exception):
 
 
 class _InputFile:
-    """The clauses of a WCNF file as the preprocessor reads them.  A regular
-    file is read anew on each pass; anything else (a pipe) is read once, and
-    its clauses are kept for the later passes.  The first pass, the one the
-    preprocessor encodes, counts the clauses and finds their largest literal
-    for the summary lines; a later pass that finds another count or largest
-    literal fails, as the file changed in between."""
+    """The clauses of a WCNF file as the preprocessor reads them: one pass
+    to encode, and one more for the output of a run that changes nothing.
+    A regular file is read anew on each pass; anything else (a pipe) is
+    read once, and its clauses are kept for the second pass.  The first
+    pass counts the clauses and finds their largest literal for the summary
+    lines; a second pass that finds another count or largest literal fails,
+    as the file changed in between."""
 
     def __init__(self, path):
         self.path = path
@@ -83,8 +84,9 @@ class _InputFile:
 
 class _LateFile:
     """A file for writing that is created at its first write, so that an
-    input that fails to read leaves no proof file behind; `discard` removes
-    it again if it was created."""
+    input that fails to read leaves no file behind.  A `with` block left by
+    an exception, or a close that fails, removes the file again if it was
+    created and is a regular one: a device such as /dev/null stays."""
 
     def __init__(self, path):
         self.path = path
@@ -95,18 +97,24 @@ class _LateFile:
             self.fh = open(self.path, "w")
         self.fh.write(text)
 
-    def discard(self):
-        if self.fh is not None:
-            self.fh.close()
-            self.fh = None
-            os.remove(self.path)
+    def writelines(self, lines):
+        self.write("")      # created even if there are no lines
+        self.fh.writelines(lines)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, failed, *exc):
         if self.fh is not None:
-            self.fh.close()
+            regular = stat.S_ISREG(os.fstat(self.fh.fileno()).st_mode)
+            try:
+                self.fh.close()
+            except OSError:     # the last of the text was not written
+                failed = True
+                raise
+            finally:
+                if failed and regular:
+                    os.remove(self.path)
 
 
 def _distinct_files(**paths):
@@ -138,31 +146,22 @@ def cmd_preprocess(args):
 
     try:
         source = _InputFile(args.input)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         _distinct_files(input=args.input, output=args.output,
                         proof=args.proof)
         cfg = preprocess.Config.from_flag(args.techniques, rounds=args.rounds)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     # The input streams from the file into the preprocessor, which keeps the
-    # one copy of each clause.  The output is collected by `preprocess.run`,
-    # the call through which perfbench/traced.py counts applied techniques.
+    # one copy of each clause, and reads it whole before the proof's first
+    # line.  The output is collected by `preprocess.run`, the call through
+    # which perfbench/traced.py counts applied techniques.  A failed run
+    # leaves neither file.
     try:
-        with _LateFile(args.proof) as proof_sink:
-            try:
-                # reads the input whole before the proof's first line
-                out, _, p = preprocess.run(source, cfg, sink=proof_sink)
-            except _BadInput as exc:
-                proof_sink.discard()    # made only if the input changed
-                print("error: %s" % exc, file=sys.stderr)
-                return 2
-        with open(args.output, "w") as fh:
-            write_wcnf(out, fh)
-    except OSError as exc:
+        with _LateFile(args.proof) as proof, _LateFile(args.output) as output:
+            out, _, p = preprocess.run(source, cfg, sink=proof)
+            write_wcnf(out, output)
+    except (_BadInput, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if p.cap_hit:

@@ -233,7 +233,7 @@ class Preprocessor:
 
     The instance is a WcnfInstance or any other iterable that yields its
     (weight, literals) clauses afresh on each pass: the constructor encodes
-    one pass, and the output of a run that changed nothing is two more.
+    one pass, and the output of a run that changed nothing is one more.
     With ``sink=None`` no proof text is produced (id bookkeeping only);
     pass a file-like sink to stream the proof.
     """
@@ -960,13 +960,12 @@ class Preprocessor:
         negs = sorted(self._occ_ids(mklit(v, True)))
         for i in pos:
             for j in negs:
-                resolvent = constraint_from_clause(
-                    self._real_lits(i, v) + self._real_lits(j, v))
+                lits = self._real_lits(i, v) + self._real_lits(j, v)
+                resolvent = constraint_from_clause(lits)
                 if resolvent.is_trivial():
                     continue
-                raw = pb.add(self.clauses[i], self.clauses[j])
                 tokens = [min(i, j), max(i, j), "+"]
-                if any(coef > 1 for coef, _ in raw.terms):
+                if len(resolvent.terms) < len(lits):    # a shared literal
                     tokens.append("s")
                 nid = self._core_pol(tokens)
                 if not resolvent.terms:
@@ -1016,30 +1015,31 @@ class Preprocessor:
     def _bva_at(self, l1):
         """bva: for the first l2 after l1 in literal order whose clauses
         share with l1's enough suffixes D, factor every (l1 v D), (l2 v D)
-        through a fresh variable.  Of clauses with the same literals, the
-        one with the smallest id is factored."""
-        lits = sorted(self.occ, key=pb.lit_sort_key)
-        clauses = self.clauses
-        with_l1 = [(cid, frozenset([l for _, l in clauses[cid].terms]) - {l1})
-                   for cid in sorted(self._occ_ids(l1))]    # (l1 v D) -> D
-        for l2 in lits[lits.index(l1) + 1:]:
-            if l2 >> 1 == l1 >> 1:
-                continue
-            with_l2 = {}    # literal set -> its smallest clause id
-            for cid in sorted(self._occ_ids(l2)):
-                with_l2.setdefault(
-                    frozenset([l for _, l in clauses[cid].terms]), cid)
-            pairs = {}      # suffix D -> the ids of (l1 v D) and (l2 v D)
-            for cid, d in with_l1:
-                if d and d not in pairs and l2 not in d and neg(l2) not in d \
-                        and (d | {l2}) in with_l2:
-                    pairs[d] = (cid, with_l2[d | {l2}])
+        through a fresh variable, finding each (l2 v D) among the clauses
+        of D's rarest literal.  Of clauses with the same literals, the one
+        with the smallest id is factored."""
+        key, occ, clauses = pb.lit_sort_key, self.occ, self.clauses
+        with_l1 = {}    # suffix D -> the smallest id of an (l1 v D)
+        for cid in sorted(self._occ_ids(l1)):
+            with_l1.setdefault(
+                frozenset([l for _, l in clauses[cid].terms]) - {l1}, cid)
+        with_l1.pop(frozenset(), None)      # the unit (l1) has no suffix
+        pairs = {}      # l2 -> suffix D -> the ids of (l1 v D) and (l2 v D)
+        for d, cid in with_l1.items():
+            rarest = min(d, key=lambda l: len(occ[l]))
+            for cid2 in sorted(self._occ_ids(rarest)):
+                terms = clauses[cid2].terms     # one literal per variable
+                rest = [l for _, l in terms if l not in d]
+                if len(terms) == len(d) + 1 and len(rest) == 1 \
+                        and key(rest[0]) > key(l1) and rest[0] >> 1 != l1 >> 1:
+                    pairs.setdefault(rest[0], {}).setdefault(d, (cid, cid2))
+        for l2 in sorted(pairs, key=key):
+            found = pairs[l2]
             # replacing 2|S| clauses by |S|+2 must be a strict win
-            if len(pairs) + 2 < 2 * len(pairs):
+            if len(found) + 2 < 2 * len(found):
                 self.add_variables_bva(
-                    [l1, l2], [tuple(sorted(d, key=pb.lit_sort_key))
-                               for d in pairs],
-                    [cid for ids in pairs.values() for cid in ids])
+                    [l1, l2], [tuple(sorted(d, key=key)) for d in found],
+                    [cid for ids in found.values() for cid in ids])
                 self._count("bva")
                 return True
         return False
@@ -1370,9 +1370,7 @@ class Preprocessor:
         if self.phase == "wcnf":
             if not self.dirty:
                 self.writer.conclude()
-                return WcnfInstance.from_clauses(chain(
-                    (c for c in self.source if c[0] is None),
-                    (c for c in self.source if c[0] is not None)))
+                return WcnfInstance.from_clauses(self.source)
             if self._pristine_softs():
                 return self._finish_wcnf()
             self.convert_to_objective_centric()

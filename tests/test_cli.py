@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, verdict lines, determinism."""
 
+import errno
 import gc
 import os
 import pathlib
@@ -117,6 +118,82 @@ def test_input_rewritten_during_the_run_is_an_error(tmp_path, capsys,
     assert captured.err == "error: %s changed while it was read\n" % src
     assert captured.out == ""
     assert not out.exists() and not proof.exists()
+
+
+def test_output_in_a_missing_directory_leaves_no_proof(tmp_path, capsys):
+    """The output file is created after the proof is written: a run that
+    cannot create it exits 2 and removes the proof it wrote."""
+    out, proof = tmp_path / "missing" / "out.wcnf", tmp_path / "proof.pbp"
+    assert run_cli("preprocess", GOLDEN, "-o", out, "-p", proof) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_error_in_the_output_leaves_neither_file(tmp_path, capsys,
+                                                      monkeypatch):
+    """A write that fails after the output's first line exits 2 and
+    removes both the output and the proof."""
+    write = cli.write_wcnf
+
+    def failing(inst, fh):
+        def clauses():
+            yield next(iter(inst))
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(clauses(), fh)
+    monkeypatch.setattr(cli, "write_wcnf", failing)
+    code, out, proof = preprocess_golden(tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 28] No space left on device\n")
+    assert not out.exists() and not proof.exists()
+
+
+def test_failed_close_of_the_output_leaves_neither_file(tmp_path, capsys,
+                                                       monkeypatch):
+    """The output's last block is written when the file is closed: a close
+    that fails fails the run as a failed write does."""
+    out = tmp_path / "out.wcnf"
+
+    def opening(path, mode="r"):
+        fh = open(path, mode)
+        if path == str(out):
+            close = fh.close
+
+            def failing_close():
+                close()
+                raise OSError(errno.EIO, "Input/output error")
+            fh.close = failing_close
+        return fh
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    code, out, proof = preprocess_golden(tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+    assert not out.exists() and not proof.exists()
+
+
+def test_failed_run_never_removes_a_device(tmp_path, capsys, monkeypatch):
+    """A run that fails after writing its proof to the null device leaves
+    the device alone: only a regular file the run wrote is removed."""
+    from certprep import preprocess
+
+    src = tmp_path / "in.wcnf"
+    src.write_text(UNCHANGED_CURRENT)
+    finish = preprocess.Preprocessor.finish
+
+    def rewritten_first(self):
+        src.write_text(UNCHANGED_CURRENT.replace("007 4 0\n", ""))
+        return finish(self)
+    monkeypatch.setattr(preprocess.Preprocessor, "finish", rewritten_first)
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    out = tmp_path / "out.wcnf"
+    assert run_cli("preprocess", src, "-o", out, "-p", os.devnull,
+                   "--techniques=") == 2
+    assert capsys.readouterr().err == (
+        "error: %s changed while it was read\n" % src)
+    assert os.devnull not in removed
+    assert not out.exists()
 
 
 # Paths that name one file twice, as (arguments after the input "in.wcnf",

@@ -24,6 +24,7 @@ from certprep.preprocess import Config, Preprocessor
 from certprep.wcnf import (MAX_WEIGHT, WcnfInstance, parse_wcnf,
                            read_clauses, write_wcnf)
 from conftest import REFERENCE_PASSES, random_instance, reference_groups
+from test_ingest import large_light_text
 
 STAGE2 = ("dup", "taut", "up", "empty", "sub", "bce")
 # sbl can apply over a hundred times on one small instance, and bva's
@@ -214,6 +215,25 @@ def test_bva_takes_a_shared_suffix_once(text, names):
         # (x1 v x3) twice: the factoring applies once and keeps one copy
         assert p.counts == {"bva": 1}
         assert write_wcnf(out).startswith("h 1 3 0\nh 3 -6 0\n")
+
+
+def test_bva_reads_the_clauses_of_one_literal_per_suffix(monkeypatch):
+    """One `_bva_at(l1)` reads the clauses of l1 and, for each suffix D of
+    an (l1 v D), those of one literal of D: not those of every literal
+    after l1, which made bva quadratic in the live literals."""
+    inst = parse_wcnf(large_light_text(random.Random(3), 300, 600, 400))
+    p = Preprocessor(inst, Config(("bva",)))
+    l1 = min(p.occ, key=pb.lit_sort_key)
+    bound = 1 + len(p.occ[l1])
+    reads = []
+    occ_ids = Preprocessor._occ_ids
+
+    def counted(self, lit):
+        reads.append(lit)
+        return occ_ids(self, lit)
+    monkeypatch.setattr(Preprocessor, "_occ_ids", counted)
+    p._bva_at(l1)
+    assert 1 < len(reads) <= bound
 
 
 @pytest.mark.parametrize("techniques", [STAGE2, None])
