@@ -73,7 +73,9 @@ DEFAULT_TECHNIQUES = ("dup", "taut", "up", "empty", "sub", "bce",
                       "bve", "am1", "bcr", "lm")
 
 
-ORACLE_CONFLICTS = 20000    # per oracle call: past it, trim or harden gives up
+# Past either budget trim or harden gives up.
+ORACLE_CONFLICTS = 20000    # conflicts per oracle
+ORACLE_WORK = 10 ** 7       # propagation work per solve (see sat.py)
 
 
 class Config:
@@ -1238,14 +1240,21 @@ class Preprocessor:
         """A SAT oracle over the live clauses, trivial ones left out."""
         from .sat import SatOracle   # only trim and harden load the oracle
 
-        oracle = SatOracle(on_learn=on_learn, conflict_budget=ORACLE_CONFLICTS)
+        oracle = SatOracle(on_learn=on_learn, conflict_budget=ORACLE_CONFLICTS,
+                           work_budget=ORACLE_WORK)
         for cid in sorted(self.clauses):
             if not self.clauses[cid].is_trivial():
                 oracle.add_clause(self._real_lits(cid))
         return oracle
 
     def trim_maxsat(self):
-        """Fix objective literals that a SAT oracle proves entailed false."""
+        """Fix objective literals that a SAT oracle proves entailed false.
+
+        Each step asks, under a fresh selector, for a model that makes one
+        of the first m live literals true.  The oracle decides every live
+        literal true when its variable comes up, so a model drops every
+        live literal it can satisfy; when there is none, the m literals
+        are entailed false and m halves."""
         from .sat import OracleBudget
 
         derived = []
@@ -1263,7 +1272,7 @@ class Preprocessor:
                 derived.append(self.writer.red(constraint_from_clause(sel),
                                                {s: 0}))
                 oracle.add_clause(sel)
-                model = oracle.solve([mklit(s)])
+                model = oracle.solve([mklit(s)], prefer=alive)
                 if model is None:
                     entailed.extend(subset)
                     alive = alive[m:]

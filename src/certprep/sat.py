@@ -1,10 +1,13 @@
 """Minimal CDCL SAT oracle.
 
 Deliberately small and deterministic: decisions pick the smallest unassigned
-variable and try False first, learning is first-UIP, no restarts or activity
-heuristics.  Determinism matters because oracle runs are replayed in proofs:
-`trim` logs every learned clause as a `rup` step, and `harden` prints a model,
-in assignment order, as a `red` witness.
+variable and try False first, unless the caller prefers one of its literals
+(``solve(prefer=...)``), which is then decided true; learning is first-UIP,
+no restarts or activity heuristics.  `trim` prefers its live objective
+literals, so one model makes true every one it can (TrimMaxSAT; Paxian,
+Raiola, Becker, VMCAI 2021).  Determinism matters because oracle runs are
+replayed in proofs: `trim` logs every learned clause as a `rup` step, and
+`harden` prints a model, in assignment order, as a `red` witness.
 
 Propagation is defined by a scan: sweep the clause list in index order,
 acting on each clause that is unit (imply its one unassigned literal) or
@@ -36,8 +39,11 @@ them as decisions; if an assumption is falsified, solve reports UNSAT and the
 negation of any single failed assumption is itself RUP w.r.t. the clause
 database extended with the learned clauses.
 
-A conflict budget caps the work; exceeding it raises OracleBudget so callers
-can abandon a technique cleanly.
+Two budgets cap the work, and exceeding either raises OracleBudget so callers
+can abandon a technique cleanly: one on conflicts over the oracle's life, and
+one on propagation work per `solve`, counted as the watch entries visited
+plus the clause positions scanned for a new watch.  Both are counts, so a
+run gives up at the same point on every machine.
 """
 
 from heapq import heappop, heappush
@@ -51,11 +57,13 @@ class OracleBudget(Exception):
 
 class SatOracle:
 
-    def __init__(self, on_learn=None, conflict_budget=None):
+    def __init__(self, on_learn=None, conflict_budget=None, work_budget=None):
         self.clauses = []
         self.on_learn = on_learn
         self.conflict_budget = conflict_budget
+        self.work_budget = work_budget
         self.conflicts = 0
+        self.work = 0         # propagation work of the last solve
         self.conflict_level0 = False
         self._vars = set()
         self._order = []      # decision order: _vars by var_sort_key; None: stale
@@ -73,11 +81,16 @@ class SatOracle:
 
     # -- solving ---------------------------------------------------------------
 
-    def solve(self, assumptions=()):
-        """Return a total model {var: 0|1} or None (UNSAT under assumptions)."""
+    def solve(self, assumptions=(), prefer=()):
+        """Return a total model {var: 0|1} or None (UNSAT under assumptions).
+
+        A decision on a variable with a literal in `prefer` sets that
+        literal true; every other decision sets its variable False."""
         self.conflict_level0 = False
+        self.work = 0
         if self._order is None:
             self._order = sorted(self._vars, key=pb.var_sort_key)
+        phase = {l >> 1: l for l in prefer}
         self._val = {}        # literal -> True/False while its variable is set
         self._level = {}      # var -> decision level, valid while assigned
         self._reason = {}     # var -> clause index or None, valid while assigned
@@ -89,6 +102,8 @@ class SatOracle:
         level = 0
         while True:
             confl = self._propagate(level)
+            if self.work_budget is not None and self.work > self.work_budget:
+                raise OracleBudget()
             if confl is not None:
                 self.conflicts += 1
                 if (self.conflict_budget is not None
@@ -124,7 +139,8 @@ class SatOracle:
                 while decide_from < len(order) and order[decide_from] << 1 in val:
                     decide_from += 1
                 if decide_from < len(order):
-                    lit = pb.mklit(order[decide_from], True)  # phase False
+                    v = order[decide_from]
+                    lit = phase.get(v, pb.mklit(v, True))
             if lit is None:
                 return {l >> 1: (l & 1) ^ 1 for l in self._trail}
             level += 1
@@ -158,6 +174,7 @@ class SatOracle:
             return
         clauses, watch, watchers = self.clauses, self._watch, self._watchers
         pos, cand, later = self._pos, self._cand, self._later
+        work = len(watching)
         keep = []
         for entry in watching:
             ci = entry >> 1
@@ -172,11 +189,14 @@ class SatOracle:
                 if j != other and val.get(l) is not False:
                     w[slot] = j
                     watchers.setdefault(l, []).append(entry)
+                    work += j + 1
                     break
             else:
+                work += len(cl)
                 keep.append(entry)
                 heappush(cand if ci >= pos else later, ci)
         watchers[false] = keep
+        self.work += work
 
     def _propagate(self, level):
         val = self._val

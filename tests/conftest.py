@@ -972,7 +972,9 @@ REFERENCE_PASSES.update(
 
 class ReferenceSatOracle:
 
-    def __init__(self, on_learn=None, conflict_budget=None):
+    def __init__(self, on_learn=None, conflict_budget=None, work_budget=None):
+        # work_budget counts watch visits, which a sweep does not make: it is
+        # taken and ignored, so runs that stay under it compare event for event
         self.clauses = []
         self.on_learn = on_learn
         self.conflict_budget = conflict_budget
@@ -986,9 +988,11 @@ class ReferenceSatOracle:
 
     # -- solving ---------------------------------------------------------------
 
-    def solve(self, assumptions=()):
-        """Return a total model {var: 0|1} or None (UNSAT under assumptions)."""
+    def solve(self, assumptions=(), prefer=()):
+        """Return a total model {var: 0|1} or None (UNSAT under assumptions).
+        A decision sets a literal of `prefer` true, else its variable False."""
         self.conflict_level0 = False
+        phase = {l >> 1: l for l in prefer}
         self._assign = {}   # var -> (value, level, reason clause index or None)
         self._trail = []
         level = 0
@@ -1021,7 +1025,7 @@ class ReferenceSatOracle:
             if lit is None:
                 for v in sorted(self._vars, key=pb.var_sort_key):
                     if v not in self._assign:
-                        lit = pb.mklit(v, True)  # phase False
+                        lit = phase.get(v, pb.mklit(v, True))
                         break
             if lit is None:
                 return {v: val for v, (val, _, _) in self._assign.items()}
@@ -1110,14 +1114,28 @@ class ReferenceSatOracle:
             del self._assign[v]
 
 
-def outcome(oracle, assumptions):
+def outcome(oracle, assumptions, prefer=()):
     """A solve call's result as comparable data: the model's items in key
     order, None, or "budget" when it raised OracleBudget."""
     try:
-        model = oracle.solve(assumptions)
+        model = oracle.solve(assumptions, prefer)
     except OracleBudget:
         return "budget"
     return None if model is None else list(model.items())
+
+
+def record_solves(monkeypatch):
+    """Wrap SatOracle.solve so that each call appends its positional
+    arguments to the list returned."""
+    calls = []
+    solve = SatOracle.solve
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        return solve(self, *args, **kw)
+
+    monkeypatch.setattr(SatOracle, "solve", counted)
+    return calls
 
 
 class Lockstep:
@@ -1135,9 +1153,9 @@ class Lockstep:
         self.new.add_clause(lits)
         self.ref.add_clause(lits)
 
-    def solve(self, assumptions=()):
-        got = outcome(self.new, assumptions)
-        want = outcome(self.ref, assumptions)
+    def solve(self, assumptions=(), prefer=()):
+        got = outcome(self.new, assumptions, prefer)
+        want = outcome(self.ref, assumptions, prefer)
         assert got == want
         assert self.learned[0] == self.learned[1]
         assert self.new.clauses == self.ref.clauses

@@ -443,7 +443,7 @@ def test_outputs_proofs_and_counts_match_pinned_digest():
             h.update(write_wcnf(out).encode())
             h.update(proof.encode())
             h.update(repr(sorted(p.counts.items())).encode())
-    assert h.hexdigest() == "a4643d536b84a2ddd28632e5c68760eb6d88a842"
+    assert h.hexdigest() == "3be9194c533de2c6c4d45af0ce3f25834433b3bb"
 
 
 def test_heavy_objective_terms_split_into_bounded_unit_softs():

@@ -13,7 +13,8 @@ from certprep.checker import ProofChecker, check_wcnf_proof
 from certprep.preprocess import Config, Infeasible, Preprocessor
 from certprep.wcnf import (MAX_WEIGHT, WcnfInstance, encode_to_pb,
                            opt_cost_bruteforce, parse_wcnf, write_wcnf)
-from conftest import nx, random_instance, record_checkpoints, x
+from conftest import (nx, random_instance, record_checkpoints, record_solves,
+                      x)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -385,6 +386,32 @@ def test_trim_oracle_budget_is_safe(monkeypatch):
     out, _, p = check_run(inst, techniques=("trim",))
     assert "trim" not in p.counts
     assert out == inst
+
+
+def test_trim_and_harden_give_up_past_the_work_budget(monkeypatch):
+    inst = WcnfInstance([[nx(1), x(2)], [nx(1), nx(2)], [x(3), x(4)]],
+                        [(2, [nx(1)]), (5, [nx(3)]), (1, [nx(4)])])
+    _, _, p = check_run(inst, techniques=("trim", "harden"))
+    assert p.counts["trim"] == 1 and p.counts["harden"] == 1
+    monkeypatch.setattr(preprocess, "ORACLE_WORK", 0)
+    out, _, p = check_run(inst, techniques=("trim", "harden"))
+    assert "trim" not in p.counts and "harden" not in p.counts
+    plain, _, _ = check_run(inst, techniques=())
+    assert write_wcnf(out) == write_wcnf(plain)
+
+
+def test_trim_makes_one_solve_when_every_penalty_can_be_paid(monkeypatch):
+    """Every objective literal can be true at once, and trim's oracle
+    decides them true, so its first model drops them all and trim is done
+    after one selector solve.  Deciding them False first, a model makes
+    only the forced half of them true."""
+    calls = record_solves(monkeypatch)
+    inst = WcnfInstance([[x(2 * i + 1), x(2 * i + 2)] for i in range(4)],
+                        [(1, [nx(v)]) for v in range(1, 9)])
+    _, proof, p = check_run(inst, techniques=("trim",))
+    assert "trim" not in p.counts
+    assert len(calls) == 1
+    assert sum(line.startswith("red ") for line in proof.splitlines()) == 1
 
 
 def test_hardening_fixes_expensive_literal():

@@ -48,14 +48,34 @@ def test_deterministic_phase_and_order():
     assert s.solve() == {pb.mkvar(1): 0, pb.mkvar(2): 0, pb.mkvar(3): 1}
 
 
+def test_preferred_literals_are_decided_true():
+    s = SatOracle()
+    s.add_clause([x(1), x(2), x(3), x(4)])
+    s.add_clause([nx(2), nx(4)])
+    # x2 and ~x3 are preferred: x1 is still decided False, x2 True (which
+    # forces ~x4), x3 False as preferred; the order is unchanged
+    model = s.solve(prefer=[x(2), nx(3)])
+    assert list(model.items()) == [(pb.mkvar(1), 0), (pb.mkvar(2), 1),
+                                   (pb.mkvar(4), 0), (pb.mkvar(3), 0)]
+    # a preferred literal that propagation falsifies is not decided
+    assert s.solve(assumptions=[x(4)], prefer=[x(2)]) == {
+        pb.mkvar(4): 1, pb.mkvar(2): 0, pb.mkvar(1): 0, pb.mkvar(3): 0}
+    # with every literal preferred, the model makes each one true that it can
+    assert s.solve(prefer=[x(1), x(2), x(3), x(4)]) == {
+        pb.mkvar(1): 1, pb.mkvar(2): 1, pb.mkvar(4): 0, pb.mkvar(3): 1}
+
+
 def test_agrees_with_bruteforce():
     rng = random.Random(3)
     for round_ in range(150):
-        clauses = random_clauses(rng, rng.randint(1, 6), rng.randint(1, 14))
+        nv = rng.randint(1, 6)
+        clauses = random_clauses(rng, nv, rng.randint(1, 14))
+        prefer = [pb.mklit(pb.mkvar(v), rng.random() < 0.5)
+                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         s = SatOracle()
         for cl in clauses:
             s.add_clause(cl)
-        model = s.solve()
+        model = s.solve(prefer=prefer)
         expected = brute_sat(clauses)
         if expected is None:
             assert model is None
@@ -153,6 +173,27 @@ def test_conflict_budget():
         s.solve()
 
 
+def test_work_budget_counts_watch_visits_per_solve():
+    # a chain x1 -> x2 -> ... -> x40: deciding x1 True propagates the chain
+    s = SatOracle()
+    for i in range(1, 40):
+        s.add_clause([nx(i), x(i + 1)])
+    assert s.solve(prefer=[x(1)]) is not None
+    work = s.work
+    assert work > 39
+    # the count starts again at every solve and repeats exactly
+    assert s.solve(prefer=[x(1)]) is not None and s.work == work
+    tight = SatOracle(work_budget=work - 1)
+    for cl in s.clauses:
+        tight.add_clause(cl)
+    with pytest.raises(OracleBudget):
+        tight.solve(prefer=[x(1)])
+    enough = SatOracle(work_budget=work)
+    for cl in s.clauses:
+        enough.add_clause(cl)
+    assert enough.solve(prefer=[x(1)]) is not None
+
+
 # -- differential: watched literals against the scanning reference -------------
 
 
@@ -187,7 +228,10 @@ def test_matches_reference_oracle_on_random_calls():
             assumptions = [pb.mklit(pb.mkvar(rng.randint(1, nv + 1)),
                                     rng.random() < 0.5)
                            for _ in range(rng.choice([0, 0, 1, 1, 2, 3]))]
-            got = both.solve(assumptions)
+            prefer = [pb.mklit(pb.mkvar(rng.randint(1, nv + 1)),
+                               rng.random() < 0.5)
+                      for _ in range(rng.choice([0, 0, 1, nv]))]
+            got = both.solve(assumptions, prefer)
             seen["calls"] += 1
             seen["models" if isinstance(got, list) else
                  "budget" if got == "budget" else "unsat"] += 1

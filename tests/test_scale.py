@@ -16,9 +16,10 @@ through the CLI, and the SAT oracle runs `trim`'s search pattern on the
 family's hard clauses in lockstep with the scanning reference oracle.
 
 Tests marked `slow` take the family further (nv = 800) and the planted
-duplicates to 64,000 clauses, and remove 20,000 constraints that share one
-literal from the propagation engine; the default run leaves them out, and
-`pytest -m slow` runs them."""
+duplicates to 64,000 clauses, run `trim` and `harden` on a 4,000-clause
+instance, and remove 20,000 constraints that share one literal from the
+propagation engine; the default run leaves them out, and `pytest -m slow`
+runs them."""
 
 import io
 import random
@@ -29,7 +30,8 @@ import pytest
 from certprep import cli, pb, preprocess
 from certprep.checker import ProofChecker, check_wcnf_proof
 from certprep.wcnf import encode_to_pb, parse_wcnf
-from conftest import Lockstep, record_checkpoints
+from conftest import Lockstep, record_checkpoints, record_solves
+from test_ingest import large_light_text
 
 
 def random_family(nv):
@@ -173,13 +175,29 @@ def oracle_run():
 
 
 def test_oracle_proof_verifies(oracle_run):
-    """trim and harden fix nothing here, but trim's search logs 273
+    """trim and harden fix nothing here, but trim's search logs 33
     selector clauses of more than 8 literals, which every later
     propagation may touch; a check that rescans a constraint per false
-    literal took 5-9 s on this proof."""
+    literal took 5-9 s on this proof when it held 273 of them."""
     inst, out, lines = oracle_run
-    assert len(lines) == 3542
+    assert len(lines) == 3032
     v = check_wcnf_proof(inst, lines, out)
+    assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
+
+
+@pytest.mark.slow
+def test_trim_and_harden_end_on_a_large_light_instance(monkeypatch):
+    """The default set plus trim,harden on the large-light shape at a
+    quarter of its size (4,000 clauses): the proof verifies, and the oracle
+    makes a handful of solve calls in all, where deciding every variable
+    False first made about one per 1.25 objective literals."""
+    inst = parse_wcnf(large_light_text(random.Random(7)))
+    calls = record_solves(monkeypatch)
+    cfg = preprocess.Config(
+        techniques=preprocess.DEFAULT_TECHNIQUES + ("trim", "harden"))
+    out, proof, _ = preprocess.run(inst, cfg)
+    assert len(calls) <= 10
+    v = check_wcnf_proof(inst, proof.splitlines(), out)
     assert v.accepted and v.level == "EQUIOPTIMAL", (v.lineno, v.error)
 
 
@@ -270,23 +288,24 @@ def test_dup_and_taut_at_64000_clauses(tmp_path, capsys):
 
 def test_oracle_matches_reference_on_selector_bisection():
     """The `trim` search pattern on the hard clauses of the nv=200 family, in
-    lockstep with the scanning reference oracle: the candidates are the
-    negations of all 200 variables, and each step adds a selector clause
-    over the first m live candidates and solves under the selector.  The
+    lockstep with the scanning reference oracle: the candidates are the 200
+    variables, odd ones positive and even ones negated, and each step adds a
+    selector clause over the first m live candidates and solves under the
+    selector, deciding the live candidates true as `trim` does.  The
     reference sweeps every clause per propagation, about 0.03 s a call at
     this size, so the bisection stops after 12 steps (the full run takes
-    35 steps and 1.5 s)."""
+    24 steps and 1.3 s)."""
     inst = random_family(200)
     both = Lockstep()
     for cl in inst.hard:
         both.add_clause(cl)
-    alive = [pb.mklit(pb.mkvar(v), True) for v in range(1, 201)]
+    alive = [pb.mklit(pb.mkvar(v), v % 2 == 0) for v in range(1, 201)]
     m = len(alive)
     for step in range(1, 13):
         m = max(1, min(m, len(alive)))
         s = pb.mkvar(step, pb.NS_AUX)
         both.add_clause([pb.mklit(s, True)] + alive[:m])
-        model = both.solve([pb.mklit(s)])
+        model = both.solve([pb.mklit(s)], prefer=alive)
         assert model is not None
         model = dict(model)
         alive = [l for l in alive if model.get(l >> 1, 0) != (l & 1) ^ 1]
