@@ -73,7 +73,9 @@ DEFAULT_TECHNIQUES = ("dup", "taut", "up", "empty", "sub", "bce",
                       "bve", "am1", "bcr", "lm")
 
 
-# Past either budget trim or harden gives up.
+# Past either budget trim or harden gives up.  The most work one solve has
+# been seen to need is 64,305, on the benchmark's large-light ll0 with the
+# defaults plus trim,harden.
 ORACLE_CONFLICTS = 20000    # conflicts per oracle
 ORACLE_WORK = 10 ** 7       # propagation work per solve (see sat.py)
 

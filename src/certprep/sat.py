@@ -7,30 +7,27 @@ no restarts or activity heuristics.  `trim` prefers its live objective
 literals, so one model makes true every one it can (TrimMaxSAT; Paxian,
 Raiola, Becker, VMCAI 2021).  Determinism matters because oracle runs are
 replayed in proofs: `trim` logs every learned clause as a `rup` step, and
-`harden` prints a model, in assignment order, as a `red` witness.
+`harden` prints a model as a `red` witness.
 
-Propagation is defined by a scan: sweep the clause list in index order,
-acting on each clause that is unit (imply its one unassigned literal) or
-falsified (report the conflict) when the sweep reaches it, and repeat the
-sweep until one changes nothing.  That order picks the conflict and the trail,
-and so the learned clauses, so it is pinned.  The oracle reproduces exactly
-those events without sweeping, using watched literals (Chaff, Moskewicz et
-al., DAC 2001):
+The model is pinned by a contract, not by the propagation order: with the
+assumptions placed first, the decisions in a fixed order and phase, and no
+restarts, `solve` returns the lexicographically first model under that order
+and phase (the assumptions true, then each variable in `pb.var_sort_key`
+order at its preferred value where it can be), or None when there is none.
+Every assignment before the first decision that leaves that model is entailed
+and so agrees with it; a decision that leaves it has no model below it, so a
+conflict takes it back, and learned clauses are entailed, so they cut off no
+model.  Only the clauses learned on the way depend on the propagation order.
 
-- Every clause of length >= 2 watches two of its positions (positions, not
-  literal values, so a repeated literal still counts twice, as in the scan).
-  Assigning a literal visits the watchers of its negation: a clause whose
-  other watch is true stays; otherwise the watch moves to another non-false
-  position; if there is none the clause is unit or falsified and its index
-  becomes a *candidate*.  Clauses of at most one literal have no watches and
-  are the candidates every `solve` starts from.
-- The candidates are then exactly the clauses the scan could act on.  The
-  sweep position is kept: `_propagate` pops the smallest candidate at or
-  after it, else wraps to the smallest one overall (the next sweep), and
-  re-evaluates the clause with the scan's own rule before acting on it.
-- A learned clause watches its asserting literal and a false literal of the
-  highest level below it; after the backjump it is the only unit clause and
-  so the only candidate.  Nothing is done on backtrack.
+Propagation is the two-watched-literal loop of Chaff and MiniSat (Moskewicz
+et al., DAC 2001; Een, Sorensson, SAT 2003).  A clause is stored without
+repeated literals, and one of length >= 2 watches its positions 0 and 1,
+kept there by swapping.  `_propagate` walks the trail from a queue head; for
+each watcher of the literal that became false it finds a new watch, or
+implies the other watch, or returns the conflict.  A learned clause watches
+its asserting literal and a literal of the highest level below it, and is
+implied directly after the backjump.  Clauses of at most one literal seed
+each `solve`.  Nothing is done on backtrack.
 
 Every learned clause is reverse-unit-propagation derivable from the clauses
 present when it is learned (original plus earlier learned ones); ``on_learn``
@@ -42,11 +39,9 @@ database extended with the learned clauses.
 Two budgets cap the work, and exceeding either raises OracleBudget so callers
 can abandon a technique cleanly: one on conflicts over the oracle's life, and
 one on propagation work per `solve`, counted as the watch entries visited
-plus the clause positions scanned for a new watch.  Both are counts, so a
-run gives up at the same point on every machine.
+plus the clause positions read, the other watch included.  Both are counts,
+so a run gives up at the same point on every machine.
 """
-
-from heapq import heappop, heappush
 
 from . import pb
 
@@ -64,16 +59,14 @@ class SatOracle:
         self.work_budget = work_budget
         self.conflicts = 0
         self.work = 0         # propagation work of the last solve
-        self.conflict_level0 = False
         self._vars = set()
         self._order = []      # decision order: _vars by var_sort_key; None: stale
         self._short = []      # indices of clauses with at most one literal
-        self._watch = []      # clause index -> [position, position] or None
-        self._watchers = {}   # literal -> [2 * clause index + watch slot]
+        self._watchers = {}   # literal -> indices of clauses watching it
 
     def add_clause(self, lits):
-        cl = list(lits)
-        self._store(cl, 0, 1)
+        cl = list(dict.fromkeys(lits))
+        self._store(cl)
         vs = {l >> 1 for l in cl}
         if not vs <= self._vars:
             self._vars |= vs
@@ -86,7 +79,6 @@ class SatOracle:
 
         A decision on a variable with a literal in `prefer` sets that
         literal true; every other decision sets its variable False."""
-        self.conflict_level0 = False
         self.work = 0
         if self._order is None:
             self._order = sorted(self._vars, key=pb.var_sort_key)
@@ -95,36 +87,43 @@ class SatOracle:
         self._level = {}      # var -> decision level, valid while assigned
         self._reason = {}     # var -> clause index or None, valid while assigned
         self._trail = []
-        self._cand = list(self._short)   # candidates at or after _pos
-        self._later = []                 # candidates before _pos
-        self._pos = 0
+        self._qhead = 0       # trail literals before it have been propagated
         decide_from = 0       # every variable before it in _order is assigned
         level = 0
+        confl = None
+        for ci in self._short:
+            cl = self.clauses[ci]
+            if not cl or self._val.get(cl[0]) is False:
+                confl = ci
+                break
+            if cl[0] not in self._val:
+                self._imply(cl[0], 0, ci)
         while True:
-            confl = self._propagate(level)
-            if self.work_budget is not None and self.work > self.work_budget:
-                raise OracleBudget()
+            if confl is None:
+                confl = self._propagate(level)
+                if self.work_budget is not None and self.work > self.work_budget:
+                    raise OracleBudget()
             if confl is not None:
                 self.conflicts += 1
                 if (self.conflict_budget is not None
                         and self.conflicts > self.conflict_budget):
                     raise OracleBudget()
                 if level == 0:
-                    self.conflict_level0 = True
                     return None
                 learnt, bj = self._analyze(confl, level)
                 self._backjump(bj)
                 level = bj
                 decide_from = 0
-                last = len(learnt) - 1
-                hi = max(range(last), key=lambda j: self._level[learnt[j] >> 1],
-                         default=0)
-                self._store(learnt, hi, last)
-                self._cand = [len(self.clauses) - 1]
-                self._later = []
-                self._pos = 0
+                lower = learnt[:-1]
+                if lower:
+                    hi = max(range(len(lower)),
+                             key=lambda j: self._level[lower[j] >> 1])
+                    lower[0], lower[hi] = lower[hi], lower[0]
+                self._store([learnt[-1]] + lower)
                 if self.on_learn is not None:
-                    self.on_learn(list(learnt))
+                    self.on_learn(learnt)
+                self._imply(learnt[-1], level, len(self.clauses) - 1)
+                confl = None
                 continue
             lit = None
             for a in assumptions:
@@ -144,88 +143,65 @@ class SatOracle:
             if lit is None:
                 return {l >> 1: (l & 1) ^ 1 for l in self._trail}
             level += 1
-            self._pos = 0
             self._imply(lit, level, None)
 
     # -- internals ----------------------------------------------------------------
 
-    def _store(self, cl, i, j):
-        """Append clause `cl`, watching its positions i and j if it has two."""
+    def _store(self, cl):
+        """Append clause `cl`, watching its positions 0 and 1 if it has two."""
         ci = len(self.clauses)
         self.clauses.append(cl)
         if len(cl) < 2:
             self._short.append(ci)
-            self._watch.append(None)
             return
-        self._watch.append([i, j])
-        self._watchers.setdefault(cl[i], []).append(2 * ci)
-        self._watchers.setdefault(cl[j], []).append(2 * ci + 1)
+        self._watchers.setdefault(cl[0], []).append(ci)
+        self._watchers.setdefault(cl[1], []).append(ci)
 
     def _imply(self, lit, level, reason):
-        val = self._val
-        false = lit ^ 1
-        val[lit] = True
-        val[false] = False
+        self._val[lit] = True
+        self._val[lit ^ 1] = False
         self._level[lit >> 1] = level
         self._reason[lit >> 1] = reason
         self._trail.append(lit)
-        watching = self._watchers.get(false)
-        if not watching:
-            return
-        clauses, watch, watchers = self.clauses, self._watch, self._watchers
-        pos, cand, later = self._pos, self._cand, self._later
-        work = len(watching)
-        keep = []
-        for entry in watching:
-            ci = entry >> 1
-            slot = entry & 1
-            cl = clauses[ci]
-            w = watch[ci]
-            other = w[slot ^ 1]
-            if val.get(cl[other]) is True:
-                keep.append(entry)
-                continue
-            for j, l in enumerate(cl):
-                if j != other and val.get(l) is not False:
-                    w[slot] = j
-                    watchers.setdefault(l, []).append(entry)
-                    work += j + 1
-                    break
-            else:
-                work += len(cl)
-                keep.append(entry)
-                heappush(cand if ci >= pos else later, ci)
-        watchers[false] = keep
-        self.work += work
 
     def _propagate(self, level):
-        val = self._val
-        while True:
-            if not self._cand:
-                if not self._later:
-                    return None
-                self._cand, self._later = self._later, []
-                self._pos = 0
-            ci = heappop(self._cand)
-            unassigned = None
-            count = 0
-            sat = False
-            for l in self.clauses[ci]:
-                v = val.get(l)
-                if v is True:
-                    sat = True
-                    break
-                if v is None:
-                    unassigned = l
-                    count += 1
-                    if count > 1:
-                        break
-            if sat or count > 1:
+        val, trail = self._val, self._trail
+        clauses, watchers = self.clauses, self._watchers
+        work = 0
+        while self._qhead < len(trail):
+            false = trail[self._qhead] ^ 1
+            self._qhead += 1
+            watching = watchers.get(false)
+            if not watching:
                 continue
-            if count == 0:
-                return ci
-            self._pos = ci + 1
-            self._imply(unassigned, level, ci)
+            keep = []
+            for i, ci in enumerate(watching):
+                cl = clauses[ci]
+                if cl[0] == false:
+                    cl[0], cl[1] = cl[1], false
+                first = cl[0]
+                work += 2     # the watch entry and the other watch
+                if val.get(first) is True:
+                    keep.append(ci)
+                    continue
+                for j in range(2, len(cl)):
+                    work += 1
+                    l = cl[j]
+                    if val.get(l) is not False:
+                        cl[1], cl[j] = l, false
+                        watchers.setdefault(l, []).append(ci)
+                        break
+                else:
+                    keep.append(ci)
+                    if first in val:
+                        keep.extend(watching[i + 1:])
+                        watchers[false] = keep
+                        self.work += work
+                        return ci
+                    self._imply(first, level, ci)
+            watchers[false] = keep
+        self.work += work
+        return None
 
     def _analyze(self, confl, level):
         seen = set()
@@ -266,3 +242,4 @@ class SatOracle:
         while trail and level[trail[-1] >> 1] > bj:
             lit = trail.pop()
             del val[lit], val[lit ^ 1]
+        self._qhead = len(trail)

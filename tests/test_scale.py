@@ -13,7 +13,8 @@ later steps propagate over; it must be accepted too, and rejected when its
 last `red` step is changed.  A second, larger instance with planted
 duplicates and tautologies exercises the `dup` and `taut` passes alone
 through the CLI, and the SAT oracle runs `trim`'s search pattern on the
-family's hard clauses in lockstep with the scanning reference oracle.
+family's hard clauses, returning at each step the same model as the
+scanning reference oracle.
 
 Tests marked `slow` take the family further (nv = 800) and the planted
 duplicates to 64,000 clauses, run `trim` and `harden` on a 4,000-clause
@@ -287,11 +288,12 @@ def test_dup_and_taut_at_64000_clauses(tmp_path, capsys):
 
 
 def test_oracle_matches_reference_on_selector_bisection():
-    """The `trim` search pattern on the hard clauses of the nv=200 family, in
-    lockstep with the scanning reference oracle: the candidates are the 200
-    variables, odd ones positive and even ones negated, and each step adds a
-    selector clause over the first m live candidates and solves under the
-    selector, deciding the live candidates true as `trim` does.  The
+    """The `trim` search pattern on the hard clauses of the nv=200 family,
+    each step's model compared with the scanning reference oracle's: the
+    candidates are the 200 variables, odd ones positive and even ones
+    negated, and each step adds a selector clause over the first m live
+    candidates and solves under the selector, deciding the live candidates
+    true as `trim` does.  The
     reference sweeps every clause per propagation, about 0.03 s a call at
     this size, so the bisection stops after 12 steps (the full run takes
     24 steps and 1.3 s)."""
@@ -307,9 +309,8 @@ def test_oracle_matches_reference_on_selector_bisection():
         both.add_clause([pb.mklit(s, True)] + alive[:m])
         model = both.solve([pb.mklit(s)], prefer=alive)
         assert model is not None
-        model = dict(model)
         alive = [l for l in alive if model.get(l >> 1, 0) != (l & 1) ^ 1]
-    assert both.new.conflicts > 3 and both.learned[0]
+    assert both.new.conflicts > 3 and both.learned
 
 
 @pytest.mark.slow
