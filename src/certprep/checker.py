@@ -427,8 +427,7 @@ def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
     units = _Units()
 
     def encoded(clauses):
-        return ((None, None) if clauses is None
-                else encode_to_pb(clauses, units)[:2])
+        return (None, None) if clauses is None else encode_to_pb(clauses, units)
 
     checker = ProofChecker(*encoded(input_clauses), *encoded(output_clauses))
     del units       # the replay needs no term table

@@ -59,8 +59,9 @@ only when the counter falls below the largest coefficient still unassigned
 call therefore costs the length of the constraints it touches plus one step
 per false occurrence.  The counters belong to the call; ``add`` and
 ``remove`` keep nothing per constraint beyond the index and the root set.
-``unit_propagate`` and ``rup_check`` are thin wrappers over a throwaway
-engine.
+``unit_propagate`` and ``rup_check``, thin wrappers over a throwaway engine
+that no program path calls, stay because ``perfbench/traced.py`` wraps them
+by name; they go with the benchmark's next change (ROADMAP item 1).
 """
 
 from functools import reduce

@@ -16,13 +16,13 @@ with unit propagation alone, a core deletion's from the remaining core
 alone; the comments on the trickier ones record which live constraint
 closes each obligation.
 
-A clause is hard exactly when it has no soft label: in the WCNF phase every
-live clause is one or the other, and from the objective-centric switch on
-there are no labels, so every clause is hard.  The store is the engine's
-constraints, the one copy of each clause: a pass reads a clause's literals
-from its terms.  Clauses enter the store through ``_install`` and every
-technique takes them out through ``_remove_clause``, which also logs the
-``delc`` and retires a soft label.
+In the WCNF phase a clause is soft exactly when its last literal is
+internal, and that literal's variable is its label: no input literal is
+internal, terms sort by namespace, stage 2 installs only ``fix_literal``'s
+clauses, and only stage 4 makes internal variables; from then on every
+clause is hard.  The store is the engine's constraints, the one copy of
+each clause.  Clauses enter it through ``_install`` and leave through
+``_remove_clause``, which logs the ``delc`` and retires a soft label.
 
 Every pass but the one-shot oracle passes ``trim`` and ``harden`` has one
 shape, a row of ``_WORKLISTS`` drained by ``_drain``: its candidates
@@ -197,11 +197,18 @@ def _on_new(accepts):
 
 
 def _dup_key(c):
-    """dup's group key: the clause's terms but its soft label, in the WCNF
-    phase its one internal literal and so its last (read from the clause, as
-    a soft may leave `soft_label` before the store)."""
+    """dup's group key: the clause's terms but its soft label (dup runs in
+    the WCNF phase alone)."""
     terms = c.terms
     return terms[:-1] if terms and terms[-1][1] & 6 else terms
+
+
+def _problem_clause(clause):
+    """A (weight, literals) input clause, refused if a literal is internal:
+    the encoding's labels are fresh only among problem variables."""
+    if any(l & 6 for l in clause[1]):
+        raise ValueError("internal variable in an input clause")
+    return clause
 
 
 def _drain(name):
@@ -245,7 +252,7 @@ class Preprocessor:
     def __init__(self, instance, config=None, sink=None):
         self.cfg = config if config is not None else Config()
         self.writer = ProofWriter(sink)
-        cons, objective, soft_info = encode_to_pb(instance)
+        cons, objective = encode_to_pb(map(_problem_clause, instance))
         self.writer.begin(len(cons))
         self.objective = objective
         self.engine = pb.Propagator()
@@ -253,19 +260,15 @@ class Preprocessor:
         self.worklists = {}     # pass name -> _Worklist, during a stage
         self.groups = None      # dup's groups, while dup has a worklist
         self.closures = {}      # start literals -> _up_closure result
-        # soft cid -> its label var, in the WCNF phase only; the soft's
-        # weight is the label's objective coefficient
-        self.soft_label = {}
         # ids deleted from the proof; between steps, every other id below
         # writer.next_id is a live core constraint
         self.deleted = set()
-        for pos, c in enumerate(cons):
-            if pos in soft_info:
-                self.soft_label[pos + 1] = soft_info[pos][0]
-            self._install(pos + 1, c)
-        self.next_aux = len(soft_info) + 1
-        self.next_tmp = 1
         self.phase = "wcnf"
+        for cid, c in enumerate(cons, 1):
+            self._install(cid, c)
+        # the relaxed softs come last, labelled _b1, _b2, ... in order
+        self.next_aux = 1 + pb.var_index(cons and self._label(len(cons)) or 0)
+        self.next_tmp = 1
         self.counts = {}
         self.cap_hit = False
         self.source = instance
@@ -281,8 +284,8 @@ class Preprocessor:
     # bookkeeping
 
     def _install(self, cid, c):
-        """Add clause `cid`; a soft clause's label is in `soft_label`
-        already.  The engine's constraint is the one copy of the clause."""
+        """Add clause `cid`, a soft one with its label last.  The engine's
+        constraint is the one copy of the clause."""
         self.engine.add(cid, c)
         self.closures.clear()
         for wl in self.worklists.values():
@@ -298,17 +301,22 @@ class Preprocessor:
         """Take a live clause out of the store and the core (with the delc
         witness, if any); a soft clause's label, now in no clause, leaves
         the objective too."""
+        label = self._label(cid)
         self._uninstall(cid)
         self._delc(cid, witness)
-        if cid in self.soft_label:
-            self._retire_soft_label(self.soft_label.pop(cid))
+        if label is not None:
+            self._retire_soft_label(label)
 
-    def _real_lits(self, cid, label=None):
-        """A new list of the literals of clause `cid` other than those on
-        `label`, by default its soft label: all of a hard clause's."""
-        if label is None:
-            label = self.soft_label.get(cid)
-        return [l for _, l in self.clauses[cid].terms if l >> 1 != label]
+    def _label(self, cid):
+        """The soft label of live clause `cid`, None for a hard clause."""
+        terms = self.clauses[cid].terms
+        lit = terms[-1][1] if terms and self.phase == "wcnf" else 0
+        return lit >> 1 if lit & 6 else None
+
+    def _real_lits(self, cid, var=None):
+        """A new list of the literals of clause `cid` but those on `var`, a
+        soft clause's label or a variable resolved out: all without one."""
+        return [l for _, l in self.clauses[cid].terms if l >> 1 != var]
 
     def _occ_ids(self, lit):
         return self.engine.ids_with(lit)
@@ -380,9 +388,9 @@ class Preprocessor:
     def fix_literal(self, lit, pid):
         """Propagate a literal pinned true by core constraint `pid` (lit >= 1).
 
-        Emits the objective update, shrinks every clause containing ~lit,
-        drops every other clause containing lit, retires satisfied soft
-        labels, and finally deletes `pid` itself with the witness {var->val}.
+        Emits the objective update, shrinks every clause containing ~lit (a
+        soft keeps its label), drops every other clause containing lit and
+        retires its label, and finally deletes `pid` with the witness.
         """
         v = lit >> 1
         val = 0 if lit & 1 else 1
@@ -390,9 +398,8 @@ class Preprocessor:
         for cid in sorted(self._occ_ids(neg(lit))):
             new = pb.add(self.clauses[cid], _unit(lit))
             nid = self._core_pol([cid, pid, "+"])
-            if cid in self.soft_label:      # the soft clause lives on as nid
-                self.soft_label[nid] = self.soft_label.pop(cid)
-            self._remove_clause(cid)
+            self._uninstall(cid)
+            self._delc(cid)
             if not new.terms and new.degree:
                 raise Infeasible(nid)
             self._install(nid, new)
@@ -416,7 +423,7 @@ class Preprocessor:
     def _is_hard_unit(self, cid):
         c = self.clauses.get(cid)
         return (c is not None and len(c.terms) == 1 and c.degree == 1
-                and cid not in self.soft_label)
+                and self._label(cid) is None)
 
     def _up_at(self, pid):
         """up: propagate the hard unit `pid`.  The units this makes are new
@@ -490,8 +497,8 @@ class Preprocessor:
         """Apply the first applicable action to the live clauses (ascending)
         of the group `key`; True if one applied."""
         cids = self.groups.get(key, ())
-        hards = [c for c in cids if c not in self.soft_label]
-        softs = [c for c in cids if c in self.soft_label]
+        hards = [c for c in cids if self._label(c) is None]
+        softs = [c for c in cids if self._label(c) is not None]
         # the first hard copy makes the later hard copies redundant and,
         # once those are gone, every soft copy
         doomed = hards[1:] or (softs if hards else [])
@@ -522,7 +529,7 @@ class Preprocessor:
         return coef > 0 if u & 1 else coef < 0
 
     def _merge_soft_pair(self, keep, dup):
-        bc, bd = self.soft_label[keep], self.soft_label[dup]
+        bc, bd = self._label(keep), self._label(dup)
         wd = self.objective.coef(bd)
         if self.objective.coef(bc) + wd > MAX_WEIGHT:
             return False
@@ -532,8 +539,8 @@ class Preprocessor:
         e2 = self._core_red(constraint_from_clause(
             [mklit(bd, True), mklit(bc)]), {bc: 0, bd: 0})
         self._update_objective([(wd, mklit(bc)), (-wd, mklit(bd))])
-        del self.soft_label[dup]
-        self._remove_clause(dup)   # RUP through the kept clause and e1
+        self._uninstall(dup)
+        self._delc(dup)     # RUP through the kept clause and e1
         self._delc(e1, {bd: 1})
         self._delc(e2, {bd: 0})
         return True
@@ -552,18 +559,18 @@ class Preprocessor:
 
     def _is_empty_soft(self, cid):
         c = self.clauses.get(cid)
-        return (c is not None and c.degree == 1 and cid in self.soft_label
-                and len(c.terms) == 1)     # its label alone
+        return (c is not None and c.degree == 1 and len(c.terms) == 1
+                and self._label(cid) is not None)  # its label alone
 
     def _empty_at(self, cid):
         """empty: a soft clause with nothing left but its label pays its
         weight forever; move the weight into the objective constant."""
         if not self._is_empty_soft(cid):
             return False
-        label = self.soft_label[cid]
+        label = self._label(cid)
         self._update_objective(*self.objective.delta({label: 1}))
-        del self.soft_label[cid]
-        self._remove_clause(cid, {label: 1})
+        self._uninstall(cid)
+        self._delc(cid, {label: 1})
         self._count("empty")
         return True
 
@@ -576,14 +583,14 @@ class Preprocessor:
         list the scan walks: every clause with all of `cid`'s literals is in
         each of their lists."""
         c = self.clauses.get(cid)
-        if c is None or not (c.terms and c.degree) or cid in self.soft_label:
+        if c is None or not (c.terms and c.degree) or self._label(cid):
             return False
         lits = {l for _, l in c.terms}
         rare = min(lits, key=lambda l: (len(self._occ_ids(l)), l))
         for did in sorted(self._occ_ids(rare)):
             if did == cid or did not in self.clauses:
                 continue
-            if not lits <= set(self._real_lits(did)):
+            if not lits <= {l for _, l in self.clauses[did].terms}:
                 continue
             if len(self.clauses[did].terms) <= len(lits) and did < cid:
                 continue   # identical clause: keep the earlier copy
@@ -607,7 +614,7 @@ class Preprocessor:
     def _bce_at(self, cid):
         """bce: remove clause `cid` if it is blocked on one of its literals
         (the first one, in term order, is the witness)."""
-        if (cid not in self.clauses or cid in self.soft_label
+        if (cid not in self.clauses or self._label(cid) is not None
                 or self.clauses[cid].is_trivial()):
             return False
         for _, lit in self.clauses[cid].terms:
@@ -661,23 +668,22 @@ class Preprocessor:
         has cancelled its complementary pair, so its literals would read as
         a shorter real clause."""
         self._drop_trivial()
-        for cid in sorted(list(self.soft_label)):
-            c = self.clauses.get(cid)
-            if c is not None and c.degree == 1 and len(c.terms) == 2:
+        for cid, c in sorted(self.clauses.items()):
+            if c.degree == 1 and len(c.terms) == 2 and self._label(cid):
                 self._sync_unit_soft(cid)
-        self.soft_label = {}
         self.phase = "oc"
 
     def _sync_unit_soft(self, cid):
         """Replace a relaxed unit soft (u v b) by the objective term w*~u."""
-        label = self.soft_label.pop(cid)
+        label = self._label(cid)
         w = self.objective.coef(label)
         u = self._real_lits(cid, label)[0]
         helper = self._core_red(constraint_from_clause(
             [neg(u), mklit(label, True)]), {label: 0})
         self._update_objective([(w, neg(u)), (-w, mklit(label))])
         self._delc(helper, {label: 0})
-        self._remove_clause(cid, {label: 1})
+        self._uninstall(cid)
+        self._delc(cid, {label: 1})
 
     # ------------------------------------------------------------------
     # clause-level unit propagation helper (for FLE and friends)
@@ -1394,30 +1400,23 @@ class Preprocessor:
 
     def _pristine_softs(self):
         """True when the relaxed softs can be written back verbatim: their
-        labels are exactly the positional ones re-encoding the output would
-        assign, and no other internal variable survives anywhere."""
-        pairs = sorted(self.soft_label.items())
-        for k, (cid, label) in enumerate(pairs):
-            if label != mkvar(k + 1, pb.NS_AUX):
-                return False
-            if not self.clauses[cid].degree:
-                return False
-            if len(self.clauses[cid].terms) == 2:
-                return False   # re-encoding would treat it as a unit soft
-        labels = set(self.soft_label.values())
+        labels are the positional ones re-encoding the output would assign,
+        and no other internal variable is left (one in a clause is a label)."""
+        labels = set()
+        for cid in sorted(self.clauses):
+            label = self._label(cid)
+            if label is not None:
+                c = self.clauses[cid]
+                if (label != mkvar(len(labels) + 1, pb.NS_AUX)
+                        or not c.degree or len(c.terms) == 2):
+                    return False    # written, (u v b) reads as unit soft u
+                labels.add(label)
         terms, const = self.objective.literal_form()
         if const:
             return False
         for _, lit in terms:
             if lit >> 1 not in labels and pb.var_ns(lit >> 1) != pb.NS_USER:
                 return False
-        for c in self.clauses.values():
-            # terms sort by namespace: a clause's internal literals come last
-            for _, l in reversed(c.terms):
-                if not l & 6:
-                    break
-                if l >> 1 not in labels:
-                    return False
         return True
 
     def _finish_wcnf(self):
@@ -1428,12 +1427,15 @@ class Preprocessor:
         on its literal, MAX_WEIGHT each but the last, which a reader adds
         back up."""
         self._drop_trivial()
-        hard = [self._real_lits(cid) for cid in sorted(self.clauses)
-                if cid not in self.soft_label]
-        coef = self.objective.coef
-        soft = [(coef(label), self._real_lits(cid, label))
-                for cid, label in sorted(self.soft_label.items())]
-        labels = set(self.soft_label.values())
+        hard, soft, labels = [], [], set()
+        for cid in sorted(self.clauses):
+            label = self._label(cid)
+            lits = [l for _, l in self.clauses[cid].terms]
+            if label is None:
+                hard.append(lits)
+            else:
+                soft.append((self.objective.coef(label), lits[:-1]))
+                labels.add(label)
         terms, _ = self.objective.literal_form()
         for w, lit in terms:
             if lit >> 1 not in labels:
@@ -1451,7 +1453,6 @@ class Preprocessor:
                 self._delc(cid)
         for cid in list(self.clauses):
             self._uninstall(cid)
-        self.soft_label = {}
         if self.objective.coeffs or self.objective.constant:
             self.writer.obju_new()
             self.objective = Objective()

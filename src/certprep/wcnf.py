@@ -165,18 +165,18 @@ def write_wcnf(inst, fh=None):
 
 def encode_to_pb(clauses, units=None):
     """Translate (weight, literals) pairs, from `read_clauses` or a
-    WcnfInstance, to (constraints, objective, soft_info).  The clause terms
-    come from `units`, a `_Units` table that the call fills, or else one of
-    its own.
+    WcnfInstance, to (constraints, objective).  The clause terms come from
+    `units`, a `_Units` table that the call fills, or else one of its own.
 
     The hard clauses come first, then the relaxed (non-unit) softs labelled
-    _b1, _b2, ... in soft order, however the file interleaves the two.
-    soft_info maps constraint position -> (label_var, weight) for relaxed
-    softs.  Duplicate unit softs merge additively into the objective.
+    _b1, _b2, ... in soft order, however the file interleaves the two; a
+    relaxed soft's label is its last literal, and its weight is the label's
+    objective coefficient.  Duplicate unit softs merge additively into the
+    objective.
     """
     if units is None:
         units = _Units()
-    hard, relaxed, labels = [], [], []
+    hard, relaxed = [], []
     objective = pb.Objective()
     for w, cl in clauses:
         if w is None:
@@ -186,11 +186,10 @@ def encode_to_pb(clauses, units=None):
         if len(lits) == 1:
             objective.add_literal_term(w, pb.neg(lits[0]))
             continue
-        labels.append((pb.mkvar(len(labels) + 1, pb.NS_AUX), w))
-        lit = pb.mklit(labels[-1][0])
+        lit = pb.mklit(pb.mkvar(len(relaxed) + 1, pb.NS_AUX))
         relaxed.append(pb.constraint_from_clause(lits + [lit], units))
         objective.add_literal_term(w, lit)
-    return hard + relaxed, objective, dict(enumerate(labels, len(hard)))
+    return hard + relaxed, objective
 
 
 class _Units(dict):

@@ -361,7 +361,6 @@ def reference_encode_to_pb(inst):
     constructor."""
     constraints = [reference_constraint_from_clause(cl) for cl in inst.hard]
     objective = pb.Objective()
-    soft_info = {}
     next_aux = 1
     for w, cl in inst.soft:
         lits = []
@@ -373,11 +372,10 @@ def reference_encode_to_pb(inst):
         else:
             label = pb.mkvar(next_aux, pb.NS_AUX)
             next_aux += 1
-            soft_info[len(constraints)] = (label, w)
             constraints.append(reference_constraint_from_clause(
                 lits + [pb.mklit(label)]))
             objective.add_literal_term(w, pb.mklit(label))
-    return constraints, objective, soft_info
+    return constraints, objective
 
 
 # -- reference output check ------------------------------------------------------
@@ -412,10 +410,10 @@ def reference_check_wcnf_proof(input_instance, proof_lines,
                                encode=reference_encode_to_pb):
     """check_wcnf_proof through `encode` (by default the reference
     translation) and the reference output check."""
-    cons, obj, _ = encode(input_instance)
+    cons, obj = encode(input_instance)
     out_cons = out_obj = None
     if output_instance is not None:
-        out_cons, out_obj, _ = encode(output_instance)
+        out_cons, out_obj = encode(output_instance)
     return ReferenceOutputChecker(cons, obj, out_cons, out_obj).run(
         proof_lines)
 
@@ -518,8 +516,8 @@ def _reference_duplicates_once(p):
     groups = reference_groups(p)
     for key in sorted(groups, key=lambda k: groups[k][0]):
         cids = groups[key]
-        hards = [c for c in cids if c not in p.soft_label]
-        softs = [c for c in cids if c in p.soft_label]
+        hards = [c for c in cids if reference_label(p, c) is None]
+        softs = [c for c in cids if reference_label(p, c) is not None]
         if len(hards) > 1:
             for cid in hards[1:]:
                 p._uninstall(cid)
@@ -528,7 +526,7 @@ def _reference_duplicates_once(p):
             return True
         if hards and softs:
             for cid in softs:
-                label = p.soft_label.pop(cid)
+                label = reference_label(p, cid)
                 p._uninstall(cid)
                 p._delc(cid)
                 p._retire_soft_label(label)
@@ -563,9 +561,18 @@ def reference_lits(p, cid):
     return tuple(lit for _, lit in p.clauses[cid].terms)
 
 
+def reference_label(p, cid):
+    """A clause's soft label, read from its constraint: in the WCNF phase
+    the variable of its internal literal, if it has one."""
+    if p.phase != "wcnf":
+        return None
+    internal = [lit >> 1 for _, lit in p.clauses[cid].terms if lit & 6]
+    return internal[0] if internal else None
+
+
 def reference_real_lits(p, cid):
     """A clause's literals but its soft label, read from its constraint."""
-    label = p.soft_label.get(cid)
+    label = reference_label(p, cid)
     return tuple(lit for _, lit in p.clauses[cid].terms if lit >> 1 != label)
 
 
@@ -576,7 +583,7 @@ def reference_real_lits(p, cid):
 def reference_subsumed_once(p):
     for cid in sorted(p.clauses):
         lits = reference_lits(p, cid)
-        if (not lits or cid in p.soft_label
+        if (not lits or reference_label(p, cid) is not None
                 or p.clauses[cid].is_trivial()):
             continue
         rare = min(lits, key=lambda l: (len(p._occ_ids(l)), l))
@@ -595,7 +602,8 @@ def reference_subsumed_once(p):
 
 def reference_blocked_once(p):
     for cid in sorted(p.clauses):
-        if cid in p.soft_label or p.clauses[cid].is_trivial():
+        if (reference_label(p, cid) is not None
+                or p.clauses[cid].is_trivial()):
             continue
         for lit in reference_lits(p, cid):
             if p._blocked_under(cid, lit):
@@ -923,16 +931,16 @@ def reference_remove_tautologies(p):
 def reference_remove_empty_softs(p):
     changed = False
     for cid in sorted(p.clauses):
-        if cid not in p.soft_label:
+        label = reference_label(p, cid)
+        if label is None:
             continue
         c = p.clauses[cid]
-        label = p.soft_label[cid]
         if c.degree != 1 or reference_real_lits(p, cid):
             continue
         # nothing left but the relaxer: the weight is paid forever
         p._update_objective(*p.objective.delta({label: 1}))
-        del p.soft_label[cid]
-        p._remove_clause(cid, {label: 1})
+        p._uninstall(cid)
+        p._delc(cid, {label: 1})
         p._count("empty")
         changed = True
     return changed

@@ -406,7 +406,7 @@ def test_criterion_5_encoder_theorems():
         if cost is None:
             continue
         forward += 1
-        constraints, objective, _ = encode_to_pb(inst)
+        constraints, objective = encode_to_pb(inst)
         extended = dict(assign)
         for entry in _soft_labels(inst):
             if entry:
@@ -424,7 +424,7 @@ def test_criterion_5_encoder_theorems():
     while backward < target and attempts < 40 * target:
         attempts += 1
         inst = random_instance(rng, max_vars=6, max_clauses=8)
-        constraints, objective, _ = encode_to_pb(inst)
+        constraints, objective = encode_to_pb(inst)
         assign = {pb.mkvar(i): rng.randint(0, 1) for i in range(1, 7)}
         for entry in _soft_labels(inst):
             if entry:
@@ -443,7 +443,7 @@ def test_criterion_5_encoder_theorems():
     agreed = 0
     while agreed < 500:
         inst = random_instance(rng, max_vars=10, max_clauses=8)
-        constraints, objective, _ = encode_to_pb(inst)
+        constraints, objective = encode_to_pb(inst)
         pb_vars = set(objective.coeffs)
         for c in constraints:
             pb_vars.update(c.vars())

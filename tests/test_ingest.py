@@ -273,9 +273,9 @@ def test_encode_to_pb_matches_reference():
         inst = random_instance(rng, max_vars=8, max_clauses=20)
         if i % 3 == 0:
             inst = with_internal_literals(rng, inst)
-        cons, obj, info = wcnf.encode_to_pb(inst)
-        rcons, robj, rinfo = reference_encode_to_pb(inst)
-        assert cons == rcons and obj == robj and info == rinfo
+        cons, obj = wcnf.encode_to_pb(inst)
+        rcons, robj = reference_encode_to_pb(inst)
+        assert cons == rcons and obj == robj
 
 
 def test_max_var_index_matches_reference():
@@ -343,7 +343,7 @@ def test_one_int_per_literal_token_and_one_term_per_literal():
         map(id, first.values()))
     encodings = [wcnf.encode_to_pb(inst), wcnf.encode_to_pb(inst)]
     seen = []
-    for cons, _, _ in encodings:
+    for cons, _ in encodings:
         terms = {}
         for c in cons:
             for term in c.terms:

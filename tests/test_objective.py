@@ -181,8 +181,8 @@ def test_objective_is_copied_only_at_the_checker_preamble(monkeypatch):
 def test_check_proof_leaves_the_input_objective_alone():
     inst = random_family(200)
     out, proof, _ = preprocess.run(inst)
-    cons, obj, _ = encode_to_pb(inst)
-    out_cons, out_obj, _ = encode_to_pb(out)
+    cons, obj = encode_to_pb(inst)
+    out_cons, out_obj = encode_to_pb(out)
     snapshot = (dict(obj.coeffs), obj.constant)
     v = check_proof(cons, obj, proof.splitlines(), out_cons, out_obj)
     assert v.accepted

@@ -350,6 +350,14 @@ def test_worklists_hold_every_applicable_candidate(monkeypatch):
         for name, run in list(table.items()):
             monkeypatch.setitem(table, name, checked(name, run))
     monkeypatch.setattr(Preprocessor, "_count", count_and_check)
+    run_worklist_corpus()
+    assert len(checks) > 3000
+    assert {"bva", "sbl", "am1", "bcr", "gsle"} <= set(checks)
+
+
+def run_worklist_corpus():
+    """Run the pipeline over label-group, duplicate and binary-core
+    instances under technique sets that reach every worklist pass."""
     rng = random.Random(2718)
     for i in range(120):
         inst = (duplicate_instance, label_group_instance)[i % 2](rng)
@@ -364,8 +372,46 @@ def test_worklists_hold_every_applicable_candidate(monkeypatch):
         inst = binary_core_instance(core)
         for names in CORE_SETS:
             preprocess.run(inst, Config(techniques=names))
-    assert len(checks) > 3000
-    assert {"bva", "sbl", "am1", "bcr", "gsle"} <= set(checks)
+
+
+def labelled_clauses(p):
+    """The ids of the live clauses that hold an internal literal, asserting
+    the invariant that makes such a literal a soft clause's label: each
+    clause holds at most one, as its last literal, positive, in the `_b`
+    namespace, and no other live clause holds it."""
+    holder = {}
+    for cid, c in p.clauses.items():
+        internal = [i for i, (_, lit) in enumerate(c.terms) if lit & 6]
+        if not internal:
+            continue
+        lit = c.terms[-1][1]
+        assert internal == [len(c.terms) - 1], (cid, c)
+        assert not lit & 1 and pb.var_ns(lit >> 1) == pb.NS_AUX, (cid, c)
+        assert holder.setdefault(lit, cid) == cid, (cid, holder[lit])
+    return set(holder.values())
+
+
+def test_wcnf_phase_labels_live_only_in_their_clauses(monkeypatch):
+    """After every application in the WCNF phase, and when it ends, each
+    internal literal is the last literal of one live clause alone: the
+    rule by which the preprocessor reads a soft clause's label."""
+    checks = []
+
+    def checked(method):
+        def wrapped(self, *args):
+            if self.phase == "wcnf":
+                labelled = labelled_clauses(self)
+                assert labelled == {cid for cid in self.clauses
+                                    if self._label(cid) is not None}
+                checks.append(len(labelled))
+            return method(self, *args)
+        return wrapped
+
+    for name in ("_count", "convert_to_objective_centric", "finish"):
+        monkeypatch.setattr(Preprocessor, name,
+                            checked(getattr(Preprocessor, name)))
+    run_worklist_corpus()
+    assert len(checks) > 2000 and sum(checks) > 10000
 
 
 def test_passes_match_restarting_references(monkeypatch):

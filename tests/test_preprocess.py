@@ -13,8 +13,8 @@ from certprep.checker import ProofChecker, check_wcnf_proof
 from certprep.preprocess import Config, Infeasible, Preprocessor
 from certprep.wcnf import (MAX_WEIGHT, WcnfInstance, encode_to_pb,
                            opt_cost_bruteforce, parse_wcnf, write_wcnf)
-from conftest import (nx, random_instance, record_checkpoints, record_solves,
-                      x)
+from conftest import (b, nb, nx, random_instance, record_checkpoints,
+                      record_solves, x)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -467,11 +467,18 @@ def test_relaxed_unit_soft_is_not_written_back_verbatim():
 
 
 def test_clause_with_an_internal_variable_is_not_written_back_verbatim():
-    # bva's fresh variable is an internal one that no soft has as its label
+    # bva's fresh variable is an internal one that no soft has as its label;
+    # bva is a stage-4 technique, so it runs after the objective-centric
+    # switch, as in the pipeline
     hard = [[x(l), x(s)] for l in (1, 2) for s in (3, 4, 5)]
     inst = WcnfInstance(hard, [(2, [x(6), x(7)])])
-    out, proof, _ = run_ops(inst, lambda p: p.add_variables_bva(
-        [x(1), x(2)], [(x(s),) for s in (3, 4, 5)], range(1, 7)))
+
+    def bva(p):
+        p.convert_to_objective_centric()
+        p.add_variables_bva([x(1), x(2)], [(x(s),) for s in (3, 4, 5)],
+                            range(1, 7))
+
+    out, proof, _ = run_ops(inst, bva)
     written_and_verified(inst, out, proof)
     assert len(out.hard) == 6   # bva's five and the soft, relaxed and renamed
 
@@ -482,6 +489,23 @@ def test_internal_variables_renamed_after_user_indices():
     # everything user-visible was fixed; the surviving relaxation variable
     # takes the first free user index
     assert write_wcnf(out) == "2 -1 0\n"
+
+
+def test_input_literal_outside_the_problem_namespace_is_refused():
+    # the input's own _b1 would collide with the first soft's label: the
+    # hard ~_b1 would make the soft (x1 v x2) hard, and the output's optimum
+    # would be 0 while the input's is 1
+    inst = WcnfInstance([[nb(1)]], [(2, [x(1), x(2)]), (1, [nx(1)]),
+                                    (1, [nx(2)])])
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="internal variable"):
+        Preprocessor(inst, Config(), sink)
+    assert sink.getvalue() == ""    # refused before the proof header
+    t1 = pb.mklit(pb.mkvar(1, pb.NS_TMP))
+    for hard, soft in (([[x(1), b(2)]], []), ([], [(3, [nb(1)])]),
+                       ([], [(3, [x(1), t1])])):
+        with pytest.raises(ValueError):
+            preprocess.run(WcnfInstance(hard, soft))
 
 
 def test_empty_instance():
@@ -525,7 +549,7 @@ def test_checkpoints_match_checker_state(golden):
     p.run()
     assert checkpoints
     lines = sink.getvalue().splitlines()
-    cons, obj, _ = encode_to_pb(inst)
+    cons, obj = encode_to_pb(inst)
     chk = ProofChecker(cons, obj)
     fed = 0
     for name, upto, snap, snap_obj in checkpoints:

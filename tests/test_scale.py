@@ -123,7 +123,7 @@ def test_large_proof_rejects_a_witness_with_a_wrong_constant(large_run):
     """The last `red` whose witness maps an objective variable to a
     constant, with that constant flipped."""
     inst, out, lines, _ = large_run
-    cons, obj, _ = encode_to_pb(inst)
+    cons, obj = encode_to_pb(inst)
     chk = ProofChecker(cons, obj)
     last = None
     for i, line in enumerate(lines):
@@ -153,7 +153,7 @@ def test_large_run_checkpoints_match_checker_state():
     p.run()
     assert len(checkpoints) == sum(p.counts.values()) == 100
     lines = sink.getvalue().splitlines()
-    cons, obj, _ = encode_to_pb(inst)
+    cons, obj = encode_to_pb(inst)
     chk = ProofChecker(cons, obj)
     fed = 0
     for name, upto, snap, snap_obj in checkpoints:

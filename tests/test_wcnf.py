@@ -107,23 +107,22 @@ def test_write_rejects_internal_variables():
 
 def test_encode_frozen():
     inst = wcnf.parse_wcnf(NEW_SAMPLE)
-    cons, obj, soft_info = wcnf.encode_to_pb(inst)
+    cons, obj = wcnf.encode_to_pb(inst)
     assert cons == [C("+1 x1 +1 x2 >= 1"), C("+1 x2 +1 x3 +1 _b1 >= 1")]
     # 2*x1 (from unit ~x1) and 1*~x1 (from unit x1) merge to x1 + 1
     assert obj.coeffs == {pb.mkvar(1): 1, pb.mkvar(1, pb.NS_AUX): 3}
     assert obj.constant == 1
-    assert soft_info == {1: (pb.mkvar(1, pb.NS_AUX), 3)}
 
 
 def test_encode_duplicate_unit_softs_merge():
     inst = wcnf.parse_wcnf("2 1 0\n5 1 0\n")
-    cons, obj, soft_info = wcnf.encode_to_pb(inst)
-    assert cons == [] and soft_info == {}
+    cons, obj = wcnf.encode_to_pb(inst)
+    assert cons == []
     assert obj.coeffs == {pb.mkvar(1): -7} and obj.constant == 7
 
 
 def test_encode_empty_soft_gets_bare_label():
-    cons, obj, soft_info = wcnf.encode_to_pb(wcnf.parse_wcnf("4 0\n"))
+    cons, obj = wcnf.encode_to_pb(wcnf.parse_wcnf("4 0\n"))
     assert cons == [C("+1 _b1 >= 1")]
     assert obj.coeffs == {pb.mkvar(1, pb.NS_AUX): 4} and obj.constant == 0
 
@@ -131,7 +130,7 @@ def test_encode_empty_soft_gets_bare_label():
 def test_encode_dedupes_clause_literals():
     # (x1 x1) is a *unit* soft after dedup; (x1 ~x1 x2) hard is trivially true
     inst = wcnf.parse_wcnf("h 1 -1 2 0\n3 1 1 0\n")
-    cons, obj, _ = wcnf.encode_to_pb(inst)
+    cons, obj = wcnf.encode_to_pb(inst)
     assert cons == [pb.constraint_from_clause([x(1), nx(1), x(2)])]
     assert cons[0].is_trivial()
     assert obj.coeffs == {pb.mkvar(1): -3} and obj.constant == 3
@@ -191,5 +190,5 @@ def test_translation_preserves_optimum():
     rng = random.Random(11)
     for _ in range(60):
         inst = random_instance(rng, max_vars=6, max_clauses=10)
-        cons, obj, _ = wcnf.encode_to_pb(inst)
+        cons, obj = wcnf.encode_to_pb(inst)
         assert pb_opt_bruteforce(cons, obj) == wcnf.opt_cost_bruteforce(inst)
