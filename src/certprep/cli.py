@@ -41,45 +41,51 @@ class _BadInput(Exception):
     was read."""
 
 
+class _Tally:
+    """The clauses of a stream, passed on as they are read and counted, and
+    their largest literal `top`, whose variable index is `top >> 3`."""
+
+    def __init__(self, clauses):
+        self.clauses = clauses
+        self.count = self.top = 0
+
+    def __iter__(self):
+        for self.count, clause in enumerate(self.clauses, 1):
+            if clause[1] and max(clause[1]) > self.top:
+                self.top = max(clause[1])
+            yield clause
+
+
 class _InputFile:
     """The clauses of a WCNF file as the preprocessor reads them: one pass
     to encode, and one more for the output of a run that changes nothing.
     A regular file is read anew on each pass; anything else (a pipe) is
     read once, and its clauses are kept for the second pass.  The first
-    pass counts the clauses and finds their largest literal for the summary
-    lines; a second pass that finds another count or largest literal fails,
-    as the file changed in between."""
+    pass's tally counts the clauses and finds their largest literal for the
+    summary lines; a second pass that finds another count or largest
+    literal fails, as the file changed in between."""
 
     def __init__(self, path):
         self.path = path
         self.kept = None if stat.S_ISREG(os.stat(path).st_mode) else []
-        self.count = None
-        self.top = 0
+        self.tally = None
 
     def __iter__(self):
-        if self.count is not None and self.kept is not None:
-            return iter(self.kept)
-        return self._read()
-
-    def _read(self):
-        count, top, kept = 0, 0, self.kept
+        if self.tally is not None and self.kept is not None:
+            yield from self.kept
+            return
+        tally = _Tally(_clauses(self.path))
         try:
-            for count, clause in enumerate(_clauses(self.path), 1):
-                lits = clause[1]
-                if lits and max(lits) > top:
-                    top = max(lits)
-                if kept is not None:
-                    kept.append(clause)
+            for clause in tally:
+                if self.kept is not None:
+                    self.kept.append(clause)
                 yield clause
         except ValueError as exc:   # also a decode error
             raise _BadInput(str(exc)) from None
-        if self.count is None:
-            self.count, self.top = count, top
-        elif (count, top) != (self.count, self.top):
+        if self.tally is None:
+            self.tally = tally
+        elif (tally.count, tally.top) != (self.tally.count, self.tally.top):
             raise _BadInput("%s changed while it was read" % self.path)
-
-    def max_var_index(self):
-        return self.top >> 3    # as WcnfInstance.max_var_index finds it
 
 
 class _LateFile:
@@ -154,21 +160,22 @@ def cmd_preprocess(args):
         return 2
     # The input streams from the file into the preprocessor, which keeps the
     # one copy of each clause, and reads it whole before the proof's first
-    # line.  The output is collected by `preprocess.run`, the call through
-    # which perfbench/traced.py counts applied techniques.  A failed run
-    # leaves neither file.
+    # line.  The output that `preprocess.run` returns reads the
+    # preprocessor's clauses as it is written, and the writing pass counts
+    # it for the summary lines.  A failed run leaves neither file.
     try:
         with _LateFile(args.proof) as proof, _LateFile(args.output) as output:
             out, _, p = preprocess.run(source, cfg, sink=proof)
-            write_wcnf(out, output)
+            written = _Tally(out)
+            write_wcnf(written, output)
     except (_BadInput, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if p.cap_hit:
         print("warning: iteration cap reached before fixpoint",
               file=sys.stderr)
-    print("clauses: %d -> %d" % (source.count, len(out.hard) + len(out.soft)))
-    print("vars: %d -> %d" % (source.max_var_index(), out.max_var_index()))
+    print("clauses: %d -> %d" % (source.tally.count, written.count))
+    print("vars: %d -> %d" % (source.tally.top >> 3, written.top >> 3))
     print("proof lines: %d" % p.writer.lines_written)
     return 0
 

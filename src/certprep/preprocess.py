@@ -59,7 +59,7 @@ from itertools import chain
 from . import pb
 from .pb import (LinearConstraint, Objective, constraint_from_clause,
                  mklit, mkvar, neg)
-from .wcnf import MAX_WEIGHT, WcnfInstance, encode_to_pb
+from .wcnf import MAX_WEIGHT, WcnfInstance, WcnfView, encode_to_pb
 from .writer import ProofWriter
 
 STAGE2_ORDER = ("dup", "taut", "up", "empty", "sub", "bce")
@@ -243,13 +243,16 @@ class Preprocessor:
     """One pipeline run over a single instance.
 
     The instance is a WcnfInstance or any other iterable that yields its
-    (weight, literals) clauses afresh on each pass: the constructor encodes
-    one pass, and the output of a run that changed nothing is one more.
+    (weight, literals) clauses afresh on each pass, not an iterator (a
+    TypeError): the constructor encodes one pass, and the output of a run
+    that changed nothing is one more.
     With ``sink=None`` no proof text is produced (id bookkeeping only);
     pass a file-like sink to stream the proof.
     """
 
     def __init__(self, instance, config=None, sink=None):
+        if iter(instance) is instance:
+            raise TypeError("an iterator yields the instance only once")
         self.cfg = config if config is not None else Config()
         self.writer = ProofWriter(sink)
         cons, objective = encode_to_pb(map(_problem_clause, instance))
@@ -435,24 +438,32 @@ class Preprocessor:
         self.fix_literal(self.clauses[pid].terms[0][1], pid)
         return True
 
+    def _dup_group(self, key):
+        """The live ids of dup's group `key`, ascending: a lone clause is
+        kept as its bare id, a group of two or more as a list."""
+        g = self.groups.get(key, [])
+        return [g] if type(g) is int else g
+
     def _dup_heads(self, keys):
         """The smallest id of each group among `keys` that can apply: one
         with two or more members, or a lone clause that is a unit (only as
         a unit soft the objective pays for)."""
-        groups = self.groups
-        return [groups[k][0] for k in keys
-                if k in groups and (len(groups[k]) > 1 or len(k) == 1)]
+        return [g[0] for k in keys
+                if len(g := self._dup_group(k)) > 1 or g and len(k) == 1]
 
     def _dup_candidates(self):
         """The heads of dup's groups: `_dup_key` -> the live non-trivial
-        clauses with it, ids ascending.  The groups are built once, with
-        dup's worklist; from then on dup's hooks keep them."""
+        clauses with it.  The groups are built once, with dup's worklist;
+        from then on dup's hooks keep them."""
         if self.groups is None:
             self.groups = {}
             for cid in sorted(self.clauses):
                 c = self.clauses[cid]
                 if c.degree:
-                    self.groups.setdefault(_dup_key(c), []).append(cid)
+                    key = _dup_key(c)
+                    cids = self._dup_group(key)
+                    cids.append(cid)
+                    self.groups[key] = cids if len(cids) > 1 else cids[0]
         return self._dup_heads(self.groups)
 
     def _dup_at(self, cid):
@@ -467,25 +478,25 @@ class Preprocessor:
         if c is None or not c.degree:
             return False
         key = _dup_key(c)
-        return self.groups[key][0] == cid and self._settle_duplicates(key)
+        return self._dup_group(key)[0] == cid and self._settle_duplicates(key)
 
     def _dup_on_clause(self, wl, cid, c, added):
         """dup: a clause joins or leaves its group, and the group's head is
         pushed."""
         key = _dup_key(c)
-        groups = self.groups
+        cids = self._dup_group(key)
         if added:
             if not c.degree:
                 return
-            groups.setdefault(key, []).append(cid)
-        else:
-            cids = groups.get(key)
-            if not cids or cid not in cids:     # it was trivial
-                return
+            cids.append(cid)    # a new clause has the largest id
+        elif cid in cids:
             cids.remove(cid)
-            if not cids:
-                del groups[key]
-                return
+        else:
+            return              # it was trivial
+        if not cids:
+            del self.groups[key]
+            return
+        self.groups[key] = cids if len(cids) > 1 else cids[0]
         wl.extend(self._dup_heads((key,)))
 
     def _dup_on_coef(self, wl, v):
@@ -496,7 +507,7 @@ class Preprocessor:
     def _settle_duplicates(self, key):
         """Apply the first applicable action to the live clauses (ascending)
         of the group `key`; True if one applied."""
-        cids = self.groups.get(key, ())
+        cids = self._dup_group(key)
         hards = [c for c in cids if self._label(c) is None]
         softs = [c for c in cids if self._label(c) is not None]
         # the first hard copy makes the later hard copies redundant and,
@@ -1381,70 +1392,64 @@ class Preprocessor:
             self._remove_clause(cid)
 
     def finish(self):
-        """Close out a feasible run: sync, fold the constant, rename, emit.
-        The output of a run that changed nothing is the instance read again,
+        """Close out a feasible run: sync, fold the constant, rename, and
+        return the output, a view of the store (`_output_clauses`).  The
+        output of a run that changed nothing is the instance read again,
         its hard clauses first, each clause as the instance gives it."""
-        if self.phase == "wcnf":
-            if not self.dirty:
-                self.writer.conclude()
-                return WcnfInstance.from_clauses(self.source)
-            if self._pristine_softs():
-                return self._finish_wcnf()
+        if self.phase == "wcnf" and not self.dirty:
+            self.writer.conclude()
+            return WcnfInstance.from_clauses(self.source)
+        if self.phase == "wcnf" and not self._pristine_softs():
             self.convert_to_objective_centric()
         self._drop_trivial()
-        self.remove_objective_constant()
-        self.rename_variables()
-        if self.objective.literal_form()[1]:
-            raise AssertionError("objective constant survived stage 5")
-        return self._finish_wcnf()
+        if self.phase == "oc":
+            self.remove_objective_constant()
+            self.rename_variables()
+            if self.objective.literal_form()[1]:
+                raise AssertionError("objective constant survived stage 5")
+        self.writer.conclude()
+        return WcnfView(self._output_clauses)
 
     def _pristine_softs(self):
         """True when the relaxed softs can be written back verbatim: their
         labels are the positional ones re-encoding the output would assign,
         and no other internal variable is left (one in a clause is a label)."""
-        labels = set()
+        k = 0
         for cid in sorted(self.clauses):
             label = self._label(cid)
             if label is not None:
+                k += 1
                 c = self.clauses[cid]
-                if (label != mkvar(len(labels) + 1, pb.NS_AUX)
+                if (label != mkvar(k, pb.NS_AUX)
                         or not c.degree or len(c.terms) == 2):
                     return False    # written, (u v b) reads as unit soft u
-                labels.add(label)
-        terms, const = self.objective.literal_form()
-        if const:
-            return False
-        for _, lit in terms:
-            if lit >> 1 not in labels and pb.var_ns(lit >> 1) != pb.NS_USER:
-                return False
-        return True
+        obj = self.objective
+        if obj.constant + sum(c for c in obj.coeffs.values() if c < 0):
+            return False    # the constant of its literal form
+        return all(pb.var_ns(v) == pb.NS_USER or pb.var_ns(v) == pb.NS_AUX
+                   and pb.var_index(v) <= k for v in obj.coeffs)
 
-    def _finish_wcnf(self):
-        """The output: the hard clauses, the softs without their labels (each
-        weighing its label's coefficient), and a unit soft per other
-        objective term (all of them, in phase "oc").
-        A term weighing more than MAX_WEIGHT goes out as several unit softs
-        on its literal, MAX_WEIGHT each but the last, which a reader adds
-        back up."""
-        self._drop_trivial()
-        hard, soft, labels = [], [], set()
-        for cid in sorted(self.clauses):
-            label = self._label(cid)
-            lits = [l for _, l in self.clauses[cid].terms]
-            if label is None:
-                hard.append(lits)
-            else:
-                soft.append((self.objective.coef(label), lits[:-1]))
-                labels.add(label)
-        terms, _ = self.objective.literal_form()
-        for w, lit in terms:
-            if lit >> 1 not in labels:
-                while w > MAX_WEIGHT:
-                    soft.append((MAX_WEIGHT, [neg(lit)]))
-                    w -= MAX_WEIGHT
-                soft.append((w, [neg(lit)]))
-        self.writer.conclude()
-        return WcnfInstance(hard, soft)
+    def _output_clauses(self):
+        """The output's (weight, literals) clauses, read from the store: the
+        hard clauses, the softs without their labels (each weighing its
+        label's coefficient), and a unit soft per objective term on a
+        problem variable, which is every term but a label's.  A term
+        weighing more than MAX_WEIGHT goes out as several unit softs on its
+        literal, MAX_WEIGHT each but the last, which a reader adds back up."""
+        clauses, coef = self.clauses, self.objective.coef
+        for soft in (False, True):
+            for cid in sorted(clauses):
+                label = self._label(cid)
+                if (label is not None) == soft:
+                    lits = [l for _, l in clauses[cid].terms]
+                    yield (coef(label), lits[:-1]) if soft else (None, lits)
+        for v in sorted((v for v in self.objective.coeffs
+                         if pb.var_ns(v) == pb.NS_USER), key=pb.var_sort_key):
+            w, lit = abs(coef(v)), mklit(v, coef(v) > 0)
+            while w > MAX_WEIGHT:
+                yield MAX_WEIGHT, [lit]
+                w -= MAX_WEIGHT
+            yield w, [lit]
 
     def finalize_infeasible(self, conflict_cid):
         """The core holds 0 >= 1: reduce everything to the empty clause."""
@@ -1540,6 +1545,7 @@ class Preprocessor:
 def run(instance, config=None, sink=None):
     """Run the pipeline; returns (output instance, proof text, Preprocessor).
 
+    The output reads the Preprocessor's clause store as it is iterated.
     With an explicit sink the proof is streamed there and the returned text
     is None.
     """

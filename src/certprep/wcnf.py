@@ -55,14 +55,24 @@ class WcnfInstance:
         # the clauses as `read_clauses` yields them, hard clauses first
         return chain(zip(repeat(None), self.hard), self.soft)
 
-    def max_var_index(self):
-        # a literal's variable index is the literal shifted right three
-        # places, whatever its namespace, so the largest literal has it
-        return max([max(cl) for _, cl in self if cl], default=0) >> 3
-
     def __eq__(self, other):
         return (isinstance(other, WcnfInstance)
                 and self.hard == other.hard and self.soft == other.soft)
+
+
+class WcnfView(WcnfInstance):
+    """The instance whose clauses `clauses()` yields afresh on each call,
+    hard ones first: iterating it reads them as they come, and `hard` and
+    `soft` are built from them each time they are read."""
+
+    def __init__(self, clauses):
+        self.clauses = clauses
+
+    def __iter__(self):
+        return self.clauses()
+
+    hard = property(lambda self: WcnfInstance.from_clauses(self).hard)
+    soft = property(lambda self: WcnfInstance.from_clauses(self).soft)
 
 
 def _lit_to_dimacs(lit):

@@ -312,11 +312,13 @@ def assert_worklists_complete(p, running=None):
     """The worklist invariant: every candidate absent from a pass's heap
     tests as not applicable, and a stale list counts as holding every
     candidate.  `running` names a pass whose candidate under test is
-    popped, so its heap is left out.  dup's maintained groups equal a fresh
-    regrouping of the live clauses by their real literals."""
+    popped, so its heap is left out.  dup's maintained groups, a lone id
+    read as a list of one, equal a fresh regrouping of the live clauses by
+    their real literals, and only a group of two or more is a list."""
     if "dup" in p.worklists:
-        assert {tuple(lit for _, lit in key): cids
-                for key, cids in p.groups.items()} == reference_groups(p)
+        assert {tuple(lit for _, lit in key): [g] if type(g) is int else g
+                for key, g in p.groups.items()} == reference_groups(p)
+        assert all(len(g) > 1 for g in p.groups.values() if type(g) is list)
     for name, wl in p.worklists.items():
         if name == running or wl.stale:
             continue

@@ -12,7 +12,8 @@ from certprep import pb, preprocess
 from certprep.checker import ProofChecker, check_wcnf_proof
 from certprep.preprocess import Config, Infeasible, Preprocessor
 from certprep.wcnf import (MAX_WEIGHT, WcnfInstance, encode_to_pb,
-                           opt_cost_bruteforce, parse_wcnf, write_wcnf)
+                           opt_cost_bruteforce, parse_wcnf, read_clauses,
+                           write_wcnf)
 from conftest import (b, nb, nx, random_instance, record_checkpoints,
                       record_solves, x)
 
@@ -506,6 +507,21 @@ def test_input_literal_outside_the_problem_namespace_is_refused():
                        ([], [(3, [x(1), t1])])):
         with pytest.raises(ValueError):
             preprocess.run(WcnfInstance(hard, soft))
+
+
+def test_an_iterator_instance_is_refused():
+    # a run that changes nothing reads its instance a second time for the
+    # output, which a spent iterator would leave empty: the checker then
+    # rejects the core at line 5
+    text = "h 1 2 0\n3 -1 -2 0\n"
+    sink = io.StringIO()
+    with pytest.raises(TypeError):
+        Preprocessor(read_clauses(text), Config.from_flag(""), sink)
+    assert sink.getvalue() == ""    # refused before the proof header
+    inst = parse_wcnf(text)
+    out, proof, _ = preprocess.run(inst, Config.from_flag(""))
+    verified(inst, out, proof)
+    assert out.hard == [[x(1), x(2)]] and out.soft == [(3, [nx(1), nx(2)])]
 
 
 def test_empty_instance():

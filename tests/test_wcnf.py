@@ -7,6 +7,7 @@ import pytest
 from certprep import pb, wcnf
 from conftest import (C, all_assignments, b, cost, nx, pb_opt_bruteforce,
                       random_instance, x)
+from test_ingest import max_var_index
 
 NEW_SAMPLE = """\
 c a comment
@@ -31,7 +32,7 @@ def test_parse_new_format():
     inst = wcnf.parse_wcnf(NEW_SAMPLE)
     assert inst.hard == [[x(1), x(2)]]
     assert inst.soft == [(2, [nx(1)]), (3, [x(2), x(3)]), (1, [x(1)])]
-    assert inst.max_var_index() == 3
+    assert max_var_index(inst) == 3
 
 
 def test_parse_legacy_format():
