@@ -416,7 +416,7 @@ def check_proof(input_constraints, input_objective, proof_lines,
                         output_constraints, output_objective).run(proof_lines)
 
 
-def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
+def check_wcnf_proof(input_clauses, proof_lines, output_clauses):
     """Encode the input, key the output, then replay the proof.  Each
     instance is a WcnfInstance or a `wcnf.read_clauses` stream; the output
     is kept only as its keys and objective while the proof replays.  Both
@@ -425,10 +425,7 @@ def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
     from .wcnf import _Units, encode_to_pb
 
     units = _Units()
-
-    def encoded(clauses):
-        return (None, None) if clauses is None else encode_to_pb(clauses, units)
-
-    checker = ProofChecker(*encoded(input_clauses), *encoded(output_clauses))
+    checker = ProofChecker(*encode_to_pb(input_clauses, units),
+                           *encode_to_pb(output_clauses, units))
     del units       # the replay needs no term table
     return checker.run(proof_lines)

@@ -15,6 +15,7 @@ import os
 import stat
 import sys
 
+from . import pb
 from .wcnf import opt_cost_bruteforce, parse_wcnf, read_clauses, write_wcnf
 
 VERIFIED_LINE = "s VERIFIED OUTPUT EQUIOPTIMAL"
@@ -43,7 +44,7 @@ class _BadInput(Exception):
 
 class _Tally:
     """The clauses of a stream, passed on as they are read and counted, and
-    their largest literal `top`, whose variable index is `top >> 3`."""
+    their largest literal `top`, whose variable is `top >> 1`."""
 
     def __init__(self, clauses):
         self.clauses = clauses
@@ -139,7 +140,7 @@ def _distinct_files(**paths):
                              % (seen[key], role, path))
 
 
-def check_wcnf_proof(input_clauses, proof_lines, output_clauses=None):
+def check_wcnf_proof(input_clauses, proof_lines, output_clauses):
     """``checker.check_wcnf_proof``, looked up when called: only ``check``
     loads the checker."""
     from .checker import check_wcnf_proof as check
@@ -175,7 +176,8 @@ def cmd_preprocess(args):
         print("warning: iteration cap reached before fixpoint",
               file=sys.stderr)
     print("clauses: %d -> %d" % (source.tally.count, written.count))
-    print("vars: %d -> %d" % (source.tally.top >> 3, written.top >> 3))
+    print("vars: %d -> %d" % (pb.var_index(source.tally.top >> 1),
+                                pb.var_index(written.top >> 1)))
     print("proof lines: %d" % p.writer.lines_written)
     return 0
 

@@ -22,7 +22,9 @@ internal, terms sort by namespace, stage 2 installs only ``fix_literal``'s
 clauses, and only stage 4 makes internal variables; from then on every
 clause is hard.  The store is the engine's constraints, the one copy of
 each clause.  Clauses enter it through ``_install`` and leave through
-``_remove_clause``, which logs the ``delc`` and retires a soft label.
+``_remove_clause``, which logs the ``delc`` and retires a soft label.  An
+id leaves the proof only through ``_delc``, so the proof's deletions
+(``deleted``) are the run's change record: each WCNF-phase change ends in one.
 
 Every pass but the one-shot oracle passes ``trim`` and ``harden`` has one
 shape, a row of ``_WORKLISTS`` drained by ``_drain``: its candidates
@@ -247,7 +249,8 @@ class Preprocessor:
     TypeError): the constructor encodes one pass, and the output of a run
     that changed nothing is one more.
     With ``sink=None`` no proof text is produced (id bookkeeping only);
-    pass a file-like sink to stream the proof.
+    pass a file-like sink to stream the proof.  ``deleted``, kept by
+    ``_delc`` alone, the one deletion path, is the run's change record.
     """
 
     def __init__(self, instance, config=None, sink=None):
@@ -271,17 +274,9 @@ class Preprocessor:
             self._install(cid, c)
         # the relaxed softs come last, labelled _b1, _b2, ... in order
         self.next_aux = 1 + pb.var_index(cons and self._label(len(cons)) or 0)
-        self.next_tmp = 1
         self.counts = {}
         self.cap_hit = False
         self.source = instance
-        self.dirty = False
-
-    @property
-    def occ(self):
-        """literal -> its cids (a list, or a set past ``pb._LIST_MAX``):
-        the engine's index, built when a pass first reads it."""
-        return self.engine.occ
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -329,11 +324,6 @@ class Preprocessor:
         self.next_aux += 1
         return v
 
-    def _fresh_tmp(self):
-        v = mkvar(self.next_tmp, pb.NS_TMP)
-        self.next_tmp += 1
-        return v
-
     def _count(self, name):
         self.counts[name] = self.counts.get(name, 0) + 1
 
@@ -356,13 +346,6 @@ class Preprocessor:
     def _delc(self, cid, witness=None):
         self.writer.delc(cid, witness)
         self.deleted.add(cid)
-        self.dirty = True
-
-    def _drop_derived(self, cid):
-        # a derived constraint that never entered the core leaves the proof
-        # and changes nothing in the instance
-        self.writer.delc(cid)
-        self.deleted.add(cid)
 
     def _update_objective(self, terms, const=0):
         """Add sum(w * lit) + const to the objective in place and log the
@@ -379,7 +362,6 @@ class Preprocessor:
         const = obj.constant - old_const
         if diff or const:
             self.writer.obju_diff(diff, const)
-            self.dirty = True
         for wl in self.worklists.values():
             if wl.on_coef is not None:
                 for _, lit in diff:
@@ -755,7 +737,7 @@ class Preprocessor:
                 wl.extend(self._occ_ids(neg(l)))
 
     def _live_lits(self):
-        return self.occ.keys()
+        return self.engine.occ.keys()
 
     def _fle_at(self, lit):
         """fle: fix ~lit if lit's closure conflicts, or if it satisfies
@@ -879,7 +861,7 @@ class Preprocessor:
         self._delc(e2, {v: image})
 
     def _live_vars(self):
-        return {l >> 1 for l in self.occ}
+        return {l >> 1 for l in self.engine.occ}
 
     def _near(self, x):
         """The variables other than x that share a clause with x."""
@@ -1039,7 +1021,7 @@ class Preprocessor:
         through a fresh variable, finding each (l2 v D) among the clauses
         of D's rarest literal.  Of clauses with the same literals, the one
         with the smallest id is factored."""
-        key, occ, clauses = pb.lit_sort_key, self.occ, self.clauses
+        key, occ, clauses = pb.lit_sort_key, self.engine.occ, self.clauses
         with_l1 = {}    # suffix D -> the smallest id of an (l1 v D)
         for cid in sorted(self._occ_ids(l1)):
             with_l1.setdefault(
@@ -1079,7 +1061,7 @@ class Preprocessor:
         self._core(d2)
         self._update_objective(
             [(-w, mklit(bc)), (-w, mklit(bd)), (w, mklit(bcd))], w)
-        self._drop_derived(d1)
+        self._delc(d1)
         self._delc(elim, {bcd: 0})
         self._install(d2, clause)
         return bcd, d2
@@ -1172,7 +1154,7 @@ class Preprocessor:
         self._delc(am1c, am1c_witness)
         self._remove_clause(cid_c, {bc: 1})
         self._remove_clause(cid_d, {bd: 1})
-        self._drop_derived(r2)
+        self._delc(r2)
         self._delc(r1, {bc: 1})
         return bcd
 
@@ -1256,14 +1238,13 @@ class Preprocessor:
         return False
 
     def _oracle(self, on_learn=None):
-        """A SAT oracle over the live clauses, trivial ones left out."""
+        """A SAT oracle over the live clauses, none trivial in stage 4."""
         from .sat import SatOracle   # only trim and harden load the oracle
 
         oracle = SatOracle(on_learn=on_learn, conflict_budget=ORACLE_CONFLICTS,
                            work_budget=ORACLE_WORK)
         for cid in sorted(self.clauses):
-            if not self.clauses[cid].is_trivial():
-                oracle.add_clause(self._real_lits(cid))
+            oracle.add_clause(self._real_lits(cid))
         return oracle
 
     def trim_maxsat(self):
@@ -1304,12 +1285,12 @@ class Preprocessor:
                     raise AssertionError("oracle model despite entailment")
         except OracleBudget:
             for cid in derived:
-                self._drop_derived(cid)
+                self._delc(cid)
             return False
         pids = [(lit, self._core_rup(_unit(neg(lit))))
                 for lit in entailed]
         for cid in derived:
-            self._drop_derived(cid)
+            self._delc(cid)
         for lit, pid in pids:
             self.fix_literal(neg(lit), pid)
             self._count("trim")
@@ -1329,17 +1310,14 @@ class Preprocessor:
             if v not in model:
                 model[v] = self.objective.coef(v) < 0
         bound = self.objective.value(model)
-        changed = False
-        while True:
-            terms, _ = self.objective.literal_form()
-            picked = next((lit for w, lit in terms if w > bound), None)
-            if picked is None:
-                return changed
-            witness = {v: 1 if b else 0 for v, b in model.items()}
-            pid = self._core_red(_unit(neg(picked)), witness)
-            self.fix_literal(neg(picked), pid)
+        witness = {v: 1 if b else 0 for v, b in model.items()}
+        # a fix changes only its own term: the heavy terms are read once
+        heavy = [l for w, l in self.objective.literal_form()[0] if w > bound]
+        for lit in heavy:
+            pid = self._core_red(_unit(neg(lit)), witness)
+            self.fix_literal(neg(lit), pid)
             self._count("harden")
-            changed = True
+        return bool(heavy)
 
     # ------------------------------------------------------------------
     # stage 5 and output
@@ -1373,7 +1351,7 @@ class Preprocessor:
         base = max((pb.var_index(v) for v in order
                     if pb.var_ns(v) == pb.NS_USER), default=0)
         finals = [mkvar(base + i + 1) for i in range(len(internal))]
-        temps = [self._fresh_tmp() for _ in internal]
+        temps = [mkvar(i, pb.NS_TMP) for i in range(1, len(internal) + 1)]
         for old, tmp in zip(internal, temps):
             self._substitute_var(old, tmp)
         for tmp, new in zip(temps, finals):
@@ -1396,7 +1374,7 @@ class Preprocessor:
         return the output, a view of the store (`_output_clauses`).  The
         output of a run that changed nothing is the instance read again,
         its hard clauses first, each clause as the instance gives it."""
-        if self.phase == "wcnf" and not self.dirty:
+        if self.phase == "wcnf" and not self.deleted:
             self.writer.conclude()
             return WcnfInstance.from_clauses(self.source)
         if self.phase == "wcnf" and not self._pristine_softs():

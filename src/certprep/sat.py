@@ -208,12 +208,9 @@ class SatOracle:
         learnt = []
         counter = 0
         reason_lits = self.clauses[confl]
-        p = None
         idx = len(self._trail) - 1
         while True:
             for q in reason_lits:
-                if q == p:
-                    continue
                 v = q >> 1
                 lv = self._level[v]
                 if v in seen or lv == 0:

@@ -549,7 +549,7 @@ def _reference_duplicates_once(p):
 
 def reference_sle_pairs(p):
     """Every ordered pair of distinct live variables, in variable order."""
-    vs = sorted({lit >> 1 for lit in p.occ}, key=pb.var_sort_key)
+    vs = sorted({lit >> 1 for lit in p.engine.occ}, key=pb.var_sort_key)
     for x in vs:
         for y in vs:
             if x != y:
@@ -664,7 +664,7 @@ def reference_sle_once(p):
 
 
 def reference_bve_once(p):
-    for v in sorted({l >> 1 for l in p.occ if p.occ[l]},
+    for v in sorted({l >> 1 for l in p.engine.occ if p.engine.occ[l]},
                     key=pb.var_sort_key):
         if p.objective.coef(v):
             continue
@@ -719,8 +719,8 @@ def reference_lm_once(p):
 # application.
 
 def reference_fle_once(p):
-    for lit in sorted(p.occ, key=pb.lit_sort_key):
-        if not p.occ[lit]:
+    for lit in sorted(p.engine.occ, key=pb.lit_sort_key):
+        if not p.engine.occ[lit]:
             continue
         # fixing lit=0 must not pay anything: ~lit may not be a paid term
         coef = p.objective.coef(lit >> 1)
@@ -747,7 +747,8 @@ def reference_probes(p):
     """Each live literal l1, in literal order, whose closure and whose
     negation's closure both end without conflict, as (l1, the other
     literals of l1's closure in literal order, the closure of ~l1)."""
-    for l1 in sorted((l for l in p.occ if p.occ[l]), key=pb.lit_sort_key):
+    occ = p.engine.occ
+    for l1 in sorted((l for l in occ if occ[l]), key=pb.lit_sort_key):
         pos, conflict = p._up_closure([l1])
         if conflict:
             continue
@@ -834,7 +835,8 @@ def reference_bva_once(p):
     by_clause = {}      # literal set -> its smallest clause id
     for cid in sorted(p.clauses):
         by_clause.setdefault(frozenset(reference_lits(p, cid)), cid)
-    lits = sorted((l for l in p.occ if p.occ[l]), key=pb.lit_sort_key)
+    occ = p.engine.occ
+    lits = sorted((l for l in occ if occ[l]), key=pb.lit_sort_key)
     for i, l1 in enumerate(lits):
         for l2 in lits[i + 1:]:
             if l2 >> 1 == l1 >> 1:

@@ -546,6 +546,19 @@ def test_constant_removal_scenario():
     assert v.level == "EQUIOPTIMAL"
 
 
+def test_wcnf_check_requires_the_claimed_output():
+    """A check with no claimed output would compare nothing and accept: the
+    output is a required argument, of the CLI's wrapper too."""
+    from certprep import cli
+
+    inst = wcnf.parse_wcnf("h 1 0\n")
+    proof = wrap([], n=1)
+    for check in (check_wcnf_proof, cli.check_wcnf_proof):
+        with pytest.raises(TypeError):
+            check(inst, proof)
+    assert check_wcnf_proof(inst, proof, inst).accepted
+
+
 def test_checker_drops_its_input_list_once_installed():
     """Once `f <n>` has installed the input, the engine alone holds it."""
     chk = ProofChecker(CLAUSES, NO_OBJ)

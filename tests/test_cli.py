@@ -523,6 +523,23 @@ def test_opt_bound_exceeded(capsys):
     assert "brute force" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "error: [Errno 2] No such file or directory: "),
+    ("h 1 2 0\nh 2 x 0\n", "error: line 2: bad literal 'x'"),
+])
+def test_opt_input_error_is_one_line(tmp_path, capsys, text, message):
+    """A missing or malformed input exits 2 with one error line on stderr,
+    not a traceback."""
+    src = tmp_path / "in.wcnf"
+    if text is not None:
+        src.write_text(text)
+    assert run_cli("opt", src) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
 

@@ -413,7 +413,7 @@ def test_light_run_builds_no_occurrence_index():
         sink = io.StringIO()
         p = Preprocessor(wcnf.parse_wcnf(text), cfg, sink)
         if force:
-            p.occ
+            p.engine.occ
         out = p.run()
         runs.append((wcnf.write_wcnf(out), sink.getvalue(), p.counts,
                      p.engine._occ is None))

@@ -223,8 +223,8 @@ def test_bva_reads_the_clauses_of_one_literal_per_suffix(monkeypatch):
     after l1, which made bva quadratic in the live literals."""
     inst = parse_wcnf(large_light_text(random.Random(3), 300, 600, 400))
     p = Preprocessor(inst, Config(("bva",)))
-    l1 = min(p.occ, key=pb.lit_sort_key)
-    bound = 1 + len(p.occ[l1])
+    l1 = min(p.engine.occ, key=pb.lit_sort_key)
+    bound = 1 + len(p.engine.occ[l1])
     reads = []
     occ_ids = Preprocessor._occ_ids
 
@@ -253,7 +253,7 @@ def test_memoised_closure_matches_fresh_propagation(techniques):
             nonlocal compared
             counted(name)
             fresh = pb.Propagator(p.clauses.values())
-            for lit in sorted(p.occ, key=pb.lit_sort_key):
+            for lit in sorted(p.engine.occ, key=pb.lit_sort_key):
                 for start in ([lit], [pb.neg(lit)]):
                     closure, conflict = p._up_closure(start)
                     assert isinstance(closure, frozenset)

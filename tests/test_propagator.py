@@ -361,7 +361,7 @@ def test_up_closure_matches_reference_through_a_run():
         def count_and_compare(name):
             nonlocal compared
             counted(name)
-            for lit in sorted(p.occ, key=pb.lit_sort_key):
+            for lit in sorted(p.engine.occ, key=pb.lit_sort_key):
                 for start in ([lit], [pb.neg(lit)], [lit, pb.neg(lit)]):
                     assert p._up_closure(start) == \
                         reference_clause_closure(p.clauses, start), name
@@ -376,4 +376,5 @@ def test_finalize_infeasible_leaves_an_empty_engine():
     inst.hard.extend([[pb.mklit(pb.mkvar(1))], [pb.mklit(pb.mkvar(1), True)]])
     out, _, p = preprocess.run(inst)
     assert out.hard == [[]]
-    assert not p.clauses and not p.occ and p._up_closure([]) == (set(), False)
+    assert not p.clauses and not p.engine.occ
+    assert p._up_closure([]) == (set(), False)
