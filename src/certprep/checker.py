@@ -6,16 +6,29 @@ replays the proof line by line against the PB translation of the original
 instance, maintaining:
 
   * a map id -> live constraint, split into *core* (the current trusted
-    reformulation) and *derived* (redundant helpers),
+    reformulation) and *derived* (redundant helpers); the checker keeps
+    only ``derived``, the few ids not yet moved by ``core id``, and the
+    core is every other live id,
   * the current objective,
   * a ``pb.Propagator`` over the live constraints: it owns the id map, and
     its literal -> ids index both drives propagation and enumerates witness
-    obligations.
+    obligations; the engine builds the index on its first read,
+  * the core key table, which maps the key (``_key``) of each core
+    constraint to 2 x (its live core copies) + 1 if the claimed output
+    holds that key.  A clause's key is its terms tuple, which the core's
+    constraints already hold.
 
-The ``output`` step compares the core with the claimed output instance as
-two sets of clause keys (``_key``): a clause's key is its terms tuple, which
-the core's constraints already hold.  ``check_wcnf_proof`` encodes the
-input, keys the output as it reads it, then replays the proof.
+The input is installed as the checker is constructed, with ids 1..n, so
+``f <n>`` only compares n.  The output is then keyed one clause at a time,
+before the proof replays (so an error in the input is reported before one
+in the output, and one in the output before the proof's): a key the table
+holds gets its output bit, and any other key waits in a small *unmatched*
+set until a core constraint takes it into the table.  Core installs,
+``core id`` and removals keep the table current, and an entry whose copies
+are gone stays while it carries the output bit.  The ``output`` step then
+accepts iff nothing is unmatched and every entry is odd and at least 3:
+the core and the output hold the same keys.  No output constraint is kept
+for a key the core holds.
 
 Objective steps are checked from their delta alone (see ``pb``): an
 ``obju diff`` carries it, an ``obju new`` is taken as the change from the
@@ -24,7 +37,7 @@ current objective, and a witness's objective obligation is built from
 updated in place, so a step costs the size of its change.
 
 Every propagation goes through that one engine: ``rup`` starts from its
-root set, ``obju`` and a core ``delc`` do too restricted to the core, and a
+root set, ``obju`` and a core ``delc`` do too leaving out ``derived``, and a
 witnessed ``red``/``delc`` propagates its premises once and resumes each
 obligation from that fixpoint with only the negated target added.  The
 engine scans each constraint a propagation touches once and then keeps its
@@ -64,6 +77,16 @@ constraint may rest on the very constraint being deleted.  Then every
 solution of the smaller core extends to one of the old core at no higher
 cost, and, by the invariant that ``rup``, ``pol`` and ``red`` keep, again to
 one of core and derived together (the core/derived split of VeriPB).
+
+A core ``delc`` without a witness of a constraint of degree 0, or of degree
+1 with another live *core* copy of its key, needs no propagation: RUP over
+the remaining core always conflicts there, so the verdict is RUP's.
+Negating a degree-0 constraint gives one that no assignment meets, so its
+first scan conflicts; negating one of degree 1 forces every literal of the
+constraint false, and that falsifies the copy.  A derived copy does not
+count, since it may rest on the constraint being deleted.  So a proof of
+duplicate and tautology deletions alone, as ``dup,taut`` writes, never
+builds the literal index.
 """
 
 from . import pb
@@ -103,35 +126,75 @@ class ProofChecker:
 
     def __init__(self, input_constraints, input_objective,
                  output_constraints=None, output_objective=None):
-        self.input_constraints = list(input_constraints)   # until `f <n>`
-        self.objective = input_objective.copy()   # from the preamble on
-        self.output_keys = (None if output_constraints is None
-                            else set(map(_key, output_constraints)))
-        self.output_objective = output_objective
+        self.objective = input_objective.copy()
         self.lineno = 0
         self.state = "header"
         self.engine = pb.Propagator()
         self.constraints = self.engine.constraints
-        self.core_ids = set()
+        self.derived = set()    # the live ids outside the core
+        # _key(c) -> 2 * (live core copies) + 1 if the output holds the key
+        self.core_keys = {}
+        # the output's keys that no core constraint holds; None: no output
+        self.unmatched = None
         self.next_id = 1
         self.level = None
+        for c in input_constraints:
+            self._install(c, core=True)
+        self.n_input = self.next_id - 1
+        self.output_objective = output_objective
+        if output_constraints is not None:
+            self.unmatched = set()
+            for c in output_constraints:
+                self.key_output(c)
 
     # -- bookkeeping ---------------------------------------------------------
 
     def _err(self, msg):
         raise ProofRejected(self.lineno, msg)
 
+    def key_output(self, c):
+        """Key one more constraint of the claimed output (before the proof
+        replays)."""
+        k = _key(c)
+        if k in self.core_keys:
+            self.core_keys[k] |= 1
+        else:
+            self.unmatched.add(k)
+
+    def _add_core_key(self, k):
+        keys = self.core_keys
+        n = keys.get(k)
+        if n is not None:
+            keys[k] = n + 2
+        elif self.unmatched and k in self.unmatched:
+            self.unmatched.remove(k)
+            keys[k] = 3
+        else:
+            keys[k] = 2
+
     def _install(self, c, core=False):
         cid = self.next_id
         self.next_id += 1
         self.engine.add(cid, c)
         if core:
-            self.core_ids.add(cid)
+            self._add_core_key(_key(c))
+        else:
+            self.derived.add(cid)
         return cid
 
     def _remove(self, cid):
-        self.engine.remove(cid)
-        self.core_ids.discard(cid)
+        """Remove a live id; its constraint, and whether it was core."""
+        c = self.engine.remove(cid)
+        if cid in self.derived:
+            self.derived.remove(cid)
+            return c, False
+        k = _key(c)
+        n = self.core_keys[k] - 2
+        if n:   # 1: no core copy left, but the output holds the key
+            self.core_keys[k] = n
+        else:
+            del self.core_keys[k]
+        return c, True
 
     def _live(self, cid):
         c = self.constraints.get(cid)
@@ -182,56 +245,64 @@ class ProofChecker:
 
     # -- redundance obligations -----------------------------------------------
 
-    def _touched_ids(self, witness, only):
+    def _touched_ids(self, witness, exclude):
         ids = set()
         for v in witness:
             ids.update(self.engine.ids_with(v << 1))
             ids.update(self.engine.ids_with((v << 1) | 1))
-        return ids if only is None else ids & only
+        return ids - exclude if exclude else ids
 
-    def _conflicts(self, extras, base=None, only=None):
+    def _conflicts(self, extras, base=None, exclude=None):
         return self.engine.propagate(extras=extras, base=base,
-                                     only=only) is None
+                                     exclude=exclude) is None
 
-    def _discharge(self, neg_c, base, target, only):
+    def _discharge(self, neg_c, base, target, exclude):
         """Vacuous or implicit-RUP discharge of one obligation.
 
-        `base` is the fixpoint of the premises: the live constraints (those
-        in `only`, when given) plus `neg_c`.
+        `base` is the fixpoint of the premises: the live constraints (but
+        those in `exclude`, when given) plus `neg_c`.
         """
         if target.is_trivial() or base is None:  # None: premises conflict
             return True
-        return self._conflicts([neg_c, pb.negate(target)], base, only)
+        return self._conflicts([neg_c, pb.negate(target)], base, exclude)
 
-    def _check_witnessed(self, c, witness, only=None):
-        """Obligations for adding c by redundance, or, with `only` the core,
-        for deleting the core constraint c, which has already left it."""
+    def _check_witnessed(self, c, witness, exclude=None):
+        """Obligations for adding c by redundance, or, with `exclude` the
+        derived ids, for deleting the core constraint c, which has already
+        left the core."""
         neg_c = pb.negate(c)
-        base = self.engine.propagate(extras=[neg_c], only=only)
-        for cid in sorted(self._touched_ids(witness, only)):
+        base = self.engine.propagate(extras=[neg_c], exclude=exclude)
+        for cid in sorted(self._touched_ids(witness, exclude)):
             target = pb.restrict(self.constraints[cid], witness)
-            if not self._discharge(neg_c, base, target, only):
+            if not self._discharge(neg_c, base, target, exclude):
                 self._err("witness obligation fails for constraint %d" % cid)
         self_target = pb.restrict(c, witness)
-        if not self._discharge(neg_c, base, self_target, only):
+        if not self._discharge(neg_c, base, self_target, exclude):
             self._err("witness obligation fails for the introduced constraint")
         terms, const = self.objective.delta(witness)
         if terms:   # the objective must not grow: -delta >= 0
             target = pb.normalize([(-w, lit) for w, lit in terms], const)
-            if not self._discharge(neg_c, base, target, only):
+            if not self._discharge(neg_c, base, target, exclude):
                 self._err("witness obligation fails for the objective")
+
+    def _duplicate_or_trivial(self, c):
+        """True if c, just deleted from the core, has degree 0, or degree 1
+        and another live core copy: RUP over the remaining core then
+        conflicts, so it need not run (see the module docstring)."""
+        return c.degree == 0 or (c.degree == 1
+                                 and self.core_keys.get(c.terms, 0) > 1)
 
     # -- objective updates -----------------------------------------------------
 
     def _obju_direction_ok(self, target):
         if target.is_trivial():
             return True
-        if self._conflicts([pb.negate(target)], only=self.core_ids):
+        if self._conflicts([pb.negate(target)], exclude=self.derived):
             return True
         if target.terms:
             # scaled copy of a single core constraint (multiplication rule)
             for cid in self.engine.ids_with(target.terms[0][1]):
-                if cid not in self.core_ids:
+                if cid in self.derived:
                     continue
                 g = self.constraints[cid]
                 if not g.terms or len(g.terms) != len(target.terms):
@@ -261,10 +332,11 @@ class ProofChecker:
         if level not in LEVELS:
             self._err("unknown output level %r" % level)
         self.level = level
-        out = self.output_keys
-        if out is None:
+        if self.unmatched is None:
             return  # no reformulated instance to compare against
-        if {_key(self.constraints[i]) for i in self.core_ids} != out:
+        # each key held by the core and by the output: odd, and at least 3
+        if self.unmatched or not all(
+                n & 1 and n > 1 for n in self.core_keys.values()):
             self._err("core does not match the output instance")
         if self.objective != self.output_objective:
             self._err("objective does not match the output instance")
@@ -293,12 +365,9 @@ class ProofChecker:
             if toks[0] != "f" or len(toks) != 2 or not pb.is_digits(toks[1]):
                 self._err("expected 'f <n>' after the header")
             n = pb.digits_int(toks[1])
-            if n != len(self.input_constraints):
+            if n != self.n_input:
                 self._err("f %d does not match the %d input constraints"
-                          % (n, len(self.input_constraints)))
-            for c in self.input_constraints:
-                self._install(c, core=True)
-            self.input_constraints = None   # the engine holds them now
+                          % (n, self.n_input))
             self.state = "body"
             return
         if self.state == "body":
@@ -340,7 +409,7 @@ class ProofChecker:
             if len(toks) < 2 or not pb.is_digits(toks[1]):
                 self._err("delc needs a constraint id")
             cid = pb.digits_int(toks[1])
-            c = self._live(cid)
+            self._live(cid)
             witness = None
             if len(toks) > 2:
                 if toks[2] != ";":
@@ -348,14 +417,12 @@ class ProofChecker:
                 witness, pos = pb.parse_witness_tokens(toks, 3)
                 if pos != len(toks):
                     self._err("delc: trailing tokens")
-            core = cid in self.core_ids
-            self._remove(cid)
+            c, core = self._remove(cid)
             if core:    # justified from the remaining core alone
-                only = (None if len(self.core_ids) == len(self.constraints)
-                        else self.core_ids)     # no filter if all is core
                 if witness is not None:
-                    self._check_witnessed(c, witness, only)
-                elif not self._conflicts([pb.negate(c)], only=only):
+                    self._check_witnessed(c, witness, self.derived)
+                elif not (self._duplicate_or_trivial(c) or self._conflicts(
+                        [pb.negate(c)], exclude=self.derived)):
                     self._err("deleted core constraint is not rederivable")
         elif op == "obju":
             if len(toks) < 2 or toks[1] not in ("diff", "new"):
@@ -376,8 +443,10 @@ class ProofChecker:
                 if not pb.is_digits(t):
                     self._err("bad constraint id %r" % t)
                 cid = pb.digits_int(t)
-                self._live(cid)
-                self.core_ids.add(cid)
+                c = self._live(cid)
+                if cid in self.derived:
+                    self.derived.remove(cid)
+                    self._add_core_key(_key(c))
         elif op == "output":
             if len(toks) != 2:
                 self._err("expected 'output <level>'")
@@ -417,15 +486,18 @@ def check_proof(input_constraints, input_objective, proof_lines,
 
 
 def check_wcnf_proof(input_clauses, proof_lines, output_clauses):
-    """Encode the input, key the output, then replay the proof.  Each
-    instance is a WcnfInstance or a `wcnf.read_clauses` stream; the output
-    is kept only as its keys and objective while the proof replays.  Both
-    encodings fill one term table, so the output's keys hold the input's
-    (1, literal) terms."""
-    from .wcnf import _Units, encode_to_pb
+    """Encode and install the input, key the output one clause at a time,
+    then replay the proof.  Each instance is a WcnfInstance or a
+    `wcnf.read_clauses` stream; of the output only its objective and the
+    keys that the core does not hold are kept.  Both encodings fill one
+    term table, so the output's keys hold the input's (1, literal) terms."""
+    from .wcnf import _Units, encode_clauses, encode_to_pb
 
     units = _Units()
-    checker = ProofChecker(*encode_to_pb(input_clauses, units),
-                           *encode_to_pb(output_clauses, units))
+    # an empty claimed output, to which each output constraint is keyed as
+    # it is encoded
+    checker = ProofChecker(*encode_to_pb(input_clauses, units), ())
+    key = checker.key_output
+    checker.output_objective = encode_clauses(output_clauses, key, key, units)
     del units       # the replay needs no term table
     return checker.run(proof_lines)

@@ -469,12 +469,12 @@ class Propagator:
         occ = self._occ
         return (self.occ if occ is None else occ).get(lit, _NO_IDS)
 
-    def propagate(self, assumptions=(), extras=(), base=None, only=None):
+    def propagate(self, assumptions=(), extras=(), base=None, exclude=None):
         """UP fixpoint as {var: value}, or None on conflict.
 
         `assumptions` are literals made true first; `extras` are transient
         constraints, scanned up front and then reached through a local
-        index.  With `only` given, every id outside it is ignored.  Without
+        index.  Every id in `exclude`, when given, is ignored.  Without
         `base` the root set is scanned up front; a `base` must already be a
         fixpoint of the constraints so filtered, which is why the extras it
         was computed with must be passed again.
@@ -509,7 +509,7 @@ class Propagator:
         scan = [~k for k in range(len(extras))]
         if base is None:
             scan.extend(cid for cid in self.roots
-                        if only is None or cid in only)
+                        if not exclude or cid not in exclude)
         pos = 0
         while True:
             for key in scan:
@@ -548,8 +548,8 @@ class Propagator:
             lit = false[pos]
             pos += 1
             ids = occ.get(lit, ())
-            if only is not None:
-                ids = [cid for cid in ids if cid in only]
+            if exclude:
+                ids = [cid for cid in ids if cid not in exclude]
             if lit in xocc:
                 ids = [*ids, *xocc[lit]]
             scan = []

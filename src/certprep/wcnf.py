@@ -14,7 +14,8 @@ at its line.
 The PB translation mirrors the cost semantics exactly: hard clauses become
 clausal constraints, a unit soft (u, w) contributes w * ~u to the objective,
 and every other soft clause C gets a fresh relaxer b with constraint
-asPB(C v b) and objective term w * b.
+asPB(C v b) and objective term w * b.  ``encode_clauses`` hands each
+constraint on as it is made, for a caller that keeps no list of them.
 
 Both steps keep a repeated value once per call: a parse packs each distinct
 literal token to one int, and an encoding builds one (1, literal) term per
@@ -184,22 +185,32 @@ def encode_to_pb(clauses, units=None):
     objective coefficient.  Duplicate unit softs merge additively into the
     objective.
     """
+    hard, relaxed = [], []
+    objective = encode_clauses(clauses, hard.append, relaxed.append, units)
+    return hard + relaxed, objective
+
+
+def encode_clauses(clauses, hard, relaxed, units=None):
+    """Translate as `encode_to_pb` does, one clause at a time in the order
+    of `clauses`: call hard(c) with each hard constraint and relaxed(c) with
+    each relaxed soft's, and return the objective."""
     if units is None:
         units = _Units()
-    hard, relaxed = [], []
     objective = pb.Objective()
+    n_relaxed = 0
     for w, cl in clauses:
         if w is None:
-            hard.append(pb.constraint_from_clause(cl, units))
+            hard(pb.constraint_from_clause(cl, units))
             continue
         lits = list(dict.fromkeys(cl))
         if len(lits) == 1:
             objective.add_literal_term(w, pb.neg(lits[0]))
             continue
-        lit = pb.mklit(pb.mkvar(len(relaxed) + 1, pb.NS_AUX))
-        relaxed.append(pb.constraint_from_clause(lits + [lit], units))
+        n_relaxed += 1
+        lit = pb.mklit(pb.mkvar(n_relaxed, pb.NS_AUX))
+        relaxed(pb.constraint_from_clause(lits + [lit], units))
         objective.add_literal_term(w, lit)
-    return hard + relaxed, objective
+    return objective
 
 
 class _Units(dict):

@@ -398,7 +398,8 @@ class ReferenceOutputChecker(ProofChecker):
         self.level = level
         if self.reference_output is None:
             return
-        core = {self.constraints[i] for i in self.core_ids}
+        core = {c for i, c in self.constraints.items()
+                if i not in self.derived}
         if core != set(self.reference_output):
             self._err("core does not match the output instance")
         if self.objective != self.output_objective:
@@ -416,6 +417,41 @@ def reference_check_wcnf_proof(input_instance, proof_lines,
         out_cons, out_obj = encode(output_instance)
     return ReferenceOutputChecker(cons, obj, out_cons, out_obj).run(
         proof_lines)
+
+
+# -- guarded deletion rule --------------------------------------------------------
+#
+# A core deletion of a degree-0 constraint, or of a degree-1 one with another
+# live core copy, is accepted without propagation.  The guard runs the RUP
+# check it replaces, over the remaining core, each time it fires.
+
+
+class GuardedChecker(ProofChecker):
+    """A checker that asserts, whenever the deletion rule accepts a core
+    `delc`, that RUP over the remaining core conflicts too; `fired` counts
+    those deletions and `refuted` the ones left to RUP."""
+
+    def __init__(self, *args):
+        self.fired = self.refuted = 0
+        super().__init__(*args)
+
+    def _duplicate_or_trivial(self, c):
+        if not super()._duplicate_or_trivial(c):
+            self.refuted += 1
+            return False
+        assert self.engine.propagate(extras=[pb.negate(c)],
+                                     exclude=self.derived) is None, c
+        self.fired += 1
+        return True
+
+
+def guarded_check(input_instance, proof_lines, output_instance):
+    """check_wcnf_proof through GuardedChecker; (checker, verdict)."""
+    from certprep.wcnf import encode_to_pb
+
+    chk = GuardedChecker(*encode_to_pb(input_instance),
+                         *encode_to_pb(output_instance))
+    return chk, chk.run(proof_lines)
 
 
 # -- reference propagation ------------------------------------------------------

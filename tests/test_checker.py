@@ -1,11 +1,19 @@
-"""Checker behaviour on hand-built proofs, valid and broken."""
+"""Checker behaviour on hand-built proofs, valid and broken, and the
+deletion rule guarded by RUP over the preprocessor's proofs."""
+
+import itertools
+import pathlib
+import sys
 
 import pytest
 
-from certprep import pb, wcnf
+from certprep import pb, preprocess, wcnf
 from certprep.checker import (HEADER, TRAILER, ProofChecker, ProofRejected,
                               check_proof, check_wcnf_proof)
-from conftest import C, b, nb, nx, x
+from certprep.preprocess import Config
+from conftest import C, GuardedChecker, b, guarded_check, nb, nx, x
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(cons, obj, lines, out_cons=None, out_obj=None):
@@ -307,6 +315,64 @@ def test_delc_of_a_core_id_is_justified_by_the_remaining_core(body, message):
              out_cons=GOLDEN_CORE, out_obj=NO_OBJ)
 
 
+# -- the deletion rule ------------------------------------------------------------
+#
+# A core `delc` without a witness of a degree-0 constraint, or of a degree-1
+# one with another live core copy of its key, is accepted without
+# propagation.  GuardedChecker asserts that RUP over the remaining core
+# conflicts each time the rule fires.
+
+TWIN = C("+1 x1 +1 x2 >= 1")
+HEAVY_TWIN = C("+2 x1 +1 x2 >= 1")
+TRIVIAL = pb.LinearConstraint(C("+1 x1 +1 x2 >= 1").terms, 0)
+
+
+def guarded(cons, body, out_cons):
+    chk = GuardedChecker(cons, NO_OBJ, out_cons, NO_OBJ)
+    return chk, chk.run(wrap(body, cons=cons))
+
+
+@pytest.mark.parametrize("twin", [TWIN, HEAVY_TWIN])
+def test_deleting_both_copies_of_a_twin_is_rejected(twin):
+    """The first copy goes by the rule; the second has no copy left, and
+    nothing else derives it."""
+    cons = [twin, twin, C("+1 x3 >= 1")]
+    chk, v = guarded(cons, ["delc 1"], cons[1:])
+    assert v.accepted, v.error
+    assert (chk.fired, chk.refuted) == (1, 0)
+    chk, v = guarded(cons, ["delc 1", "delc 2"], cons[2:])
+    assert v.error == "line 4: deleted core constraint is not rederivable"
+    assert (chk.fired, chk.refuted) == (1, 1)
+
+
+def test_a_derived_copy_does_not_justify_a_deletion():
+    """A pol copy never moved to the core leaves the rule to RUP over the
+    core, which fails; moved by `core id`, it lets the rule fire."""
+    cons = [TWIN, C("+1 x3 >= 1")]
+    chk, v = guarded(cons, ["pol 1 1 *", "delc 1"], cons[1:])
+    assert v.error == "line 4: deleted core constraint is not rederivable"
+    assert (chk.fired, chk.refuted) == (0, 1)
+    chk, v = guarded(cons, ["pol 1 1 *", "core id 3", "delc 1"], cons)
+    assert v.accepted, v.error
+    assert (chk.fired, chk.refuted) == (1, 0)
+
+
+def test_a_degree_zero_constraint_goes_by_the_rule():
+    chk, v = guarded([TRIVIAL, C("+1 x3 >= 1")], ["delc 1"],
+                     [C("+1 x3 >= 1")])
+    assert v.accepted, v.error
+    assert (chk.fired, chk.refuted) == (1, 0)
+
+
+def test_a_degree_one_constraint_without_a_copy_is_left_to_rup():
+    """No copy: RUP decides, here from the two clauses that resolve to it."""
+    cons = [C("+2 x1 +1 x2 >= 1"), C("+1 x1 +1 x3 >= 1"),
+            C("+1 x1 +1 ~x3 >= 1")]
+    chk, v = guarded(cons, ["delc 1"], cons[1:])
+    assert v.accepted, v.error
+    assert (chk.fired, chk.refuted) == (0, 1)
+
+
 def test_delc_unknown_or_double():
     rejected(CLAUSES, NO_OBJ, wrap(["delc 7"], cons=CLAUSES))
     body = ["pol 1 2 +", "core id 3", "delc 1", "delc 1"]
@@ -560,11 +626,15 @@ def test_wcnf_check_requires_the_claimed_output():
 
 
 def test_checker_drops_its_input_list_once_installed():
-    """Once `f <n>` has installed the input, the engine alone holds it."""
-    chk = ProofChecker(CLAUSES, NO_OBJ)
+    """The checker installs the input as it is constructed, with ids 1..n,
+    and keeps no list of it: the engine alone holds it, and `f <n>` only
+    compares n."""
+    chk = ProofChecker(iter(CLAUSES), NO_OBJ)
+    assert not hasattr(chk, "input_constraints")
+    assert not any(type(v) is list for v in vars(chk).values())
+    assert chk.constraints == {1: CLAUSES[0], 2: CLAUSES[1]}
     chk.feed(HEADER)
     chk.feed("f 2")
-    assert chk.input_constraints is None
     assert list(chk.constraints.values()) == CLAUSES
 
 
@@ -575,3 +645,42 @@ def test_checker_streaming_interface():
     assert chk.finish() == "EQUIOPTIMAL"
     with pytest.raises(ProofRejected):
         chk.feed("rup >= 0 ;")
+
+
+def test_deletion_rule_agrees_with_rup_on_the_pass_corpus():
+    """The runs that tests/test_passes.py pins by digest, every eighth
+    instance of its corpus under each of PINNED_SETS: each proof verifies
+    through GuardedChecker, so RUP conflicted wherever the rule fired."""
+    from test_passes import PINNED_SETS, instances
+
+    fired = refuted = 0
+    for inst in itertools.islice(instances(), 0, None, 8):
+        for names in PINNED_SETS:
+            out, proof, _ = preprocess.run(inst, Config(techniques=names))
+            chk, v = guarded_check(inst, proof.splitlines(), out)
+            assert v.accepted, (names, v.error)
+            fired += chk.fired
+            refuted += chk.refuted
+    assert fired > 2000 and refuted > 2000, (fired, refuted)
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_deletion_rule_agrees_with_rup_on_generated_cases(seed):
+    """Every case that perfbench/gen.py builds at the seed, with its
+    technique set, verifies through GuardedChecker."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    fired = 0
+    for w in gen.WORKLOADS:
+        for case in [*gen.workload_cases(w, seed),
+                     *gen.companion_cases(w, seed)]:
+            inst = wcnf.parse_wcnf(case.text)
+            out, proof, _ = preprocess.run(
+                inst, Config.from_flag(case.techniques))
+            chk, v = guarded_check(inst, proof.splitlines(), out)
+            assert v.accepted, (case.name, v.error)
+            fired += chk.fired
+    assert fired >= 100, fired

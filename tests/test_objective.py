@@ -89,7 +89,7 @@ def recorded(monkeypatch):
         seen.append(target)
         return True
 
-    def discharge(self, neg_c, base, target, only=None):
+    def discharge(self, neg_c, base, target, exclude=None):
         if target != introduced:
             seen.append(target)
         return True

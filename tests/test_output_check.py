@@ -8,6 +8,8 @@ import gc
 import random
 import tracemalloc
 
+import pytest
+
 from certprep import checker, preprocess, wcnf
 from certprep.checker import LEVELS, check_wcnf_proof
 from certprep.wcnf import read_clauses
@@ -209,28 +211,134 @@ def test_check_keeps_no_parsed_instance_while_replaying():
 
 def test_output_keys_hold_the_input_terms(monkeypatch):
     """A check encodes the input and the output through one term table, so
-    every (1, literal) term in the output's keys is the object that the
-    input's constraints hold for that literal."""
+    every (1, literal) term in the key table and in the unmatched keys is
+    the object that the input's constraints hold for that literal.  The
+    claimed output also comes with clauses that no core constraint holds,
+    made of the input's literals, so that some keys stay unmatched."""
     text = large_light_text(random.Random(9), nv=300, n_hard=600, n_soft=400)
     out, proof, _ = preprocess.run(
         wcnf.parse_wcnf(text), preprocess.Config(techniques=("dup", "taut")))
+    clauses = list(out)
+    hard = [cl for w, cl in clauses if w is None and len(cl) > 2]
+    extra = [(None, a[:2] + b[-1:]) for a, b in zip(hard[::2], hard[1::2])]
     seen = []
 
     class Recording(checker.ProofChecker):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def run(self, proof_lines):
             terms = {}
-            for c in self.input_constraints:
+            for c in self.constraints.values():
                 for term in c.terms:
                     assert terms.setdefault(term[1], term) is term
-            seen.append((terms, self.output_keys))
+            seen.append((terms, list(self.core_keys), set(self.unmatched)))
+            return super().run(proof_lines)
 
     monkeypatch.setattr(checker, "ProofChecker", Recording)
-    v = check_wcnf_proof(read_clauses(text), proof.splitlines(),
-                         read_clauses(wcnf.write_wcnf(out)))
-    assert v.accepted and v.level == "EQUIOPTIMAL", v
-    [(terms, keys)] = seen
-    out_terms = [term for key in keys
-                 for term in (key if type(key) is tuple else key.terms)]
-    assert len(out_terms) > 2000
-    assert all(term is terms[term[1]] for term in out_terms)
+    for claimed, accepted in ((clauses, True), (clauses + extra, False)):
+        v = check_wcnf_proof(read_clauses(text), proof.splitlines(),
+                             read_clauses(wcnf.write_wcnf(claimed)))
+        assert v.accepted is accepted, v
+    assert not seen[0][2] and len(seen[1][2]) > 100
+    for terms, keys, unmatched in seen:
+        out_terms = [term for key in keys + list(unmatched)
+                     for term in (key if type(key) is tuple else key.terms)]
+        assert len(out_terms) > 2000
+        assert all(term is terms[term[1]] for term in out_terms)
+
+
+# (x1 v x2), (~x1 v x3), (x2 v x3), (x4 v x5) and the relaxed soft
+# (~x3 v x4 v _b1) are constraints 1-5; the unit soft goes to the objective
+SMALL = "h 1 2 0\nh -1 3 0\nh 2 3 0\nh 4 5 0\n2 -3 4 0\n3 1 0\n"
+ADD = ["rup +1 x2 +1 x3 +1 x4 >= 1 ;", "core id 6"]
+READD = ADD + ["delc 6", "rup +1 x2 +1 x3 +1 x4 >= 1 ;", "core id 7"]
+
+
+def _without(text, line):
+    assert line in text.splitlines()
+    return "".join(l + "\n" for l in text.splitlines() if l != line)
+
+
+@pytest.mark.parametrize("body, out_text, accepted", [
+    ([], SMALL, True),
+    ([], _without(SMALL, "h 2 3 0"), False),                # missing clause
+    ([], SMALL + "h 1 4 0\n", False),                       # extra clause
+    ([], SMALL + "h 2 3 0\nh 1 2 0\nh 2 3 0\n", True),     # repeated lines
+    ([], "".join(reversed(SMALL.splitlines(True))), True),  # shuffled
+    (["delc 3"], SMALL, False),     # a deleted input key kept
+    (["delc 3"], _without(SMALL, "h 2 3 0"), True),
+    (ADD, SMALL + "h 2 3 4 0\n", True),     # added by rup and core id
+    (ADD, SMALL, False),
+    (ADD[:1], SMALL + "h 2 3 4 0\n", False),    # never moved to the core
+    (ADD[:1], SMALL, True),
+    (READD, SMALL + "h 4 3 2 0\n", True),    # added, deleted, added again
+    (READD, SMALL, False),
+    (READD[:3], SMALL + "h 2 3 4 0\n", False),  # ... not added again
+    (READD[:3], SMALL, True),
+])
+def test_output_cases_match_the_reference(body, out_text, accepted):
+    """The key table and the unmatched keys against the reference's
+    constraint sets: the same verdict, error and line."""
+    lines = [checker.HEADER, "f 5"] + body + [
+        "output EQUIOPTIMAL", "conclusion NONE", checker.TRAILER]
+    got = outcome(check_wcnf_proof(read_clauses(SMALL), lines,
+                                   read_clauses(out_text)))
+    want = outcome(reference_check_wcnf_proof(
+        reference_parse_wcnf(SMALL), lines, reference_parse_wcnf(out_text)))
+    assert got == want
+    if accepted:
+        assert got == (True, "EQUIOPTIMAL", None, None)
+    else:
+        assert got == (False, None, "line %d: core does not match the "
+                       "output instance" % (len(body) + 3), len(body) + 3)
+
+
+def hard_twin_text():
+    """`dup_light_text`'s planted hard duplicates and hard tautology, as the
+    benchmark's large-light instances plant them, without its soft twins:
+    merging those takes witnessed `red` steps, which read the literal
+    index."""
+    text = large_light_text(random.Random(37))
+    lines = text.splitlines()
+    return text + "\n".join(lines[:40:4] + ["h 40 -40 41 0"]) + "\n"
+
+
+# the traced peak of a check over line iterators, as a fraction of the
+# reference path's: 0.585 when pinned, plus 10% headroom
+PEAK_RATIO = 0.64
+
+
+def test_duplicate_deletions_build_no_literal_index(monkeypatch):
+    """A `dup,taut` proof deletes duplicates and tautologies only, which the
+    deletion rule accepts without propagating, so the check never builds
+    the literal index, and it peaks at a pinned fraction of the path that
+    parses both instances whole and compares constraint sets.  Both paths
+    read line iterators built beforehand, so that neither pays for
+    splitting a text."""
+    text = hard_twin_text()
+    out, proof, _ = preprocess.run(
+        wcnf.parse_wcnf(text), preprocess.Config(techniques=("dup", "taut")))
+    in_lines = text.splitlines()
+    out_lines = wcnf.write_wcnf(out).splitlines()
+    lines = proof.splitlines()
+    assert sum(line.startswith("delc ") for line in lines) == 11
+    assert not [line for line in lines[2:-3] if not line.startswith(
+        ("delc ", "* "))]
+    del out, proof
+    checkers, verdicts = [], []
+
+    class Recording(checker.ProofChecker):
+        def run(self, proof_lines):
+            checkers.append(self)
+            return super().run(proof_lines)
+
+    monkeypatch.setattr(checker, "ProofChecker", Recording)
+    peak = traced_peak(lambda: verdicts.append(check_wcnf_proof(
+        read_clauses(iter(in_lines)), iter(lines),
+        read_clauses(iter(out_lines)))))
+    ref_peak = traced_peak(lambda: verdicts.append(reference_check_wcnf_proof(
+        wcnf.parse_wcnf(iter(in_lines)), iter(lines),
+        wcnf.parse_wcnf(iter(out_lines)), encode=wcnf.encode_to_pb)))
+    assert [outcome(v) for v in verdicts] == [(True, "EQUIOPTIMAL", None,
+                                               None)] * 2
+    [chk] = checkers
+    assert chk.engine._occ is None
+    assert peak <= PEAK_RATIO * ref_peak, (peak, ref_peak)

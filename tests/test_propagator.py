@@ -44,20 +44,20 @@ def assumptions_over(base, lits):
     return assign
 
 
-def expected(live, only, extras, assign):
+def expected(live, exclude, extras, assign):
     if assign is None:
         return None
     kept = [c for cid, c in sorted(live.items())
-            if only is None or cid in only]
+            if exclude is None or cid not in exclude]
     return reference_unit_propagate(kept + list(extras), assign)
 
 
-def without(live, skip, only):
-    """`only` with the id `skip` left out, the whole of `live` standing for
-    a None `only`; unchanged when `skip` is None."""
+def left_out(skip, exclude):
+    """The ids `exclude` (None for none) and the id `skip` too, unless it
+    is None."""
     if skip is None:
-        return only
-    return (set(live) if only is None else only) - {skip}
+        return exclude
+    return (set() if exclude is None else exclude) | {skip}
 
 
 def rebuilt_index(live):
@@ -117,26 +117,26 @@ def test_engine_matches_reference_under_churn():
                 if reference_unit_propagate([c]) != {}}
 
             skip = rng.choice([None] + sorted(live))
-            only = without(live, skip, None if rng.random() < 0.5 else
-                           {cid for cid in live if rng.random() < 0.6})
+            exclude = left_out(skip, None if rng.random() < 0.5 else
+                               {cid for cid in live if rng.random() >= 0.6})
             first = [random_constraint(rng, nv)
                      for _ in range(rng.randint(0, 2))]
             lits = [random_lit(rng, nv) for _ in range(rng.randint(0, 3))]
 
             # from the root set
-            got = engine.propagate(lits, first, only=only)
-            assert got == expected(live, only, first,
+            got = engine.propagate(lits, first, exclude=exclude)
+            assert got == expected(live, exclude, first,
                                    assumptions_over({}, lits))
             queries += 1
 
             # resuming from a fixpoint with more extras and assumptions
-            base = engine.propagate(extras=first, only=only)
+            base = engine.propagate(extras=first, exclude=exclude)
             if base is None:
                 continue
             more = [random_constraint(rng, nv)
                     for _ in range(rng.randint(1, 2))]
-            got = engine.propagate(lits, first + more, base=base, only=only)
-            assert got == expected(live, only, first + more,
+            got = engine.propagate(lits, first + more, base=base, exclude=exclude)
+            assert got == expected(live, exclude, first + more,
                                    assumptions_over(base, lits))
             queries += 1
     assert queries > 2000
@@ -234,7 +234,7 @@ def test_engine_matches_reference_on_long_constraints():
     """Clauses and PB constraints of 20-200 terms, whose literals an
     implication forest falsifies before and after their first scan, under
     churn and every combination of root set, base, assumptions, extras and
-    only (some draws leave one live id out of it, as a core deletion
+    ids left out (some draws leave out one live id, as a core deletion
     does): the counters must give the reference's fixpoint or
     conflict."""
     rng = random.Random(5150)
@@ -259,28 +259,28 @@ def test_engine_matches_reference_on_long_constraints():
                 engine.add(next_id, c)
                 next_id += 1
             skip = rng.choice([None] + sorted(live))
-            only = without(live, skip, None if rng.random() < 0.6 else
-                           {cid for cid in live if rng.random() < 0.9})
+            exclude = left_out(skip, None if rng.random() < 0.6 else
+                               {cid for cid in live if rng.random() >= 0.9})
             first = [long_constraint(rng, planted)
                      for _ in range(rng.randint(0, 1))]
             lits = rng.sample(order[:nv // 4], rng.randint(1, 3))
             lits += [random_lit(rng, nv) for _ in range(rng.randint(0, 1))]
 
-            got = engine.propagate(lits, first, only=only)
+            got = engine.propagate(lits, first, exclude=exclude)
             assumed = assumptions_over({}, lits)
-            assert got == expected(live, only, first, assumed)
+            assert got == expected(live, exclude, first, assumed)
             if got is None:
                 outcomes["conflict"] += 1
             elif len(got) > len(assumed):
                 outcomes["propagated"] += 1
 
-            base = engine.propagate(extras=first, only=only)
+            base = engine.propagate(extras=first, exclude=exclude)
             if base is None:
                 continue
             more = [long_constraint(rng, planted)]
             lits = rng.sample(order, rng.randint(1, 3))
-            got = engine.propagate(lits, first + more, base=base, only=only)
-            assert got == expected(live, only, first + more,
+            got = engine.propagate(lits, first + more, base=base, exclude=exclude)
+            assert got == expected(live, exclude, first + more,
                                    assumptions_over(base, lits))
     assert outcomes["conflict"] > 20 and outcomes["propagated"] > 20, outcomes
 
