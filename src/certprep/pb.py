@@ -39,11 +39,11 @@ literals occur a few times, and a small list costs a fraction of a set,
 while the few hub literals keep removal constant-time.  A reader that needs
 set algebra wraps the entry in ``set``.  A propagation either starts from
 the root set or resumes from a base assignment that is already a fixpoint
-of the same constraints; it then makes assumption literals true, scans a
-few transient extra constraints (a negated premise and target), and
-afterwards reaches a constraint only through a newly false literal, so its
-cost follows the constraints actually touched rather than the database
-size.
+of the same constraints; it first scans a few transient extra constraints
+(a negated premise and target, or the unit ``1 lit >= 1`` that makes a
+literal true), and afterwards reaches a constraint only through a newly
+false literal, so its cost follows the constraints actually touched rather
+than the database size.
 
 Slack counters, as in RoundingSat (Elffers & Nordström, IJCAI 2018), keep
 long constraints from being rescanned per false literal; a clause is the
@@ -469,13 +469,14 @@ class Propagator:
         occ = self._occ
         return (self.occ if occ is None else occ).get(lit, _NO_IDS)
 
-    def propagate(self, assumptions=(), extras=(), base=None, exclude=None):
+    def propagate(self, extras=(), base=None, exclude=None):
         """UP fixpoint as {var: value}, or None on conflict.
 
-        `assumptions` are literals made true first; `extras` are transient
-        constraints, scanned up front and then reached through a local
-        index.  Every id in `exclude`, when given, is ignored.  Without
-        `base` the root set is scanned up front; a `base` must already be a
+        `extras` are transient constraints, scanned up front and then
+        reached through a local index; a literal enters as the unit extra
+        ``LinearConstraint(((1, lit),), 1)``, whose scan makes it true.
+        Every id in `exclude`, when given, is ignored.  Without `base` the
+        root set is scanned after the extras; a `base` must already be a
         fixpoint of the constraints so filtered, which is why the extras it
         was computed with must be passed again.
 
@@ -491,14 +492,6 @@ class Propagator:
         """
         assign = dict(base) if base else {}
         false = []          # the queue: literals made false, in order
-        for lit in assumptions:
-            want = (lit & 1) ^ 1
-            have = assign.get(lit >> 1)
-            if have is None:
-                assign[lit >> 1] = want
-                false.append(lit ^ 1)
-            elif have != want:
-                return None
         constraints = self.constraints
         occ = self.occ
         records = {}        # id, or ~position for an extra -> its record
@@ -571,19 +564,21 @@ def unit_propagate(constraints, assign=None):
 
     A constraint with slack < 0 is conflicting; an unassigned literal whose
     coefficient exceeds the slack must be true.  Runs a throwaway Propagator
-    with `assign` as assumptions.
+    with each value of `assign` as a unit extra.
     """
-    return Propagator(constraints).propagate(_assumptions(assign))
+    return Propagator(constraints).propagate(_units(assign))
 
 
 def rup_check(premises, target, assign=None):
     """Reverse unit propagation: premises plus not(target) propagate to conflict."""
     return Propagator(premises).propagate(
-        _assumptions(assign), extras=(negate(target),)) is None
+        _units(assign) + [negate(target)]) is None
 
 
-def _assumptions(assign):
-    return [(v << 1) | (val ^ 1) for v, val in assign.items()] if assign else ()
+def _units(assign):
+    # {var: value} -> the unit extras that make those values true
+    return [LinearConstraint(((1, (v << 1) | (val ^ 1)),), 1)
+            for v, val in assign.items()] if assign else []
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,10 @@ a new clause they can accept, ``sub``, ``bce``, ``ssr``, ``sle``, ``bve``
 and ``lm`` the clauses or variables near it.  The other passes (``fle``,
 ``impl``, ``eql``, ``gsle``, ``bva``, ``am1``, ``bcr``, ``sbl``) read more
 than such a hook would track, so their hook, ``_restart``, marks the list
-stale on any change, and ``_drain`` refills a stale list with every
-candidate before it pops.  That replays the restarting scan, yet a pass
-with no change since its last drain tests nothing.
+stale on any change (``bva`` reads no objective coefficient, so only on a
+clause change), and ``_drain`` refills a stale list with every candidate
+before it pops.  That replays the restarting scan, yet a pass with no
+change since its last drain tests nothing.
 
 Invariant: a candidate absent from a list that is not stale is known not
 to apply (a stale list counts as holding every candidate).  The lists live
@@ -107,7 +108,8 @@ class Config:
 
 
 def _unit(lit):
-    return constraint_from_clause([lit])
+    # the clause (lit): what constraint_from_clause([lit]) builds
+    return LinearConstraint(((1, lit),), 1)
 
 
 def _resolvents(sides_a, sides_b):
@@ -265,7 +267,7 @@ class Preprocessor:
         self.clauses = self.engine.constraints  # cid -> clause, = proof core
         self.worklists = {}     # pass name -> _Worklist, during a stage
         self.groups = None      # dup's groups, while dup has a worklist
-        self.closures = {}      # start literals -> _up_closure result
+        self.closures = {}      # literal -> _up_closure result
         # ids deleted from the proof; between steps, every other id below
         # writer.next_id is a live core constraint
         self.deleted = set()
@@ -681,26 +683,25 @@ class Preprocessor:
     # ------------------------------------------------------------------
     # clause-level unit propagation helper (for FLE and friends)
 
-    def _up_closure(self, start):
-        """Clause-level UP from the given literals.
+    def _up_closure(self, lit):
+        """Clause-level UP from the literal `lit`, a unit extra.
 
         Returns (frozenset of true literals, conflict flag).  On clauses the
         PB slack rule of the engine is the clause rule, and trivial (degree
-        0) clauses never propagate.  Results are memoised on the start
-        literals until the next _install/_uninstall (the objective never
-        enters a closure), so fle, impl and eql share each literal's closure
-        while the clauses stay the same; the sets are frozen so no caller
-        can change a cached one.
+        0) clauses never propagate.  Results are memoised on the literal
+        until the next _install/_uninstall (the objective never enters a
+        closure), so fle, impl and eql share each literal's closure while
+        the clauses stay the same; the sets are frozen so no caller can
+        change a cached one.
         """
-        key = tuple(start)
-        hit = self.closures.get(key)
+        hit = self.closures.get(lit)
         if hit is None:
-            val = self.engine.propagate(start)
+            val = self.engine.propagate((_unit(lit),))
             if val is None:
                 hit = frozenset(), True
             else:
                 hit = frozenset(mklit(v, b == 0) for v, b in val.items()), False
-            self.closures[key] = hit
+            self.closures[lit] = hit
         return hit
 
     # ------------------------------------------------------------------
@@ -743,11 +744,9 @@ class Preprocessor:
         """fle: fix ~lit if lit's closure conflicts, or if it satisfies
         every clause with lit through another literal.  Fixing lit = 0 must
         not pay anything: ~lit may not be a paid term."""
-        coef = self.objective.coef(lit >> 1)
-        if not self._occ_ids(lit) or ((coef < 0) if lit & 1 == 0
-                                      else (coef > 0)):
+        if not self._occ_ids(lit) or self._unit_penalized(lit):
             return False
-        closure, conflict = self._up_closure([lit])
+        closure, conflict = self._up_closure(lit)
         if conflict:
             pid = self._core_rup(_unit(neg(lit)))
         elif self._satisfied_elsewhere(lit, closure):
@@ -771,10 +770,10 @@ class Preprocessor:
         of ~l1) if both closures end without conflict, else None: a
         conflict on either side leaves neither impl nor eql anything to
         apply to l1."""
-        pos, conflict = self._up_closure([l1])
+        pos, conflict = self._up_closure(l1)
         if conflict:
             return None
-        neg_cl, conflict = self._up_closure([neg(l1)])
+        neg_cl, conflict = self._up_closure(neg(l1))
         if conflict:
             return None
         return sorted(pos - {l1}, key=pb.lit_sort_key), neg_cl
@@ -1251,10 +1250,10 @@ class Preprocessor:
         """Fix objective literals that a SAT oracle proves entailed false.
 
         Each step asks, under a fresh selector, for a model that makes one
-        of the first m live literals true.  The oracle decides every live
-        literal true when its variable comes up, so a model drops every
-        live literal it can satisfy; when there is none, the m literals
-        are entailed false and m halves."""
+        of the live literals true.  The oracle decides every live literal
+        true when its variable comes up, so a model drops every live
+        literal it can satisfy; when there is none, the live literals are
+        entailed false."""
         from .sat import OracleBudget
 
         derived = []
@@ -1262,21 +1261,16 @@ class Preprocessor:
             self.writer.rup(constraint_from_clause(lits))))
         alive = [lit for _, lit in self.objective.literal_form()[0]]
         entailed = []
-        m = len(alive)
         try:
             while alive:
-                m = max(1, min(m, len(alive)))
-                subset = alive[:m]
                 s = self._fresh_label()
-                sel = [mklit(s, True)] + subset
+                sel = [mklit(s, True)] + alive
                 derived.append(self.writer.red(constraint_from_clause(sel),
                                                {s: 0}))
                 oracle.add_clause(sel)
                 model = oracle.solve([mklit(s)], prefer=alive)
                 if model is None:
-                    entailed.extend(subset)
-                    alive = alive[m:]
-                    m = max(1, m // 2)
+                    entailed, alive = alive, []
                 else:
                     alive = [l for l in alive
                              if model.get(l >> 1, 0) != (l & 1) ^ 1]
@@ -1467,7 +1461,7 @@ class Preprocessor:
         "gsle": (_paid_vars, pb.var_sort_key, _gsle_at, _restart, _restart),
         "bve": (_live_vars, pb.var_sort_key, _bve_at,
                 _on_each_var(_bve_on_coef), _bve_on_coef),
-        "bva": (_live_lits, pb.lit_sort_key, _bva_at, _restart, _restart),
+        "bva": (_live_lits, pb.lit_sort_key, _bva_at, _restart, None),
         "am1": (_clause_ids, None, _am1_at, _restart, _restart),
         "bcr": (_clause_ids, None, _bcr_at, _restart, _restart),
         "lm": (_paid_vars, pb.var_sort_key, _lm_at,

@@ -85,15 +85,16 @@ def _lit_to_dimacs(lit):
 class _PackedTokens(dict):
     """Clause token -> packed literal, filled by one parse as tokens come,
     so that each distinct token packs to one int object: DIMACS n packs as
-    mklit(mkvar(|n|), n < 0) would pack it.  The literal 0, a token that
-    is not ``[+-]?[0-9]+`` and one that ``pb.digits_int`` refuses pack to 1,
-    which no real literal is."""
+    mklit(mkvar(|n|), n < 0) would pack it.  A token that is not
+    ``[+-]?[0-9]+``, one that ``pb.digits_int`` refuses and the literal 0
+    raise ValueError with the message a parse reports for them."""
 
     def __missing__(self, tok):
-        try:
-            n = pb.digits_int(tok) if _INT.fullmatch(tok) else 0
-        except ValueError:
-            n = 0
+        if not _INT.fullmatch(tok):
+            raise ValueError("bad literal %r" % tok)
+        n = pb.digits_int(tok)
+        if n == 0:
+            raise ValueError("literal 0 inside clause")
         lit = self[tok] = n << 3 if n > 0 else -n << 3 | 1
         return lit
 
@@ -134,8 +135,7 @@ def read_clauses(text):
             continue
         saw_clause = True
         # A clause line is checked in one order: its head ('h' or a weight),
-        # its terminating 0, then its literals, packed through `packed`; only
-        # a packing that yields 1 has its first bad token named.
+        # its terminating 0, then its literals, the first bad one named.
         if head == "h":
             if top is not None:
                 raise ValueError("line %d: 'h' clause in legacy format" % lineno)
@@ -150,13 +150,10 @@ def read_clauses(text):
                 raise ValueError("line %d: weight exceeds 2^63-1" % lineno)
         if len(toks) < 2 or toks[-1] != "0":
             raise ValueError("line %d: clause not terminated by 0" % lineno)
-        lits = list(map(packed.__getitem__, toks[1:-1]))
-        if 1 in lits:
-            tok = next(t for t in toks[1:-1] if packed[t] == 1)
-            if _INT.fullmatch(tok):
-                _number(tok, lineno)    # raises unless the literal is 0
-                raise ValueError("line %d: literal 0 inside clause" % lineno)
-            raise ValueError("line %d: bad literal %r" % (lineno, tok))
+        try:
+            lits = list(map(packed.__getitem__, toks[1:-1]))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from None
         yield (None if top and w >= top else w), lits   # top rules out 'h'
 
 

@@ -6,13 +6,31 @@ implementations are checked against an independent reading of the semantics.
 """
 
 import itertools
+import pathlib
 import re
+import sys
+
+import pytest
 
 from certprep import pb
 from certprep.checker import LEVELS, ProofChecker
 from certprep.pb import constraint_from_clause, mklit, neg
 from certprep.preprocess import _unit
 from certprep.sat import OracleBudget, SatOracle
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's instance generator, ``perfbench/gen.py``, imported
+    read-only."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return gen
 
 
 def all_assignments(variables):
@@ -460,6 +478,12 @@ def guarded_check(input_instance, proof_lines, output_instance):
 # the simple reference its differential tests compare against.
 
 
+def unit_extras(lits):
+    """The extras that make `lits` true in a pb.Propagator.propagate call:
+    one unit ``1 lit >= 1`` per literal."""
+    return [pb.LinearConstraint(((1, lit),), 1) for lit in lits]
+
+
 def reference_unit_propagate(constraints, assign=None):
     """Sweep every constraint in rounds until nothing changes; return the
     extended assignment, or None as soon as some slack is negative."""
@@ -762,7 +786,7 @@ def reference_fle_once(p):
         coef = p.objective.coef(lit >> 1)
         if (coef < 0) if lit & 1 == 0 else (coef > 0):
             continue
-        closure, conflict = p._up_closure([lit])
+        closure, conflict = p._up_closure(lit)
         if conflict:
             pid = p._core_rup(_unit(neg(lit)))
             p.fix_literal(neg(lit), pid)
@@ -785,10 +809,10 @@ def reference_probes(p):
     literals of l1's closure in literal order, the closure of ~l1)."""
     occ = p.engine.occ
     for l1 in sorted((l for l in occ if occ[l]), key=pb.lit_sort_key):
-        pos, conflict = p._up_closure([l1])
+        pos, conflict = p._up_closure(l1)
         if conflict:
             continue
-        neg_cl, conflict = p._up_closure([neg(l1)])
+        neg_cl, conflict = p._up_closure(neg(l1))
         if not conflict:
             yield l1, sorted(pos - {l1}, key=pb.lit_sort_key), neg_cl
 

@@ -2,8 +2,6 @@
 deletion rule guarded by RUP over the preprocessor's proofs."""
 
 import itertools
-import pathlib
-import sys
 
 import pytest
 
@@ -12,8 +10,6 @@ from certprep.checker import (HEADER, TRAILER, ProofChecker, ProofRejected,
                               check_proof, check_wcnf_proof)
 from certprep.preprocess import Config
 from conftest import C, GuardedChecker, b, guarded_check, nb, nx, x
-
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(cons, obj, lines, out_cons=None, out_obj=None):
@@ -665,14 +661,9 @@ def test_deletion_rule_agrees_with_rup_on_the_pass_corpus():
 
 
 @pytest.mark.parametrize("seed", [7, 13])
-def test_deletion_rule_agrees_with_rup_on_generated_cases(seed):
+def test_deletion_rule_agrees_with_rup_on_generated_cases(seed, gen):
     """Every case that perfbench/gen.py builds at the seed, with its
     technique set, verifies through GuardedChecker."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(PERFBENCH))
     fired = 0
     for w in gen.WORKLOADS:
         for case in [*gen.workload_cases(w, seed),

@@ -12,23 +12,10 @@ on purpose, pins the new digest.
 
 import hashlib
 import pathlib
-import sys
 
 import pytest
 
 from certprep import cli
-
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def gen():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return gen
 
 
 def _cases(gen, seed):

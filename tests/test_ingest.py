@@ -112,6 +112,8 @@ MALFORMED = [
     "h 1 2 0 0",                # inner 0
     "2 1 0 3 0",                # literal 0 inside clause
     "h 1 -0 0",                 # -0 is 0
+    "h 1 0 2 0",                # an inner 0 between good literals
+    "h -0 0",                   # -0 alone
     "h 1 +0",                   # +0 does not terminate
     "h 1 00",                   # nor does 00
     "0 1 0",                    # zero weight
@@ -122,6 +124,7 @@ MALFORMED = [
     "² 1 0",                    # a digit that int() refuses
     "h 1 x 0",                  # bad literal
     "h 1 1.5 0",                # bad literal
+    "h 1 x 0\n2 x 0",           # one bad token on two lines
     "h",                        # nothing after h
     "5",                        # nothing after the weight
     "p wcnf 2 2\n2 1 0",        # legacy header missing top
@@ -167,6 +170,9 @@ LONG_VALID = [
 # the exact messages of some of the lines above
 MALFORMED_MESSAGES = {
     "h 1_0 0": "line 1: bad literal '1_0'",
+    "h 1 0 2 0": "line 1: literal 0 inside clause",
+    "h -0 0": "line 1: literal 0 inside clause",
+    "h 1 x 0\n2 x 0": "line 1: bad literal 'x'",
     "h \u0661 0": "line 1: bad literal '\u0661'",
     "p wcnf 2 2 1_0\n2 1 0": "line 1: bad top weight",
     "² 1 0": "line 1: bad weight '²'",

@@ -23,7 +23,8 @@ from certprep.checker import check_wcnf_proof
 from certprep.preprocess import Config, Preprocessor
 from certprep.wcnf import (MAX_WEIGHT, WcnfInstance, parse_wcnf,
                            read_clauses, write_wcnf)
-from conftest import REFERENCE_PASSES, random_instance, reference_groups
+from conftest import (REFERENCE_PASSES, random_instance, reference_groups,
+                      unit_extras)
 from test_ingest import large_light_text
 
 STAGE2 = ("dup", "taut", "up", "empty", "sub", "bce")
@@ -254,11 +255,11 @@ def test_memoised_closure_matches_fresh_propagation(techniques):
             counted(name)
             fresh = pb.Propagator(p.clauses.values())
             for lit in sorted(p.engine.occ, key=pb.lit_sort_key):
-                for start in ([lit], [pb.neg(lit)]):
+                for start in (lit, pb.neg(lit)):
                     closure, conflict = p._up_closure(start)
                     assert isinstance(closure, frozenset)
                     assert p._up_closure(start)[0] is closure
-                    val = fresh.propagate(start)
+                    val = fresh.propagate(unit_extras([start]))
                     if val is None:
                         assert (closure, conflict) == (frozenset(), True)
                     else:

@@ -14,7 +14,7 @@ import pytest
 from certprep import pb, preprocess
 from certprep.preprocess import Config, Preprocessor
 from conftest import (random_instance, reference_clause_closure,
-                      reference_unit_propagate)
+                      reference_unit_propagate, unit_extras)
 
 
 def random_lit(rng, nv):
@@ -124,18 +124,19 @@ def test_engine_matches_reference_under_churn():
             lits = [random_lit(rng, nv) for _ in range(rng.randint(0, 3))]
 
             # from the root set
-            got = engine.propagate(lits, first, exclude=exclude)
+            got = engine.propagate(unit_extras(lits) + first, exclude=exclude)
             assert got == expected(live, exclude, first,
                                    assumptions_over({}, lits))
             queries += 1
 
-            # resuming from a fixpoint with more extras and assumptions
+            # resuming from a fixpoint with more extras and unit extras
             base = engine.propagate(extras=first, exclude=exclude)
             if base is None:
                 continue
             more = [random_constraint(rng, nv)
                     for _ in range(rng.randint(1, 2))]
-            got = engine.propagate(lits, first + more, base=base, exclude=exclude)
+            got = engine.propagate(unit_extras(lits) + first + more,
+                                   base=base, exclude=exclude)
             assert got == expected(live, exclude, first + more,
                                    assumptions_over(base, lits))
             queries += 1
@@ -180,7 +181,7 @@ def test_lazy_index_matches_an_eager_rebuild():
                 if read == "ids_with":
                     engine.ids_with(rng.choice(lits))
                 elif read == "propagate":
-                    engine.propagate([rng.choice(lits)])
+                    engine.propagate(unit_extras([rng.choice(lits)]))
                 else:
                     engine.occ
             occ = rebuilt_index(live)
@@ -189,7 +190,7 @@ def test_lazy_index_matches_an_eager_rebuild():
             for lit in lits:
                 assert set(engine.ids_with(lit)) == occ.get(lit, set())
             assume = rng.sample(lits, rng.randint(0, 2))
-            assert engine.propagate(assume) == expected(
+            assert engine.propagate(unit_extras(assume)) == expected(
                 live, None, (), assumptions_over({}, assume))
             compared += 1
     assert min(reads.values()) > 20 and compared > 1000, (reads, compared)
@@ -233,9 +234,9 @@ def long_constraint(rng, planted):
 def test_engine_matches_reference_on_long_constraints():
     """Clauses and PB constraints of 20-200 terms, whose literals an
     implication forest falsifies before and after their first scan, under
-    churn and every combination of root set, base, assumptions, extras and
-    ids left out (some draws leave out one live id, as a core deletion
-    does): the counters must give the reference's fixpoint or
+    churn and every combination of root set, base, unit extras, other
+    extras and ids left out (some draws leave out one live id, as a core
+    deletion does): the counters must give the reference's fixpoint or
     conflict."""
     rng = random.Random(5150)
     outcomes = {"conflict": 0, "propagated": 0}
@@ -266,7 +267,7 @@ def test_engine_matches_reference_on_long_constraints():
             lits = rng.sample(order[:nv // 4], rng.randint(1, 3))
             lits += [random_lit(rng, nv) for _ in range(rng.randint(0, 1))]
 
-            got = engine.propagate(lits, first, exclude=exclude)
+            got = engine.propagate(unit_extras(lits) + first, exclude=exclude)
             assumed = assumptions_over({}, lits)
             assert got == expected(live, exclude, first, assumed)
             if got is None:
@@ -279,7 +280,8 @@ def test_engine_matches_reference_on_long_constraints():
                 continue
             more = [long_constraint(rng, planted)]
             lits = rng.sample(order, rng.randint(1, 3))
-            got = engine.propagate(lits, first + more, base=base, exclude=exclude)
+            got = engine.propagate(unit_extras(lits) + first + more,
+                                   base=base, exclude=exclude)
             assert got == expected(live, exclude, first + more,
                                    assumptions_over(base, lits))
     assert outcomes["conflict"] > 20 and outcomes["propagated"] > 20, outcomes
@@ -326,7 +328,7 @@ def test_long_clauses_are_scanned_at_most_twice_per_call():
         engine.occ     # build the index now: its build reads every clause
         for c in clauses:
             c.reads = 0
-        got = engine.propagate([order[0]])
+        got = engine.propagate(unit_extras([order[0]]))
         scans += [c.reads for c in clauses]
         assert got == reference_unit_propagate(clauses + tree,
                                                assumptions_over({}, [order[0]]))
@@ -348,9 +350,17 @@ def test_wrappers_match_reference():
             cs + [pb.negate(target)], assign) is None)
 
 
+def closure_of(val):
+    """A propagation's result as (true literals, conflict flag)."""
+    if val is None:
+        return set(), True
+    return {pb.mklit(v, b == 0) for v, b in val.items()}, False
+
+
 def test_up_closure_matches_reference_through_a_run():
     """After every technique application of a default run, the closure of
-    each live literal (and of a clashing pair) equals the reference's."""
+    each live literal, and the engine's propagation of a clashing pair as
+    two unit extras, equal the reference's."""
     rng = random.Random(99)
     compared = 0
     for _ in range(40):
@@ -362,10 +372,14 @@ def test_up_closure_matches_reference_through_a_run():
             nonlocal compared
             counted(name)
             for lit in sorted(p.engine.occ, key=pb.lit_sort_key):
-                for start in ([lit], [pb.neg(lit)], [lit, pb.neg(lit)]):
-                    assert p._up_closure(start) == \
+                for start in ([lit], [pb.neg(lit)]):
+                    assert p._up_closure(start[0]) == \
                         reference_clause_closure(p.clauses, start), name
                     compared += 1
+                pair = [lit, pb.neg(lit)]
+                assert closure_of(p.engine.propagate(unit_extras(pair))) == \
+                    reference_clause_closure(p.clauses, pair), name
+                compared += 1
         p._count = count_and_compare
         p.run()
     assert compared > 1000
@@ -377,4 +391,4 @@ def test_finalize_infeasible_leaves_an_empty_engine():
     out, _, p = preprocess.run(inst)
     assert out.hard == [[]]
     assert not p.clauses and not p.engine.occ
-    assert p._up_closure([]) == (set(), False)
+    assert closure_of(p.engine.propagate()) == (set(), False)
